@@ -1274,79 +1274,3 @@ def enforce_kernel_dataflow(cls: type) -> None:
             f"{VET_ENV_VAR}=0 to bypass):\n  {listing}"
         )
     _VETTED_OK.add(cls)
-
-
-def vet_backend_fn(fn, label: "str | None" = None) -> list:
-    """Dataflow diagnostics for a backend op function (DF613 scope).
-
-    Backend ops registered through :func:`repro.backends.register_backend`
-    replace certified kernel ``execute`` bodies at dispatch time, so they
-    get the same registration-time scrutiny kernel methods get: the dtype
-    lattice, the tracer-placement rules, and the effect rules all run
-    over the function's own source.  Dynamically generated functions
-    (no retrievable source) are skipped, as with kernel classes; inline
-    ``# repro: noqa[...]`` suppressions are honoured.
-    """
-    impl = inspect.unwrap(fn)
-    code = getattr(impl, "__code__", None)
-    if code is None:
-        return []
-    try:
-        segment = textwrap.dedent(inspect.getsource(impl))
-    except (OSError, TypeError):
-        return []
-    try:
-        tree = ast.parse(segment)
-    except SyntaxError:
-        return []
-    node = tree.body[0] if tree.body else None
-    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return []
-    diags: list[Diagnostic] = []
-    analyzer = _DtypeAnalyzer(
-        None, {}, diags, check_dtype=True, file=code.co_filename
-    )
-    analyzer.run(node)
-    _TracerVisitor(code.co_filename, True, diags).visit(node)
-    diags.extend(
-        _effect_diags(
-            node,
-            None,
-            {},
-            code.co_filename,
-            context="kernel",
-            what=label or f"{impl.__module__}.{impl.__qualname__}()",
-        )
-    )
-    diags = apply_suppressions(diags, suppressions_for_source(segment))
-    offset = code.co_firstlineno - node.lineno
-    return [replace(d, line=d.line + offset) for d in diags]
-
-
-_VETTED_FNS: set = set()
-
-
-def enforce_backend_dataflow(fn, label: "str | None" = None) -> None:
-    """The DF613 gate: raise ``RegistrationError`` when a backend op's
-    body trips any error-severity dataflow rule.
-
-    Called by :func:`repro.backends.register_backend` for every op a
-    backend declares.  Honours the same ``REPRO_DATAFLOW_VET`` opt-out
-    as the kernel-class gate, and caches clean functions per process.
-    """
-    key = getattr(fn, "__wrapped__", fn)
-    if not dataflow_vet_enabled() or id(key) in _VETTED_FNS:
-        return
-    errors = [
-        d for d in vet_backend_fn(fn, label) if d.severity is Severity.ERROR
-    ]
-    if errors:
-        from repro.util.errors import RegistrationError
-
-        listing = "\n  ".join(d.format() for d in errors)
-        raise RegistrationError(
-            f"DF613: backend op {label or getattr(fn, '__qualname__', fn)!r} "
-            f"failed registration-time dataflow vetting ({len(errors)} "
-            f"error(s); set {VET_ENV_VAR}=0 to bypass):\n  {listing}"
-        )
-    _VETTED_FNS.add(id(key))

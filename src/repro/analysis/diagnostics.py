@@ -97,7 +97,6 @@ RULES: dict[str, Rule] = {
         Rule("DF610", Severity.WARNING, "tracer emission inside a kernel loop"),
         Rule("DF611", Severity.ERROR, "kernel class failed registration-time dataflow vetting"),
         Rule("DF612", Severity.ERROR, "VALUE_DTYPE-pinned float64 sinks a factor-derived pipeline"),
-        Rule("DF613", Severity.ERROR, "backend op failed registration-time dataflow vetting"),
         # --- symbolic cost certifier (CT7xx) --------------------------
         Rule("CT701", Severity.ERROR, "derived kernel traffic disagrees with the analytic model"),
         Rule("CT702", Severity.ERROR, "model traffic term has no matching kernel access"),

@@ -295,7 +295,6 @@ def sanitized_execute(
     plan,
     factors: Sequence[np.ndarray],
     *,
-    check_traffic: bool = True,
     file: str = "<sanitize>",
 ) -> SanitizeReport:
     """Run ``kernel.execute(plan, factors)`` under instrumentation and
@@ -436,7 +435,7 @@ def sanitized_execute(
             tracker.gather_accesses,
             int(tracker.touched.sum()),
         )
-    if check_traffic and rank is not None:
+    if rank is not None:
         diags += _check_footprint(plan, rank, factor_trackers, file=file)
 
     return SanitizeReport(

@@ -50,7 +50,6 @@ KNOWN_TAGS = frozenset(
         "supplementary",
         "parallel",
         "serve",
-        "backend",
     }
 )
 

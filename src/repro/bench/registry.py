@@ -801,83 +801,3 @@ register_benchmark(
         artifact="serve_warm_cache",
     )
 )
-
-
-# ----------------------------------------------------------------------
-# Fused ALS sweeps + backend matrix (PR 10)
-# ----------------------------------------------------------------------
-def _check_fused_als(d: Mapping[str, Any], params: Mapping[str, Any]) -> None:
-    # The headline contract: pooled-scratch sweeps change nothing but the
-    # allocation profile.
-    assert d["bitwise_identical"], "fused ALS diverged from the reference"
-    # O(1) allocations per iteration: the arena warms up a fixed buffer
-    # set, so allocs must not scale with n_iters while reuses do.
-    assert d["arena_allocs"] > 0, d
-    assert d["arena_allocs"] <= 24, d  # fixed working set, not per-iter
-    assert d["arena_reuses"] >= d["arena_allocs"], d
-    # Wall-clock parity is gated against the committed baseline by
-    # `repro bench compare`; this in-check bound only catches a fused
-    # path that grossly regresses (interpreter overhead noise allowed).
-    assert d["fused_ms"] <= d["unfused_ms"] * 2.0 + 50.0, d
-
-
-register_benchmark(
-    Benchmark(
-        name="fused_als_sweeps",
-        fn=suites.experiment_fused_als,
-        tags=frozenset({"cpd", "backend", "supplementary"}),
-        description=(
-            "Fused CP-ALS sweeps with pooled scratch: bitwise-identical "
-            "to the allocating reference, O(1) arena allocs per iteration"
-        ),
-        params={"nnz": 30_000, "rank": 16, "n_iters": 10},
-        # Quick tier stays big enough (~100ms) that the single-repeat
-        # wall-clock is stable under the 1.25x regression gate.
-        quick={"nnz": 20_000, "n_iters": 8},
-        check=_check_fused_als,
-        metrics=lambda d: {
-            "arena_allocs": d["arena_allocs"],
-            "arena_reuses": d["arena_reuses"],
-            "bitwise": int(d["bitwise_identical"]),
-        },
-        render=lambda d: render_rows(
-            [d], title="Fused ALS sweeps (pooled scratch vs reference)"
-        ),
-        artifact="fused_als_sweeps",
-    )
-)
-
-
-def _check_backend_matrix(d: Mapping[str, Any], params: Mapping[str, Any]) -> None:
-    assert "numpy" in d["backends"] and "numpy-pooled" in d["backends"], d
-    for row in d["rows"]:
-        assert row["agrees"], row
-    # numpy-pooled must actually override at least one benched kernel.
-    assert any(
-        r["override"] for r in d["rows"] if r["backend"] == "numpy-pooled"
-    ), d["rows"]
-
-
-register_benchmark(
-    Benchmark(
-        name="backend_matrix",
-        fn=suites.experiment_backend_matrix,
-        tags=frozenset({"kernel", "backend", "supplementary"}),
-        description=(
-            "Registered kernel backends vs the reference execution: "
-            "parity (bitwise/allclose) and wall-clock per (kernel, backend)"
-        ),
-        params={"nnz": 30_000, "rank": 16},
-        quick={"nnz": 8_000},
-        check=_check_backend_matrix,
-        metrics=lambda d: {
-            "n_backends": len(d["backends"]),
-            "n_rows": len(d["rows"]),
-            "all_agree": int(all(r["agrees"] for r in d["rows"])),
-        },
-        render=lambda d: render_rows(
-            d["rows"], title="Backend matrix (vs reference execution)"
-        ),
-        artifact="backend_matrix",
-    )
-)

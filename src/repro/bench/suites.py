@@ -1021,110 +1021,3 @@ def experiment_serve_warm_cache(
         "warm_entries": int(warm["entries"]),
         "completed": int(stats["counters"].get("completed", 0)),
     }
-
-
-def experiment_fused_als(
-    shape: Sequence[int] = (60, 80, 70),
-    nnz: int = 30_000,
-    rank: int = 16,
-    n_iters: int = 10,
-    kernel: str = "splatt",
-    seed: int = 0,
-) -> dict[str, Any]:
-    """Fused vs unfused CP-ALS sweeps: the pooled-scratch path must be
-    bitwise-identical to the allocating reference and amortize its
-    allocations — the arena warms up once, then every iteration reuses
-    the same buffers (the O(1)-allocs-per-iteration contract)."""
-    from repro.cpd import cp_als
-    from repro.obs import Tracer, use_tracer
-    from repro.tensor import poisson_tensor
-
-    tensor = poisson_tensor(tuple(shape), nnz, seed=seed)
-
-    timer_ref = Timer()
-    with timer_ref:
-        ref = cp_als(tensor, rank, n_iters=n_iters, seed=seed, kernel=kernel)
-    tracer = Tracer()
-    timer_fused = Timer()
-    with use_tracer(tracer):
-        with timer_fused:
-            fused = cp_als(
-                tensor, rank, n_iters=n_iters, seed=seed, kernel=kernel,
-                fused=True,
-            )
-
-    bitwise = bool(
-        np.array_equal(ref.model.weights, fused.model.weights)
-        and all(
-            np.array_equal(a, b)
-            for a, b in zip(ref.model.factors, fused.model.factors)
-        )
-        and ref.fits == fused.fits
-    )
-    counters = tracer.counters
-    return {
-        "kernel": kernel,
-        "n_iters": int(n_iters),
-        "bitwise_identical": bitwise,
-        "final_fit": float(fused.final_fit),
-        "arena_allocs": int(counters.get("arena.allocs", 0)),
-        "arena_reuses": int(counters.get("arena.reuses", 0)),
-        "arena_bytes": int(counters.get("arena.bytes", 0)),
-        "unfused_ms": round(timer_ref.samples[0] * 1e3, 3),
-        "fused_ms": round(timer_fused.samples[0] * 1e3, 3),
-    }
-
-
-def experiment_backend_matrix(
-    shape: Sequence[int] = (60, 80, 70),
-    nnz: int = 30_000,
-    rank: int = 16,
-    kernels: Sequence[str] = ("coo", "splatt", "csf", "mb"),
-    seed: int = 0,
-) -> dict[str, Any]:
-    """Per-kernel backend comparison: every registered backend that
-    overrides a kernel must agree with the reference execution on that
-    kernel (bitwise for ``parity='bitwise'`` backends, allclose
-    otherwise), with per-backend wall-clock recorded side by side."""
-    from repro.backends import get_backend, list_backends
-    from repro.kernels import get_kernel
-    from repro.tensor import poisson_tensor
-
-    tensor = poisson_tensor(tuple(shape), nnz, seed=seed)
-    rng = np.random.default_rng(seed)
-    factors = [
-        rng.standard_normal((s, rank)) for s in tensor.shape
-    ]
-    backends = [b.name for b in list_backends()]
-    rows: list[dict[str, Any]] = []
-    for kname in kernels:
-        kern = get_kernel(kname)
-        params: dict[str, Any] = {}
-        if kname in ("mb", "mb+rankb", "csf-blocked"):
-            params["block_counts"] = (2, 2, 2)
-        if kname in ("rankb", "mb+rankb", "csf-blocked"):
-            params["n_rank_blocks"] = 2
-        plan = kern.prepare(tensor, 0, **params)
-        ref = kern.execute(plan, [None, factors[1], factors[2]])
-        for bname in backends:
-            backend = get_backend(bname)
-            has_op = kname in backend.ops
-            plan_b = kern.prepare(tensor, 0, backend=bname, **params)
-            timer = Timer()
-            with timer:
-                out = kern.execute(plan_b, [None, factors[1], factors[2]])
-            if backend.parity == "bitwise":
-                agrees = bool(np.array_equal(ref, out))
-            else:
-                agrees = bool(np.allclose(ref, out, rtol=1e-4, atol=1e-6))
-            rows.append(
-                {
-                    "kernel": kname,
-                    "backend": bname,
-                    "override": has_op,
-                    "parity": backend.parity,
-                    "agrees": agrees,
-                    "ms": round(timer.samples[0] * 1e3, 3),
-                }
-            )
-    return {"rows": rows, "backends": backends}

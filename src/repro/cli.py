@@ -31,8 +31,6 @@ stand-in) or ``--tns <path>`` (a FROSTT text file).
 from __future__ import annotations
 
 import argparse
-import contextlib
-import dataclasses
 import sys
 from typing import Sequence
 
@@ -546,12 +544,12 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
         rng.standard_normal((s, args.rank)) for s in tensor.shape
     ]
     report = sanitized_execute(
-        kernel,
-        plan,
-        factors,
-        check_traffic=not args.no_traffic,
-        file=f"<sanitize {args.kernel}>",
+        kernel, plan, factors, file=f"<sanitize {args.kernel}>"
     )
+    if args.no_traffic:
+        report.diagnostics = [
+            d for d in report.diagnostics if d.rule != "SZ506"
+        ]
     if args.format == "json":
         payload = json_mod.loads(render_json(report.diagnostics, 1))
         payload["sanitize"] = {
@@ -700,22 +698,6 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
         print(f"repro bench: no benchmark matches {args.filter!r}", file=sys.stderr)
         return 2
 
-    backend_arg = getattr(args, "backend", None)
-    backend_names = (
-        [b.strip() for b in backend_arg.split(",") if b.strip()]
-        if backend_arg
-        else []
-    )
-    if backend_names:
-        from repro.backends import validate_backend_name
-
-        try:
-            for name in backend_names:
-                validate_backend_name(name)
-        except Exception as exc:
-            print(f"repro bench: {exc}", file=sys.stderr)
-            return 2
-
     tier = "quick" if args.quick else "full"
     overrides = (
         {"max_threads": args.threads} if getattr(args, "threads", None) else None
@@ -723,49 +705,34 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
     results = []
     failed_checks: list[str] = []
     t_start = time_mod.time()
-    for backend in backend_names or [None]:
-        if backend is not None:
-            from repro.backends import use_backend
+    for bench in benches:
+        t0 = time_mod.time()
+        tracer = None
+        if getattr(args, "trace", False):
+            from repro.obs import Tracer
 
-            backend_ctx = use_backend(backend)
-        else:
-            backend_ctx = contextlib.nullcontext()
-        with backend_ctx:
-            for bench in benches:
-                t0 = time_mod.time()
-                tracer = None
-                if getattr(args, "trace", False):
-                    from repro.obs import Tracer
-
-                    tracer = Tracer()  # fresh per benchmark: per-run summaries
-                result = run_benchmark(
-                    bench,
-                    quick=args.quick,
-                    warmup=args.warmup,
-                    repeats=args.repeats,
-                    seed=args.seed,
-                    run_checks=not args.no_check,
-                    param_overrides=overrides,
-                    tracer=tracer,
-                )
-                if len(backend_names) > 1:
-                    # Suffix so the suite keeps one record per (bench, backend)
-                    # pair and ``repro bench compare`` lines them up by name.
-                    result = dataclasses.replace(
-                        result, name=f"{bench.name}@{backend}"
-                    )
-                results.append(result)
-                if not result.check_passed:
-                    failed_checks.append(result.name)
-                if args.artifacts:
-                    write_artifacts(bench, result.raw)
-                status = result.check if result.check != "skipped" else "-"
-                print(
-                    f"[{time_mod.time() - t_start:6.1f}s] {result.name:28s} "
-                    f"min {result.summary.min_s * 1e3:9.2f} ms  "
-                    f"(n={result.summary.n}, {time_mod.time() - t0:5.1f}s, "
-                    f"check: {status})"
-                )
+            tracer = Tracer()  # fresh per benchmark: summaries stay per-run
+        result = run_benchmark(
+            bench,
+            quick=args.quick,
+            warmup=args.warmup,
+            repeats=args.repeats,
+            seed=args.seed,
+            run_checks=not args.no_check,
+            param_overrides=overrides,
+            tracer=tracer,
+        )
+        results.append(result)
+        if not result.check_passed:
+            failed_checks.append(bench.name)
+        if args.artifacts:
+            write_artifacts(bench, result.raw)
+        status = result.check if result.check != "skipped" else "-"
+        print(
+            f"[{time_mod.time() - t_start:6.1f}s] {bench.name:28s} "
+            f"min {result.summary.min_s * 1e3:9.2f} ms  "
+            f"(n={result.summary.n}, {time_mod.time() - t0:5.1f}s, check: {status})"
+        )
 
     suite = BenchSuiteResult(
         config={
@@ -777,7 +744,6 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
             "checks": not args.no_check,
             "threads": getattr(args, "threads", None),
             "trace": bool(getattr(args, "trace", False)),
-            "backends": backend_names or None,
         },
         results=results,
     )
@@ -1193,14 +1159,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record a repro.obs trace per benchmark (timed repeats only) "
         "and attach its summary to the result JSON; perturbs timings, so "
         "do not compare traced runs against untraced baselines",
-    )
-    b.add_argument(
-        "--backend",
-        metavar="NAMES",
-        help="run the suite under each named kernel backend (comma-"
-        "separated, e.g. 'numpy,numpy-pooled'); with more than one name, "
-        "result records are suffixed '@<backend>' so backends can be "
-        "compared side by side (see docs/backends.md)",
     )
     b.set_defaults(func=cmd_bench_run)
 

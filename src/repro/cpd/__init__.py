@@ -11,16 +11,15 @@ up front — the amortization that pays for the blocking reorganization.
 
 from repro.cpd.ktensor import KruskalTensor
 from repro.cpd.init import init_factors
-from repro.cpd.als import ALSResult, check_init_factors, cp_als
+from repro.cpd.core import ALSResult, check_init_factors
+from repro.cpd.als import cp_als
 from repro.cpd.apr import APRResult, cp_apr, poisson_log_likelihood
 from repro.cpd.dimtree import DimTreePlan, cp_als_dimtree
-from repro.cpd.fused import batched_mttkrp
 
 __all__ = [
     "KruskalTensor",
     "init_factors",
     "ALSResult",
-    "batched_mttkrp",
     "check_init_factors",
     "cp_als",
     "APRResult",

@@ -4,18 +4,13 @@ decomposition of a sparse tensor.
 Each outer iteration updates every mode in turn::
 
     M   = MTTKRP(X, factors, n)                  # the bottleneck kernel
-    V   = Hadamard product of F_m^T F_m, m != n  # R x R
-    F_n = M V^+                                  # small LS solve
-    normalize columns of F_n into lambda
+    F_n, lambda = ALS update of mode n from M    # repro.cpd.core
 
 The MTTKRP is delegated to any registered kernel; one plan per mode is
 prepared up front and reused across all iterations — exactly the
 amortization the paper invokes for the blocking reorganization cost
-(Sections III-B, V-A).
-
-The working dtype is derived from ``tensor.values``: a float32 tensor
-yields float32 factors, weights, and grams end-to-end (the kernels'
-precision contract), everything else runs in float64.
+(Sections III-B, V-A).  The update step, the fit, and the convergence
+check are the shared core in :mod:`repro.cpd.core`.
 
 With ``n_threads > 1`` each per-mode MTTKRP runs through
 :class:`repro.exec.ParallelExecutor` (bitwise-equal to serial), and a
@@ -24,36 +19,15 @@ traced run records per-worker spans under each mode's MTTKRP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from repro.cpd.init import init_factors
-from repro.cpd.ktensor import KruskalTensor
+from repro.cpd.core import ALSResult, ALSState
 from repro.kernels.base import Kernel, Plan, get_kernel
 from repro.obs.tracer import current_tracer
 from repro.tensor.coo import COOTensor
-from repro.util.errors import ConfigError
-from repro.util.validation import check_rank, require, value_dtype_of
-
-
-@dataclass
-class ALSResult:
-    """Outcome of a CP-ALS run."""
-
-    model: KruskalTensor
-    #: Fit after every iteration (1 = perfect reconstruction).
-    fits: list[float] = field(default_factory=list)
-    #: Number of completed iterations.
-    n_iters: int = 0
-    #: True when the fit-change tolerance stopped the run early.
-    converged: bool = False
-
-    @property
-    def final_fit(self) -> float:
-        """Fit of the returned model."""
-        return self.fits[-1] if self.fits else 0.0
+from repro.util.validation import require
 
 
 def cp_als(
@@ -68,7 +42,6 @@ def cp_als(
     seed: "int | None | np.random.Generator" = 0,
     n_threads: int = 1,
     backend: str = "thread",
-    fused: bool = False,
 ) -> ALSResult:
     """Compute a rank-``rank`` CP decomposition of a sparse tensor.
 
@@ -88,31 +61,14 @@ def cp_als(
         to the serial path).
     backend: executor backend (``thread``, ``process``, ``serial``) for
         ``n_threads > 1``.
-    fused: pool all sweep scratch — per-mode MTTKRP outputs, factor and
-        Gram buffers, the Hadamard ``V``, and (serial runs) the kernels'
-        internal chunk scratch via the ``numpy-pooled`` backend — in one
-        :class:`~repro.backends.ScratchArena`, so each iteration performs
-        O(1) allocations once warm.  Factors, weights, and fits are
-        bitwise-identical to the unfused path.
     """
-    rank = check_rank(rank)
-    require(n_iters >= 1, "n_iters must be >= 1")
-    require(tol >= 0, "tol must be non-negative")
+    state = ALSState(
+        tensor, rank, n_iters=n_iters, tol=tol, init=init, seed=seed
+    )
     require(n_threads >= 1, "n_threads must be >= 1")
     if isinstance(kernel, str):
         kernel = get_kernel(kernel)
     kernel_params = dict(kernel_params or {})
-
-    # The working dtype follows the tensor's values: float32 in, float32
-    # factors/weights/grams out (the kernels would otherwise raise the
-    # mixed-precision ConfigError at the first execute).
-    dtype = value_dtype_of(tensor.values)
-
-    if isinstance(init, str):
-        factors = init_factors(tensor, rank, method=init, seed=seed)
-    else:
-        factors = [np.ascontiguousarray(f, dtype=dtype) for f in init]
-        check_init_factors(factors, tensor.shape, rank)
 
     executor = None
     try:
@@ -141,166 +97,21 @@ def cp_als(
                     kernel.prepare(tensor, mode, **kernel_params)
                     for mode in range(tensor.order)
                 ]
-        return _als_sweeps(
-            tensor, rank, factors, plans, kernel, executor,
-            n_iters=n_iters, tol=tol, dtype=dtype, fused=fused,
-        )
+
+        tracer = current_tracer()
+        for iteration in range(1, n_iters + 1):
+            with tracer.span("als.iteration", iteration=iteration):
+                for mode in range(tensor.order):
+                    if executor is not None:
+                        m_mat = executor.execute(plans[mode], state.factors)
+                    else:
+                        m_mat = kernel.execute(plans[mode], state.factors)
+                    state.update_mode(mode, m_mat)
+                if state.fit_step(tensor):
+                    break
     finally:
         # cp_als owns this executor; without the close, each call with
         # n_threads > 1 leaked a live worker pool.
         if executor is not None:
             executor.close()
-
-
-def check_init_factors(
-    factors: "Sequence[np.ndarray]",
-    shape: "tuple[int, ...]",
-    rank: int,
-) -> None:
-    """Validate explicit initial factors: one per mode, each exactly
-    ``(shape[m], rank)`` — naming the offending mode instead of failing
-    deep inside the first MTTKRP."""
-    if len(factors) != len(shape):
-        raise ConfigError(
-            f"need one initial factor per mode: got {len(factors)} for a "
-            f"{len(shape)}-mode tensor"
-        )
-    for m, f in enumerate(factors):
-        if f.ndim != 2 or f.shape != (shape[m], rank):
-            raise ConfigError(
-                f"initial factor for mode {m} must have shape "
-                f"({shape[m]}, {rank}), got {tuple(f.shape)}"
-            )
-
-
-def _als_sweeps(
-    tensor: COOTensor,
-    rank: int,
-    factors: "list[np.ndarray]",
-    plans: list,
-    kernel: Kernel,
-    executor,
-    *,
-    n_iters: int,
-    tol: float,
-    dtype: np.dtype,
-    fused: bool,
-) -> ALSResult:
-    """The shared ALS iteration loop.
-
-    With ``fused=True`` every sweep temporary lives in one
-    :class:`~repro.backends.ScratchArena`: the per-mode MTTKRP output,
-    the factor and Gram buffers, and the Hadamard ``V`` are pooled views
-    written in place (``np.matmul(..., out=)`` and in-place divides
-    produce the same bits as their allocating forms), and serial plans
-    without an explicit backend are routed through ``numpy-pooled`` so
-    kernel-internal chunk scratch and CSF traversal state join the same
-    pool, shared across the three per-mode launches of each sweep.  The
-    trajectory — factors, weights, fits — is bitwise-identical to the
-    unfused path.
-    """
-    order = tensor.order
-    arena = None
-    if fused:
-        # Importing repro.backends registers numpy-pooled and installs
-        # kernel dispatch; plans that already name a backend keep it.
-        from repro.backends import ScratchArena, use_arena
-
-        arena = ScratchArena()
-        if executor is None:
-            for plan in plans:
-                if plan.backend is None:
-                    plan.backend = "numpy-pooled"
-        # Factors and Grams move into pooled buffers updated in place.
-        for m in range(order):
-            f_buf = arena.get(("als", "f", m), factors[m].shape, dtype)
-            f_buf[...] = factors[m]
-            factors[m] = f_buf
-        grams = [
-            np.matmul(
-                factors[m].T,
-                factors[m],
-                out=arena.get(("als", "gram", m), (rank, rank), dtype),
-            )
-            for m in range(order)
-        ]
-    else:
-        grams = [f.T @ f for f in factors]
-    norm_x = float(np.linalg.norm(tensor.values))
-    weights = np.ones(rank, dtype=dtype)
-
-    tracer = current_tracer()
-    fits: list[float] = []
-    converged = False
-    iteration = 0
-    from contextlib import nullcontext
-
-    with use_arena(arena) if arena is not None else nullcontext():
-        for iteration in range(1, n_iters + 1):
-            with tracer.span("als.iteration", iteration=iteration):
-                for mode in range(order):
-                    out = (
-                        arena.get(
-                            ("als", "m", mode),
-                            (int(tensor.shape[mode]), rank),
-                            dtype,
-                        )
-                        if arena is not None
-                        else None
-                    )
-                    if executor is not None:
-                        m_mat = executor.execute(plans[mode], factors, out=out)
-                    else:
-                        m_mat = kernel.execute(plans[mode], factors, out=out)
-                    if arena is not None:
-                        v = arena.get(("als", "v"), (rank, rank), dtype)
-                        v.fill(1)
-                    else:
-                        v = np.ones((rank, rank), dtype=dtype)
-                    for m, g in enumerate(grams):
-                        if m != mode:
-                            v *= g
-                    pinv_v = np.linalg.pinv(v)
-                    if arena is not None:
-                        f_new = np.matmul(m_mat, pinv_v, out=factors[mode])
-                    else:
-                        f_new = m_mat @ pinv_v
-                    # Column normalization: 2-norm after the first
-                    # iteration, max-norm on the first (standard CP-ALS
-                    # practice, keeps early weights from collapsing).
-                    if iteration == 1:
-                        norms = np.maximum(np.abs(f_new).max(axis=0), 1e-12)
-                    else:
-                        norms = np.linalg.norm(f_new, axis=0)
-                        norms = np.where(norms > 1e-12, norms, 1.0)
-                    if arena is not None:
-                        f_new /= norms
-                        weights = norms.astype(dtype, copy=False)
-                        grams[mode] = np.matmul(
-                            f_new.T, f_new, out=grams[mode]
-                        )
-                    else:
-                        f_new = f_new / norms
-                        weights = norms.astype(dtype, copy=False)
-                        factors[mode] = np.ascontiguousarray(f_new, dtype=dtype)
-                        grams[mode] = factors[mode].T @ factors[mode]
-
-                model = KruskalTensor(weights, factors)
-                fit = model.fit(tensor, norm_x)
-            fits.append(fit)
-            if tracer.enabled:
-                tracer.metric("als.fit", fit, step=iteration)
-            if len(fits) >= 2 and abs(fits[-1] - fits[-2]) < tol:
-                converged = True
-                break
-
-    if arena is not None and tracer.enabled:
-        tracer.count("arena.allocs", arena.allocs)
-        tracer.count("arena.reuses", arena.reuses)
-        tracer.count("arena.bytes", arena.nbytes)
-    return ALSResult(
-        model=KruskalTensor(weights, factors),
-        fits=fits,
-        n_iters=iteration,
-        converged=converged,
-    )
+    return state.result()

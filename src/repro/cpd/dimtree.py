@@ -28,13 +28,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cpd.als import ALSResult, check_init_factors
-from repro.cpd.init import init_factors
-from repro.cpd.ktensor import KruskalTensor
+from repro.cpd.core import ALSResult, ALSState
 from repro.obs.tracer import current_tracer
 from repro.tensor.coo import COOTensor
 from repro.util.errors import ConfigError
-from repro.util.validation import INDEX_DTYPE, check_rank, require, value_dtype_of
+from repro.util.validation import INDEX_DTYPE, check_rank
 
 
 def _segments(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -118,132 +116,44 @@ class DimTreePlan:
         rank = check_rank(rank)
         return 2.0 * rank * self.nnz + 7.0 * rank * self.n_pairs + 2.0 * rank * self.nnz
 
-    # ------------------------------------------------------------------
-    # With ``arena=None`` each method is the plain allocating form; with
-    # an arena every transient (gathers, products, the memo, the output)
-    # is a pooled buffer written through ``out=`` — the same operand
-    # order, so results stay bitwise-identical (the fused-ALS contract).
-    def _vals_as(self, arena, dtype: np.dtype) -> np.ndarray:
-        vals = self.vals
-        if vals.dtype == dtype:
-            return vals
-        if arena is None:
-            return vals.astype(dtype)
-        cast = arena.get(("dimtree", "vals"), vals.shape, dtype)
-        cast[...] = vals
-        return cast
-
-    def contract_mode2(self, c_factor: np.ndarray, *, arena=None) -> np.ndarray:
+    def contract_mode2(self, c_factor: np.ndarray) -> np.ndarray:
         """The memo: ``Y[p, :] = sum_{t in p} x_t * C[k_t, :]``."""
-        rank = c_factor.shape[1]
         if self.nnz == 0:
-            return np.zeros((0, rank), dtype=c_factor.dtype)
-        vals = self._vals_as(arena, c_factor.dtype)
-        if arena is None:
-            prod = vals[:, None] * c_factor[self.k_of_nnz]
-            return np.add.reduceat(prod, self.pair_ptr[:-1], axis=0)
-        prod = arena.get(("dimtree", "prod"), (self.nnz, rank), c_factor.dtype)
-        np.take(c_factor, self.k_of_nnz, axis=0, out=prod)
-        np.multiply(vals[:, None], prod, out=prod)
-        memo = arena.get(
-            ("dimtree", "memo"), (self.n_pairs, rank), c_factor.dtype
-        )
-        np.add.reduceat(prod, self.pair_ptr[:-1], axis=0, out=memo)
-        return memo
+            return np.zeros((0, c_factor.shape[1]), dtype=c_factor.dtype)
+        vals = self.vals.astype(c_factor.dtype, copy=False)
+        prod = vals[:, None] * c_factor[self.k_of_nnz]
+        return np.add.reduceat(prod, self.pair_ptr[:-1], axis=0)
 
-    def mttkrp_mode0(
-        self, memo: np.ndarray, b_factor: np.ndarray, *, arena=None
-    ) -> np.ndarray:
+    def mttkrp_mode0(self, memo: np.ndarray, b_factor: np.ndarray) -> np.ndarray:
         """``A[i] = sum_j Y[ij] * B[j]`` via the i-grouped pair order."""
-        shape = (self.shape[0], memo.shape[1])
-        if arena is None:
-            out = np.zeros(shape, dtype=memo.dtype)
-            if self.n_pairs == 0:
-                return out
-            contrib = memo * b_factor[self.pair_j]
-            out[self._i_rows] = np.add.reduceat(contrib, self._i_starts, axis=0)
-            return out
-        out = arena.get(("dimtree", "out", 0), shape, memo.dtype, zero=True)
+        out = np.zeros((self.shape[0], memo.shape[1]), dtype=memo.dtype)
         if self.n_pairs == 0:
             return out
-        contrib = arena.get(("dimtree", "contrib0"), memo.shape, memo.dtype)
-        np.take(b_factor, self.pair_j, axis=0, out=contrib)
-        np.multiply(memo, contrib, out=contrib)
-        red = arena.get(
-            ("dimtree", "red0"),
-            (self._i_starts.shape[0], memo.shape[1]),
-            memo.dtype,
-        )
-        np.add.reduceat(contrib, self._i_starts, axis=0, out=red)
-        out[self._i_rows] = red
+        contrib = memo * b_factor[self.pair_j]
+        out[self._i_rows] = np.add.reduceat(contrib, self._i_starts, axis=0)
         return out
 
-    def mttkrp_mode1(
-        self, memo: np.ndarray, a_factor: np.ndarray, *, arena=None
-    ) -> np.ndarray:
+    def mttkrp_mode1(self, memo: np.ndarray, a_factor: np.ndarray) -> np.ndarray:
         """``B[j] = sum_i Y[ij] * A[i]`` via the j-sorted pair order."""
-        shape = (self.shape[1], memo.shape[1])
-        if arena is None:
-            out = np.zeros(shape, dtype=memo.dtype)
-            if self.n_pairs == 0:
-                return out
-            contrib = memo[self.by_j] * a_factor[self._j_sorted_i]
-            out[self._j_rows] = np.add.reduceat(contrib, self._j_starts, axis=0)
-            return out
-        out = arena.get(("dimtree", "out", 1), shape, memo.dtype, zero=True)
+        out = np.zeros((self.shape[1], memo.shape[1]), dtype=memo.dtype)
         if self.n_pairs == 0:
             return out
-        contrib = arena.get(("dimtree", "contrib1"), memo.shape, memo.dtype)
-        np.take(memo, self.by_j, axis=0, out=contrib)
-        g = arena.get(("dimtree", "gather1"), memo.shape, memo.dtype)
-        np.take(a_factor, self._j_sorted_i, axis=0, out=g)
-        np.multiply(contrib, g, out=contrib)
-        red = arena.get(
-            ("dimtree", "red1"),
-            (self._j_starts.shape[0], memo.shape[1]),
-            memo.dtype,
-        )
-        np.add.reduceat(contrib, self._j_starts, axis=0, out=red)
-        out[self._j_rows] = red
+        contrib = memo[self.by_j] * a_factor[self._j_sorted_i]
+        out[self._j_rows] = np.add.reduceat(contrib, self._j_starts, axis=0)
         return out
 
     def mttkrp_mode2(
-        self, a_factor: np.ndarray, b_factor: np.ndarray, *, arena=None
+        self, a_factor: np.ndarray, b_factor: np.ndarray
     ) -> np.ndarray:
         """``C[k] = sum_t x_t * (A[i_t] * B[j_t])``, reusing the pair
         products ``W[p] = A[i_p] * B[j_p]``."""
-        rank = a_factor.shape[1]
-        shape = (self.shape[2], rank)
-        if arena is None:
-            out = np.zeros(shape, dtype=a_factor.dtype)
-            if self.nnz == 0:
-                return out
-            w = a_factor[self.pair_i] * b_factor[self.pair_j]
-            vals = self._vals_as(None, a_factor.dtype)
-            contrib = vals[self.by_k, None] * w[self._k_sorted_pair]
-            out[self._k_rows] = np.add.reduceat(contrib, self._k_starts, axis=0)
-            return out
-        out = arena.get(("dimtree", "out", 2), shape, a_factor.dtype, zero=True)
+        out = np.zeros((self.shape[2], a_factor.shape[1]), dtype=a_factor.dtype)
         if self.nnz == 0:
             return out
-        w = arena.get(("dimtree", "w"), (self.n_pairs, rank), a_factor.dtype)
-        np.take(a_factor, self.pair_i, axis=0, out=w)
-        g = arena.get(("dimtree", "gather2"), w.shape, a_factor.dtype)
-        np.take(b_factor, self.pair_j, axis=0, out=g)
-        np.multiply(w, g, out=w)
-        vals = self._vals_as(arena, a_factor.dtype)
-        contrib = arena.get(
-            ("dimtree", "contrib2"), (self.nnz, rank), a_factor.dtype
-        )
-        np.take(w, self._k_sorted_pair, axis=0, out=contrib)
-        vk = arena.get(("dimtree", "vals_k"), (self.nnz,), a_factor.dtype)
-        np.take(vals, self.by_k, out=vk)
-        np.multiply(vk[:, None], contrib, out=contrib)
-        red = arena.get(
-            ("dimtree", "red2"), (self._k_starts.shape[0], rank), a_factor.dtype
-        )
-        np.add.reduceat(contrib, self._k_starts, axis=0, out=red)
-        out[self._k_rows] = red
+        w = a_factor[self.pair_i] * b_factor[self.pair_j]
+        vals = self.vals.astype(a_factor.dtype, copy=False)
+        contrib = vals[self.by_k, None] * w[self._k_sorted_pair]
+        out[self._k_rows] = np.add.reduceat(contrib, self._k_starts, axis=0)
         return out
 
 
@@ -255,118 +165,37 @@ def cp_als_dimtree(
     tol: float = 1e-5,
     init: "str | Sequence[np.ndarray]" = "random",
     seed: "int | None | np.random.Generator" = 0,
-    fused: bool = False,
 ) -> ALSResult:
     """CP-ALS with dimension-tree memoization (3-mode tensors).
 
     Produces exactly the trajectory of :func:`repro.cpd.als.cp_als` with
     the default kernel, at fewer flops per sweep when pairs are reused.
-    ``fused=True`` pools the memo, contraction scratch, per-mode outputs,
-    and factor/Gram buffers in one
-    :class:`~repro.backends.ScratchArena` — bitwise-identical trajectory,
-    O(1) allocations per sweep once warm.
     """
-    rank = check_rank(rank)
-    require(n_iters >= 1, "n_iters must be >= 1")
+    state = ALSState(
+        tensor, rank, n_iters=n_iters, tol=tol, init=init, seed=seed
+    )
     plan = DimTreePlan(tensor)
-    # Working dtype follows the tensor's values (float32 stays float32).
-    dtype = value_dtype_of(tensor.values)
-
-    if isinstance(init, str):
-        factors = init_factors(tensor, rank, method=init, seed=seed)
-    else:
-        factors = [np.ascontiguousarray(f, dtype=dtype) for f in init]
-        check_init_factors(factors, tensor.shape, rank)
-
-    arena = None
-    if fused:
-        from repro.backends import ScratchArena
-
-        arena = ScratchArena()
-        for m in range(3):
-            f_buf = arena.get(("dimtree", "f", m), factors[m].shape, dtype)
-            f_buf[...] = factors[m]
-            factors[m] = f_buf
-        grams = [
-            np.matmul(
-                factors[m].T,
-                factors[m],
-                out=arena.get(("dimtree", "gram", m), (rank, rank), dtype),
-            )
-            for m in range(3)
-        ]
-    else:
-        grams = [f.T @ f for f in factors]
-    norm_x = float(np.linalg.norm(tensor.values))
-    weights = np.ones(rank, dtype=dtype)
+    factors = state.factors
 
     tracer = current_tracer()
-    fits: list[float] = []
-    converged = False
-    iteration = 0
     for iteration in range(1, n_iters + 1):
         with tracer.span("als.iteration", iteration=iteration, driver="dimtree"):
             # One contraction with C serves both the mode-0 and mode-1
             # updates (recomputed after the mode-2 update changes C next
             # sweep).
-            memo = plan.contract_mode2(factors[2], arena=arena)
+            memo = plan.contract_mode2(factors[2])
             for mode in range(3):
                 with tracer.span(
                     "mttkrp", kernel="dimtree", mode=mode, nnz=plan.nnz,
                     n_pairs=plan.n_pairs,
                 ):
                     if mode == 0:
-                        m_mat = plan.mttkrp_mode0(memo, factors[1], arena=arena)
+                        m_mat = plan.mttkrp_mode0(memo, factors[1])
                     elif mode == 1:
-                        m_mat = plan.mttkrp_mode1(memo, factors[0], arena=arena)
+                        m_mat = plan.mttkrp_mode1(memo, factors[0])
                     else:
-                        m_mat = plan.mttkrp_mode2(
-                            factors[0], factors[1], arena=arena
-                        )
-                if arena is not None:
-                    v = arena.get(("dimtree", "v"), (rank, rank), dtype)
-                    v.fill(1)
-                else:
-                    v = np.ones((rank, rank), dtype=dtype)
-                for m, g in enumerate(grams):
-                    if m != mode:
-                        v *= g
-                pinv_v = np.linalg.pinv(v)
-                if arena is not None:
-                    f_new = np.matmul(m_mat, pinv_v, out=factors[mode])
-                else:
-                    f_new = m_mat @ pinv_v
-                if iteration == 1:
-                    norms = np.maximum(np.abs(f_new).max(axis=0), 1e-12)
-                else:
-                    norms = np.linalg.norm(f_new, axis=0)
-                    norms = np.where(norms > 1e-12, norms, 1.0)
-                if arena is not None:
-                    f_new /= norms
-                    weights = norms.astype(dtype, copy=False)
-                    grams[mode] = np.matmul(f_new.T, f_new, out=grams[mode])
-                else:
-                    f_new = f_new / norms
-                    weights = norms.astype(dtype, copy=False)
-                    factors[mode] = np.ascontiguousarray(f_new, dtype=dtype)
-                    grams[mode] = factors[mode].T @ factors[mode]
-
-            model = KruskalTensor(weights, factors)
-            fit = model.fit(tensor, norm_x)
-        fits.append(fit)
-        if tracer.enabled:
-            tracer.metric("als.fit", fit, step=iteration)
-        if len(fits) >= 2 and abs(fits[-1] - fits[-2]) < tol:
-            converged = True
-            break
-
-    if arena is not None and tracer.enabled:
-        tracer.count("arena.allocs", arena.allocs)
-        tracer.count("arena.reuses", arena.reuses)
-        tracer.count("arena.bytes", arena.nbytes)
-    return ALSResult(
-        model=KruskalTensor(weights, factors),
-        fits=fits,
-        n_iters=iteration,
-        converged=converged,
-    )
+                        m_mat = plan.mttkrp_mode2(factors[0], factors[1])
+                state.update_mode(mode, m_mat)
+            if state.fit_step(tensor):
+                break
+    return state.result()

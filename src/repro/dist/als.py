@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.blocking.rank import RankBlocking
-from repro.cpd.init import init_factors
+from repro.cpd.core import ALSState
 from repro.cpd.ktensor import KruskalTensor
 from repro.dist.comm import SimCluster
 from repro.dist.costmodel import NetworkModel, infiniband_edr
@@ -31,7 +31,6 @@ from repro.dist.mttkrp import distributed_mttkrp
 from repro.machine.spec import MachineSpec
 from repro.tensor.coo import COOTensor
 from repro.util.errors import DistributionError
-from repro.util.validation import check_rank, require, value_dtype_of
 
 
 @dataclass
@@ -86,29 +85,18 @@ def distributed_cp_als(
     lives for the whole run; the factor trajectory is bitwise identical
     to the sim backend's.
     """
-    rank = check_rank(rank)
-    require(n_iters >= 1, "n_iters must be >= 1")
     if backend not in ("sim", "process"):
         raise DistributionError(
             f"backend must be 'sim' or 'process', got {backend!r}"
         )
+    state = ALSState(
+        tensor, rank, n_iters=n_iters, tol=tol, init=init, seed=seed
+    )
     full_grid = ProcessGrid(grid.dims, rank_groups)
     cluster = SimCluster(full_grid.n_ranks, network or infiniband_edr())
     decomp: MediumGrainDecomposition = medium_grain_decompose(
         tensor, grid, seed=seed
     )
-
-    # The working dtype follows the tensor's values end-to-end (the
-    # PR-4/5 precision contract): a float32 tensor decomposes in float32,
-    # exactly as shared-memory ``cp_als`` does.
-    dtype = value_dtype_of(tensor.values)
-    if isinstance(init, str):
-        factors = init_factors(tensor, rank, method=init, seed=seed)
-    else:
-        factors = [np.ascontiguousarray(f, dtype=dtype) for f in init]
-    grams = [f.T @ f for f in factors]
-    weights = np.ones(rank, dtype=dtype)
-    norm_x = float(np.linalg.norm(tensor.values))
 
     shm = None
     total_time = 0.0
@@ -120,18 +108,17 @@ def distributed_cp_als(
 
         shm = ShmCluster(
             full_grid.n_ranks,
-            required_capacity(decomp, rank, rank_groups, np.dtype(dtype).itemsize),
+            required_capacity(
+                decomp, state.rank, rank_groups, np.dtype(state.dtype).itemsize
+            ),
         )
 
-    fits: list[float] = []
-    converged = False
-    iteration = 0
     try:
-        for iteration in range(1, n_iters + 1):
+        for _ in range(n_iters):
             for mode in range(3):
                 res = distributed_mttkrp(
                     decomp,
-                    factors,
+                    state.factors,
                     mode,
                     machine,
                     cluster if backend == "sim" else None,
@@ -141,46 +128,23 @@ def distributed_cp_als(
                     backend=backend,
                     shm=shm,
                 )
-                m_mat = res.output
-                v = np.ones((rank, rank), dtype=dtype)
-                for m, g in enumerate(grams):
-                    if m != mode:
-                        v *= g
-                f_new = m_mat @ np.linalg.pinv(v)
-                if iteration == 1:
-                    norms = np.maximum(np.abs(f_new).max(axis=0), 1e-12)
-                else:
-                    norms = np.linalg.norm(f_new, axis=0)
-                    norms = np.where(norms > 1e-12, norms, 1.0)
-                f_new = f_new / norms
-                weights = norms.astype(dtype)
-                factors[mode] = np.ascontiguousarray(f_new, dtype=dtype)
-                grams[mode] = factors[mode].T @ factors[mode]
+                state.update_mode(mode, res.output)
                 # The Gram update is an allreduce of an R x R matrix in
                 # the real implementation; charge it (sim) or actually
                 # move it (process).
+                share = state.grams[mode] / full_grid.n_ranks
                 if backend == "sim":
                     group = list(range(full_grid.n_ranks))
-                    cluster.allreduce(
-                        group,
-                        [grams[mode] / full_grid.n_ranks] * full_grid.n_ranks,
-                    )
+                    cluster.allreduce(group, [share] * full_grid.n_ranks)
                 else:
-                    lb, mb, secs = gram_allreduce(
-                        shm, full_grid, grams[mode] / full_grid.n_ranks
-                    )
+                    lb, mb, secs = gram_allreduce(shm, full_grid, share)
                     ledger_bytes += lb
                     measured_bytes += mb
                     total_time += secs
                     total_time += res.total_time
                     ledger_bytes += res.comm_bytes
                     measured_bytes += res.measured_comm_bytes or 0.0
-
-            model = KruskalTensor(weights, factors)
-            fit = model.fit(tensor, norm_x)
-            fits.append(fit)
-            if len(fits) >= 2 and abs(fits[-1] - fits[-2]) < tol:
-                converged = True
+            if state.fit_step(tensor):
                 break
     finally:
         if shm is not None:
@@ -190,10 +154,10 @@ def distributed_cp_als(
         total_time = cluster.ledger.makespan
         ledger_bytes = cluster.ledger.total_bytes
     return DistALSResult(
-        model=KruskalTensor(weights, factors),
-        fits=fits,
-        n_iters=iteration,
-        converged=converged,
+        model=state.model,
+        fits=state.fits,
+        n_iters=len(state.fits),
+        converged=state.converged,
         total_time=total_time,
         comm_bytes=ledger_bytes,
         backend=backend,

@@ -118,11 +118,6 @@ class Plan(ABC):
     #: Rank-blocking configuration, set by the RankB/combined kernels and
     #: read by the machine model; ``None`` means no rank blocking.
     rank_blocking: "object | None" = None
-    #: Registered backend this plan's executions dispatch to (``prepare``'s
-    #: ``backend=`` parameter); ``None`` selects the session default
-    #: (the NumPy reference unless :func:`repro.backends.use_backend`
-    #: overrides it).
-    backend: "str | None" = None
 
     @abstractmethod
     def block_stats(self) -> list[BlockStats]:
@@ -158,54 +153,23 @@ class Plan(ABC):
         )
 
 
-#: Backend dispatch hook, installed by :mod:`repro.backends` on import
-#: (kept ``None`` until then, so backend-free processes pay nothing).
-#: Maps ``(kernel_name, plan_backend)`` to ``(backend_name, impl)`` for a
-#: registered override, or ``None`` for the built-in NumPy reference path.
-_BACKEND_RESOLVER: "Callable | None" = None
-
-
-def set_backend_resolver(resolver: "Callable | None") -> None:
-    """Install (or clear) the backend dispatch hook.
-
-    Called by :mod:`repro.backends` when the registry module is imported;
-    dispatch happens in the ``_traced_execute`` wrapper so the certified
-    kernel ``execute`` bodies stay byte-identical for the cost certifier
-    (CT701-CT709).
-    """
-    global _BACKEND_RESOLVER
-    _BACKEND_RESOLVER = resolver
-
-
 def _traced_execute(impl: Callable) -> Callable:
-    """Wrap a kernel's ``execute`` with backend dispatch plus the
-    observability hook.
+    """Wrap a kernel's ``execute`` with the observability hook.
 
     Applied automatically by :meth:`Kernel.__init_subclass__`, so every
     registered kernel emits one ``mttkrp`` span (with plan metadata) and
     per-call counters when a tracer is active — the subclasses keep their
     plain ``execute(self, plan, factors, out=None)`` bodies and the static
-    kernel contract (KC104-KC106) untouched.  When :mod:`repro.backends`
-    has installed a resolver and the plan (or session default) selects a
-    non-reference backend, the registered override body runs in place of
-    ``impl`` under the same span and counters.  With the tracer disabled
-    and no resolver installed the wrapper costs one global load and one
-    attribute test per call; it never runs per nonzero.
+    kernel contract (KC104-KC106) untouched.  With the tracer disabled the
+    wrapper costs one global load and one attribute test per call; it never
+    runs per nonzero.
     """
 
     @functools.wraps(impl)
     def execute(self, plan, factors, out=None):  # type: ignore[no-untyped-def]
-        impl_fn = impl
-        backend_name = None
-        if _BACKEND_RESOLVER is not None:
-            override = _BACKEND_RESOLVER(
-                self.name, getattr(plan, "backend", None)
-            )
-            if override is not None:
-                backend_name, impl_fn = override
         tracer = current_tracer()
         if not tracer.enabled:
-            return impl_fn(self, plan, factors, out=out)
+            return impl(self, plan, factors, out=out)
         stats = plan.block_stats()
         nnz = sum(b.nnz for b in stats)
         n_fibers = sum(b.n_fibers for b in stats)
@@ -219,9 +183,8 @@ def _traced_execute(impl: Callable) -> Callable:
             n_blocks=len(stats),
             nnz=nnz,
             n_fibers=n_fibers,
-            backend=backend_name or "numpy",
         ):
-            result = impl_fn(self, plan, factors, out=out)
+            result = impl(self, plan, factors, out=out)
         rank = int(result.shape[1])
         itemsize = int(result.dtype.itemsize)
         tracer.count("kernel.calls", 1)
@@ -234,8 +197,6 @@ def _traced_execute(impl: Callable) -> Callable:
             "kernel.factor_bytes",
             (nnz + n_fibers + distinct_out) * rank * itemsize,
         )
-        if backend_name is not None:
-            tracer.count("backend." + backend_name + ".calls", 1)
         return result
 
     execute._obs_instrumented = True  # type: ignore[attr-defined]
@@ -351,24 +312,11 @@ def reject_unknown_params(
     if not params:
         return
     unknown = ", ".join(sorted(params))
-    accepted = ", ".join(sorted({*known, "backend"})) or "none"
+    accepted = ", ".join(sorted(known)) or "none"
     raise ConfigError(
         f"kernel {kernel_name!r} got unknown prepare parameter(s): "
         f"{unknown}; accepted: {accepted}"
     )
-
-
-def check_backend_param(backend: "str | None") -> "str | None":
-    """Validate ``prepare``'s ``backend=`` parameter against the backend
-    registry and return the canonical name (``None`` passes through:
-    the plan follows the session default at execute time)."""
-    if backend is None:
-        return None
-    # Lazy: importing repro.backends also installs the dispatch resolver,
-    # so a plan that names a backend is guaranteed dispatchable.
-    from repro.backends import validate_backend_name
-
-    return validate_backend_name(backend)
 
 
 def intervals_from_rows(rows: np.ndarray) -> tuple[tuple[int, int], ...]:

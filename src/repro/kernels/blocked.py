@@ -23,7 +23,6 @@ from repro.kernels.base import (
     Kernel,
     Plan,
     alloc_output,
-    check_backend_param,
     check_factors,
     factor_dtype,
     intervals_from_rows,
@@ -101,16 +100,13 @@ class MultiDimBlockedKernel(Kernel):
         grid: "BlockGrid | None" = None,
         block_counts: "Sequence[int] | None" = None,
         inner_mode: "int | None" = None,
-        backend: "str | None" = None,
         **params: object,
     ) -> MBPlan:
         reject_unknown_params(
             self.name, params, known=("grid", "block_counts", "inner_mode")
         )
         grid = resolve_grid(tensor, grid, block_counts)
-        plan = MBPlan(partition_coo(tensor, grid, mode, inner_mode))
-        plan.backend = check_backend_param(backend)
-        return plan
+        return MBPlan(partition_coo(tensor, grid, mode, inner_mode))
 
     def execute(
         self,

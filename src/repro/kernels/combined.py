@@ -21,7 +21,6 @@ from repro.kernels.base import (
     Kernel,
     Plan,
     alloc_output,
-    check_backend_param,
     check_factors,
     factor_dtype,
     register_kernel,
@@ -74,7 +73,6 @@ class CombinedBlockedKernel(Kernel):
         rank_blocking: "RankBlocking | None" = None,
         n_rank_blocks: "int | None" = None,
         block_cols: "int | None" = None,
-        backend: "str | None" = None,
         **params: object,
     ) -> CombinedPlan:
         reject_unknown_params(
@@ -91,12 +89,10 @@ class CombinedBlockedKernel(Kernel):
         )
         grid = resolve_grid(tensor, grid, block_counts)
         mb_plan = MBPlan(partition_coo(tensor, grid, mode, inner_mode))
-        plan = CombinedPlan(
+        return CombinedPlan(
             mb_plan,
             resolve_rank_blocking(rank_blocking, n_rank_blocks, block_cols),
         )
-        plan.backend = check_backend_param(backend)
-        return plan
 
     def execute(
         self,

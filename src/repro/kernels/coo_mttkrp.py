@@ -24,7 +24,6 @@ from repro.kernels.base import (
     Kernel,
     Plan,
     alloc_output,
-    check_backend_param,
     check_factors,
     factor_dtype,
     intervals_from_rows,
@@ -91,17 +90,9 @@ class COOKernel(Kernel):
     def __init__(self, scratch_elems: int = DEFAULT_SCRATCH_ELEMS) -> None:
         self.scratch_elems = int(scratch_elems)
 
-    def prepare(
-        self,
-        tensor: COOTensor,
-        mode: int,
-        backend: "str | None" = None,
-        **params: object,
-    ) -> COOPlan:
+    def prepare(self, tensor: COOTensor, mode: int, **params: object) -> COOPlan:
         reject_unknown_params(self.name, params)
-        plan = COOPlan(tensor, mode)
-        plan.backend = check_backend_param(backend)
-        return plan
+        return COOPlan(tensor, mode)
 
     def execute(
         self,

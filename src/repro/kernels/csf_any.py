@@ -35,7 +35,6 @@ from repro.kernels.base import (
     Kernel,
     Plan,
     alloc_output,
-    check_backend_param,
     check_factors,
     factor_dtype,
     register_kernel,
@@ -113,7 +112,6 @@ class CSFAnyKernel(Kernel):
         tensor: COOTensor,
         mode: int,
         mode_order: "Sequence[int] | None" = None,
-        backend: "str | None" = None,
         **params: object,
     ) -> CSFAnyPlan:
         """Build (or reuse) one CSF; ``mode`` may sit at any level.
@@ -132,9 +130,7 @@ class CSFAnyKernel(Kernel):
                 sorted(range(order), key=lambda m: tensor.shape[m])
             )
         csf = CSFTensor.from_coo(tensor, tuple(int(m) for m in mode_order))
-        plan = CSFAnyPlan(csf, mode)
-        plan.backend = check_backend_param(backend)
-        return plan
+        return CSFAnyPlan(csf, mode)
 
     @staticmethod
     def plan_for_mode(base: CSFAnyPlan, mode: int) -> CSFAnyPlan:

@@ -24,7 +24,6 @@ from repro.kernels.base import (
     Kernel,
     Plan,
     alloc_output,
-    check_backend_param,
     check_factors,
     factor_dtype,
     intervals_from_rows,
@@ -114,7 +113,6 @@ class BlockedCSFKernel(Kernel):
         mode_order: "Sequence[int] | None" = None,
         rank_blocking: "RankBlocking | None" = None,
         n_rank_blocks: "int | None" = None,
-        backend: "str | None" = None,
         **params: object,
     ) -> BlockedCSFPlan:
         reject_unknown_params(
@@ -156,11 +154,9 @@ class BlockedCSFKernel(Kernel):
             (block, CSFTensor.from_coo(block.tensor, mode_order))
             for block in partition_coo_nd(tensor, grid)
         ]
-        plan = BlockedCSFPlan(
+        return BlockedCSFPlan(
             tensor.shape, mode, mode_order, blocks, rank_blocking
         )
-        plan.backend = check_backend_param(backend)
-        return plan
 
     def execute(
         self,

@@ -24,7 +24,6 @@ from repro.kernels.base import (
     Kernel,
     Plan,
     alloc_output,
-    check_backend_param,
     check_factors,
     factor_dtype,
     intervals_from_rows,
@@ -92,7 +91,6 @@ class CSFKernel(Kernel):
         tensor: COOTensor,
         mode: int,
         mode_order: "Sequence[int] | None" = None,
-        backend: "str | None" = None,
         **params: object,
     ) -> CSFPlan:
         """Build the CSF tree with ``mode`` at the root.
@@ -116,9 +114,7 @@ class CSFKernel(Kernel):
                 raise ValueError(
                     f"mode_order {mode_order} must start with the output mode {mode}"
                 )
-        plan = CSFPlan(CSFTensor.from_coo(tensor, mode_order))
-        plan.backend = check_backend_param(backend)
-        return plan
+        return CSFPlan(CSFTensor.from_coo(tensor, mode_order))
 
     def execute(
         self,

@@ -22,7 +22,6 @@ from repro.kernels.base import (
     Kernel,
     Plan,
     alloc_output,
-    check_backend_param,
     check_factors,
     factor_dtype,
     register_kernel,
@@ -93,7 +92,6 @@ class RankBlockedKernel(Kernel):
         rank_blocking: "RankBlocking | None" = None,
         n_rank_blocks: "int | None" = None,
         block_cols: "int | None" = None,
-        backend: "str | None" = None,
         **params: object,
     ) -> RankBPlan:
         from repro.kernels.splatt_mttkrp import SplattKernel
@@ -104,11 +102,9 @@ class RankBlockedKernel(Kernel):
             known=("rank_blocking", "n_rank_blocks", "block_cols"),
         )
         base = SplattKernel(self.scratch_elems).prepare(tensor, mode)
-        plan = RankBPlan(
+        return RankBPlan(
             base, resolve_rank_blocking(rank_blocking, n_rank_blocks, block_cols)
         )
-        plan.backend = check_backend_param(backend)
-        return plan
 
     def execute(
         self,

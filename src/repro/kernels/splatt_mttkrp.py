@@ -29,7 +29,6 @@ from repro.kernels.base import (
     Kernel,
     Plan,
     alloc_output,
-    check_backend_param,
     check_factors,
     factor_dtype,
     intervals_from_rows,
@@ -130,17 +129,9 @@ class SplattKernel(Kernel):
     def __init__(self, scratch_elems: int = DEFAULT_SCRATCH_ELEMS) -> None:
         self.scratch_elems = int(scratch_elems)
 
-    def prepare(
-        self,
-        tensor: COOTensor,
-        mode: int,
-        backend: "str | None" = None,
-        **params: object,
-    ) -> SplattPlan:
+    def prepare(self, tensor: COOTensor, mode: int, **params: object) -> SplattPlan:
         reject_unknown_params(self.name, params)
-        plan = SplattPlan(SplattTensor.from_coo(tensor, output_mode=mode))
-        plan.backend = check_backend_param(backend)
-        return plan
+        return SplattPlan(SplattTensor.from_coo(tensor, output_mode=mode))
 
     def execute(
         self,

@@ -59,13 +59,6 @@ COUNTER_UNITS: dict[str, str] = {
     "kernel.factor_bytes": "bytes",
     "exec.workers": "workers",
     "exec.launches": "launches",
-    # Fused-sweep scratch pool (repro.backends.ScratchArena): allocations
-    # stay constant once warm — the O(1)-allocs-per-iteration contract.
-    "arena.allocs": "buffers",
-    "arena.reuses": "requests",
-    "arena.bytes": "bytes",
-    # Per-backend dispatch counts appear as ``backend.<name>.calls``
-    # (dynamic names; the reference path emits none).
     "tune.cache_hits": "hits",
     "tune.cache_misses": "misses",
     "tune.evaluations": "candidates",

@@ -44,30 +44,11 @@ class TunedConfig:
     n_evaluations: int
     strategy: str
     from_cache: bool = False
-    #: Execution backend (:mod:`repro.backends` registry name) the tuner
-    #: was asked to target; carried into :meth:`kernel_params` so a tuned
-    #: configuration is a complete ``prepare`` recipe.  The cost model is
-    #: backend-agnostic (same traffic either way), so this is a
-    #: pass-through, not a searched axis.
-    backend: "str | None" = None
 
     @property
     def speedup(self) -> float:
         """Modeled speedup over the unblocked SPLATT baseline."""
         return self.baseline_cost / self.cost if self.cost > 0 else 0.0
-
-    def kernel_params(self) -> "dict[str, object]":
-        """``prepare``-ready keyword arguments for this configuration
-        (``block_counts`` / ``rank_blocking`` / ``backend``, with unset
-        axes omitted)."""
-        params: "dict[str, object]" = {}
-        if self.block_counts is not None:
-            params["block_counts"] = self.block_counts
-        if self.rank_blocking is not None:
-            params["rank_blocking"] = self.rank_blocking
-        if self.backend is not None:
-            params["backend"] = self.backend
-        return params
 
 
 @dataclass(frozen=True)
@@ -99,19 +80,11 @@ class Tuner:
         machine: MachineSpec,
         *,
         cache: "TuningCache | None" = None,
-        backend: "str | None" = None,
     ) -> None:
         self.tensor = tensor
         self.mode = check_mode(mode, tensor.order)
         self.machine = machine
         self.cache = cache
-        if backend is not None:
-            from repro.kernels.base import check_backend_param
-
-            backend = check_backend_param(backend)
-        #: Backend name stamped onto every :class:`TunedConfig` this
-        #: tuner produces (validated against the backend registry).
-        self.backend = backend
         self.planner = ConfigPlanner(tensor, self.mode)
         self._signature: "TensorSignature | None" = None
 
@@ -198,7 +171,6 @@ class Tuner:
                 baseline_cost=baseline,
                 n_evaluations=choice.n_evaluations,
                 strategy=strategy,
-                backend=self.backend,
             )
 
         if strategy == "exhaustive":
@@ -224,7 +196,6 @@ class Tuner:
             baseline_cost=baseline,
             n_evaluations=n_evals,
             strategy=strategy,
-            backend=self.backend,
         )
 
     def _count_axis(self, max_blocks: int) -> list[int]:
@@ -367,7 +338,6 @@ class Tuner:
                         n_evaluations=2,
                         strategy=hit.strategy,
                         from_cache=True,
-                        backend=self.backend,
                     )
                 if tracer.enabled:
                     tracer.count("tune.cache_misses", 1)

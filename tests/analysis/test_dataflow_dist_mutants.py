@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import repro.dist.als as als_mod
+import repro.cpd.core as als_mod
 import repro.dist.mttkrp as mttkrp_mod
 from repro.analysis.dataflow import scan_source as _scan_raw
 from repro.analysis.diagnostics import apply_suppressions, suppressions_for_source
@@ -28,7 +28,8 @@ ALS_PRISTINE = ALS_FILE.read_text(encoding="utf-8")
 MTTKRP_ALLOC_ANCHOR = (
     "    out = np.zeros((shape[mode], rank), dtype=factor_dtype(list(factors)))\n"
 )
-ALS_DTYPE_ANCHOR = "    dtype = value_dtype_of(tensor.values)\n"
+#: distributed_cp_als derives its working dtype in the shared ALS core.
+ALS_DTYPE_ANCHOR = "        dtype = value_dtype_of(tensor.values)\n"
 
 
 def scan_source(source: str, file: str):
@@ -93,7 +94,7 @@ class TestSeededDistMutants:
         mutant = _mutate(
             ALS_PRISTINE,
             ALS_DTYPE_ANCHOR,
-            "    from repro.util.validation import VALUE_DTYPE\n"
-            "    dtype = VALUE_DTYPE\n",
+            "        from repro.util.validation import VALUE_DTYPE\n"
+            "        dtype = VALUE_DTYPE\n",
         )
         assert "DF612" in _rules(scan_source(mutant, str(ALS_FILE)))

@@ -41,10 +41,10 @@ def make_bench(**over):
 
 
 class TestRegistry:
-    def test_all_twenty_three_registered(self):
+    def test_all_twenty_one_registered(self):
         names = [b.name for b in iter_benchmarks()]
-        assert len(names) == 23
-        assert len(set(names)) == 23
+        assert len(names) == 21
+        assert len(set(names)) == 21
         for expected in (
             "fig2_roofline",
             "table1_ppa",
@@ -67,8 +67,6 @@ class TestRegistry:
             "serve_openloop",
             "serve_warm_cache",
             "dist_strong_scaling_real",
-            "fused_als_sweeps",
-            "backend_matrix",
         ):
             assert expected in names
 

@@ -1,6 +1,8 @@
-"""Explicit-init validation: cp_als/cp_als_dimtree must reject malformed
-initial factors up front, naming the offending mode — not fail with an
-opaque broadcast error deep inside the first MTTKRP."""
+"""Boundary validation shared by the three ALS drivers (cp_als,
+cp_als_dimtree, distributed_cp_als): malformed initial factors and bad
+iteration settings must raise ConfigError up front, naming the offending
+mode — not fail with an opaque broadcast or index error deep inside the
+first MTTKRP."""
 
 from __future__ import annotations
 
@@ -8,8 +10,19 @@ import numpy as np
 import pytest
 
 from repro.cpd import check_init_factors, cp_als, cp_als_dimtree
+from repro.dist import ProcessGrid, distributed_cp_als
+from repro.machine import power8_socket
 from repro.tensor import poisson_tensor
 from repro.util.errors import ConfigError
+
+
+def _dist_als(tensor, rank, **kwargs):
+    return distributed_cp_als(
+        tensor, rank, ProcessGrid((2, 1, 1)), power8_socket(), **kwargs
+    )
+
+
+DRIVERS = {"cp_als": cp_als, "dimtree": cp_als_dimtree, "dist": _dist_als}
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +86,33 @@ class TestDriversValidateInit:
 
     def test_drivers_agree_from_shared_init(self, tensor):
         init = _good_init(tensor.shape, 4)
-        a = cp_als(tensor, 4, n_iters=3, init=[f.copy() for f in init])
-        b = cp_als(
-            tensor, 4, n_iters=3, init=[f.copy() for f in init], fused=True
-        )
-        assert a.fits == b.fits
+        ref = cp_als(tensor, 4, n_iters=3, init=[f.copy() for f in init])
+        for name in ("dimtree", "dist"):
+            res = DRIVERS[name](
+                tensor, 4, n_iters=3, init=[f.copy() for f in init]
+            )
+            np.testing.assert_allclose(res.fits, ref.fits, rtol=1e-8)
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+class TestSharedStartValidation:
+    """Every driver validates through the same ALS start step."""
+
+    def test_wrong_rank_in_one_mode(self, tensor, driver):
+        init = _good_init(tensor.shape, 4)
+        init[2] = np.zeros((tensor.shape[2], 5))
+        with pytest.raises(ConfigError, match="mode 2"):
+            DRIVERS[driver](tensor, 4, n_iters=2, init=init)
+
+    def test_too_few_factors(self, tensor, driver):
+        init = _good_init(tensor.shape, 4)[:2]
+        with pytest.raises(ConfigError, match="one initial factor per mode"):
+            DRIVERS[driver](tensor, 4, n_iters=2, init=init)
+
+    def test_negative_tol(self, tensor, driver):
+        with pytest.raises(ConfigError, match="tol"):
+            DRIVERS[driver](tensor, 4, n_iters=2, tol=-1.0)
+
+    def test_zero_iterations(self, tensor, driver):
+        with pytest.raises(ConfigError, match="n_iters"):
+            DRIVERS[driver](tensor, 4, n_iters=0)

@@ -1,7 +1,6 @@
 """Every kernel's ``prepare`` must reject parameters it does not
 understand — a typo'd ``block_count`` fails loudly instead of silently
-preparing an unblocked plan — while still accepting its own knobs and
-the universal ``backend=``."""
+preparing an unblocked plan — while still accepting its own knobs."""
 
 from __future__ import annotations
 
@@ -47,21 +46,12 @@ def test_own_params_still_accepted(kernel_name, small_tensor) -> None:
 
 
 @pytest.mark.parametrize("kernel_name", sorted(VALID_PARAMS))
-def test_backend_param_universally_accepted(kernel_name, small_tensor) -> None:
-    kern = get_kernel(kernel_name)
-    plan = kern.prepare(
-        small_tensor, 0, backend="numpy", **VALID_PARAMS[kernel_name]
-    )
-    assert plan.backend == "numpy"
-
-
-@pytest.mark.parametrize("kernel_name", sorted(VALID_PARAMS))
 def test_unknown_backend_rejected(kernel_name, small_tensor) -> None:
+    """Kernels have a single execute body; ``backend=`` is not a knob."""
     kern = get_kernel(kernel_name)
-    with pytest.raises(ConfigError, match="unknown backend"):
+    with pytest.raises(ConfigError, match="unknown prepare parameter.*backend"):
         kern.prepare(
-            small_tensor, 0, backend="not-a-backend",
-            **VALID_PARAMS[kernel_name],
+            small_tensor, 0, backend="numpy", **VALID_PARAMS[kernel_name]
         )
 
 

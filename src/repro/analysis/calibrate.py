@@ -58,16 +58,12 @@ CALIBRATION_SEED = 20180521  # IPDPS'18 presentation date
 def calibration_env(plan, rank: int) -> dict[str, int]:
     """Bind the certificate symbols to one concrete plan."""
     stats = plan.block_stats()
-    rank_blocking = getattr(plan, "rank_blocking", None)
-    n_strips = (
-        rank_blocking.n_strips(rank) if rank_blocking is not None else 1
-    )
     return {
         "nnz": sum(b.nnz for b in stats),
         "n_fibers": sum(b.n_fibers for b in stats),
         "distinct_out": sum(b.distinct_out for b in stats),
         "R": rank,
-        "n_strips": n_strips,
+        "n_strips": len(plan.strips(rank)),
         "itemsize": 8,  # float64 calibration factors
         "I_out": int(plan.shape[plan.mode]),
     }

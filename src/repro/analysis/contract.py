@@ -163,11 +163,11 @@ def _check_execute(fn: ast.FunctionDef, file: str, diags: list[Diagnostic]) -> N
 
 
 def _check_kernel_class(
-    cls: ast.ClassDef, file: str, scan: ContractScan
+    cls: ast.ClassDef, file: str, scan: ContractScan, named_by_call: set[str]
 ) -> None:
     diags = scan.diagnostics
     name = _class_attr_str(cls, "name")
-    if not name:
+    if not name and cls.name not in named_by_call:
         diags.append(
             Diagnostic(
                 "KC102",
@@ -313,17 +313,12 @@ def scan_source(
         )
         return scan
 
-    classes: dict[str, ast.ClassDef] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            classes[node.name] = node
-            bases = _base_names(node)
-            if "Kernel" in bases:
-                _check_kernel_class(node, file, scan)
-            if "Plan" in bases:
-                _check_plan_class(node, file, scan)
+    classes = {
+        node.name: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    }
 
-    # Registration sites: register_kernel(Cls()) / register_kernel(Cls).
+    # Registration sites: register_kernel(Cls()) / register_kernel(Cls) /
+    # register_kernel(Cls("name", ...)), the last naming the instance.
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and _call_name(node) == "register_kernel"):
             continue
@@ -356,11 +351,36 @@ def scan_source(
         if isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name):
             cls_name = arg.func.id
             cls = classes.get(cls_name)
-            registry_name = _class_attr_str(cls, "name") if cls is not None else None
+            registry_name = _name_argument(arg) or (
+                _class_attr_str(cls, "name") if cls is not None else None
+            )
             scan.registrations.append(
                 RegisteredKernel(cls_name, registry_name, file, node.lineno)
             )
+
+    # A class without a class-level name is fine when every registration
+    # of it names the instance.
+    unnamed = {reg.class_name for reg in scan.registrations if not reg.registry_name}
+    named_by_call = {reg.class_name for reg in scan.registrations} - unnamed
+    for cls in classes.values():
+        bases = _base_names(cls)
+        if "Kernel" in bases:
+            _check_kernel_class(cls, file, scan, named_by_call)
+        if "Plan" in bases:
+            _check_plan_class(cls, file, scan)
     return scan
+
+
+def _name_argument(call: ast.Call) -> "str | None":
+    """The instance name a constructor call passes — its first positional
+    argument or ``name=`` keyword, when that is a string literal."""
+    candidates = [kw.value for kw in call.keywords if kw.arg == "name"]
+    if call.args:
+        candidates.insert(0, call.args[0])
+    for node in candidates:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+    return None
 
 
 def _call_name(node: ast.Call) -> "str | None":

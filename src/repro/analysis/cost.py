@@ -32,14 +32,16 @@ the access structure).
 
 Every access stream is mapped to the model's canonical taxonomy:
 ``val`` / ``j_index`` / ``k_index`` / ``k_pointer`` tensor streams, row
-gathers from ``B`` and ``C``, and output writes.  Two access classes are
+gathers from ``B`` and ``C``, and output writes.  One access class is
 *excluded* from the byte comparison by design and reported only in the
 certificate: materialized output-row maps (``fiber_rows``, CSF root
 ``fids``/``fptr`` — the model charges output-row bookkeeping to the
-``A`` term, not the stream term) and strip re-stacking copies
-(``np.ascontiguousarray`` of factor column strips — a working-set
-*layout* cost the model's per-strip row-width accounting already
-subsumes; see docs/static-analysis.md for the derivation walkthrough).
+``A`` term, not the stream term; see docs/static-analysis.md for the
+derivation walkthrough).
+
+Kernels are certified per family (COO, SPLATT, CSF, any-mode CSF): one
+``execute`` body serves every registry preset of a family, and a preset
+without rank strips certifies with ``n_strips -> 1``.
 
 The COO kernel has no fiber compression: its sorted row stream ``i``
 plays the ``k_pointer`` role (segment delimiter) and its ``k`` stream
@@ -140,8 +142,19 @@ class CostCertificate:
     writes: list[WriteRecord] = field(default_factory=list)
     #: Excluded-class bytes (row maps), reported but never compared.
     excluded_bytes: dict[str, Poly] = field(default_factory=dict)
-    #: Strip re-stacking copy sites (informational).
-    pack_sites: list[int] = field(default_factory=list)
+
+    def substitute(self, subs: "Mapping[str, Poly | int]") -> None:
+        """Apply symbol substitutions to every derived polynomial."""
+        for table in (
+            self.stream_bytes,
+            self.gather_rows,
+            self.gather_elements,
+            self.excluded_bytes,
+        ):
+            for key, poly in table.items():
+                table[key] = poly.substitute(subs)
+        for w in self.writes:
+            w.elements = w.elements.substitute(subs)
 
     def gathers_counter(self) -> Poly:
         """What ``kernel.gathers`` should count: gathered rows folded to
@@ -156,10 +169,7 @@ class CostCertificate:
         """What ``kernel.factor_bytes`` should count: gathered B/C
         elements plus the model's ``distinct_out`` output term, at the
         factor itemsize.  The A term follows the traffic model's
-        convention (distinct rows fetched+written once per phase) rather
-        than each kernel's literal store pattern — RankB's full-range
-        slab stores are a *layout* choice the model already prices into
-        the stream term."""
+        convention (distinct rows fetched+written once per phase)."""
         total = DISTINCT_OUT * RANK
         for role in ("B", "C"):
             total = total + self.gather_elements.get(role, ZERO)
@@ -231,7 +241,7 @@ class DerivedIndex(AV):
 class Matrix(AV):
     """A 2-D factor-like array."""
 
-    role: str  #: "B" / "C" / "A_factor" / "anymode" / "scratch"
+    role: str  #: "B" / "C" / "A" / "A_factor" / "anymode"
     width: Poly
     rows: "Poly | None" = None
     is_output: bool = False
@@ -283,18 +293,6 @@ class LevelHandle(AV):
 @dataclass
 class CSFHandle(AV):
     order: int = 3
-
-
-@dataclass
-class SplattHandle(AV):
-    __slots__ = ()
-
-
-@dataclass
-class StripConfig(AV):
-    """``plan.rank_blocking`` — ``.strips(rank)`` yields StripsVal."""
-
-    __slots__ = ()
 
 
 @dataclass
@@ -456,59 +454,28 @@ def _coo_plan() -> HandleVal:
     return HandleVal(attrs=attrs, name="COOPlan")
 
 
+def _strips_method() -> AV:
+    """``plan.strips`` — calling it yields the strip list."""
+    return _BoundMethod(UNKNOWN, "strips")
+
+
 def _splatt_plan() -> HandleVal:
     attrs = _common_plan_attrs()
     attrs.update(
-        {"splatt": _splatt_handle(), "fiber_rows": _row_map(N_FIBERS)}
+        {
+            "blocked": HandleVal(
+                name="BlockedTensor", attrs={"blocks": BlockList()}
+            ),
+            "block_rows": PerBlockList(item=_row_map(N_FIBERS)),
+            "strips": _strips_method(),
+        }
     )
     return HandleVal(attrs=attrs, name="SplattPlan")
 
 
-def _rankb_plan() -> HandleVal:
-    attrs = _common_plan_attrs()
-    attrs.update(
-        {
-            "base": HandleVal(
-                name="SplattPlan",
-                attrs={
-                    "splatt": _splatt_handle(),
-                    "fiber_rows": _row_map(N_FIBERS),
-                },
-            ),
-            "rank_blocking": StripConfig(),
-        }
-    )
-    return HandleVal(attrs=attrs, name="RankBPlan")
-
-
-def _mb_inner() -> HandleVal:
-    return HandleVal(
-        name="BlockedTensor", attrs={"blocks": BlockList()}
-    )
-
-
-def _mb_plan() -> HandleVal:
-    attrs = _common_plan_attrs()
-    attrs.update(
-        {
-            "blocked": _mb_inner(),
-            "fiber_rows": PerBlockList(item=_row_map(N_FIBERS)),
-        }
-    )
-    return HandleVal(attrs=attrs, name="MBPlan")
-
-
-def _combined_plan() -> HandleVal:
-    attrs = _common_plan_attrs()
-    attrs.update(
-        {"mb_plan": _mb_plan(), "rank_blocking": StripConfig()}
-    )
-    return HandleVal(attrs=attrs, name="CombinedPlan")
-
-
 def _csf_plan() -> HandleVal:
     attrs = _common_plan_attrs()
-    attrs.update({"csf": CSFHandle(3)})
+    attrs.update({"blocks": BlockPairList(3), "strips": _strips_method()})
     return HandleVal(attrs=attrs, name="CSFPlan")
 
 
@@ -522,107 +489,73 @@ def _csf_any_plan() -> HandleVal:
     return HandleVal(attrs=attrs, name="CSFAnyPlan")
 
 
-def _csf_blocked_plan() -> HandleVal:
-    attrs = _common_plan_attrs()
-    attrs.update(
-        {"blocks": BlockPairList(3), "rank_blocking": StripConfig()}
-    )
-    return HandleVal(attrs=attrs, name="BlockedCSFPlan")
-
-
 @dataclass(frozen=True)
 class KernelCostSpec:
-    """Everything the certifier knows about one shipped kernel."""
+    """Everything the certifier knows about one kernel family."""
 
-    name: str
     module: str
     kernel_class: str
     plan_class: str
     plan_env: Callable[[], HandleVal]
+    #: Registry name of each preset -> whether it runs rank strips.
+    presets: "dict[str, bool]"
     #: Symbol substitutions applied to *both* sides before comparison:
     #: the family's structural identities (COO: every nonzero is its own
-    #: fiber; stripless kernels: n_strips == 1).
+    #: fiber).
     subs: "dict[str, Poly | int]"
     #: Whether the plan's declared write_set() is the full output range.
     full_write_set: bool
 
+    def subs_for(self, name: str) -> "dict[str, Poly | int]":
+        """The family identities plus ``n_strips -> 1`` for a preset
+        without rank strips."""
+        if self.presets[name]:
+            return self.subs
+        return {**self.subs, "n_strips": 1}
 
+
+_FAMILY_SPECS = [
+    KernelCostSpec(
+        "repro.kernels.coo_mttkrp",
+        "COOKernel",
+        "COOPlan",
+        _coo_plan,
+        {"coo": False},
+        {"n_fibers": NNZ},
+        full_write_set=False,
+    ),
+    KernelCostSpec(
+        "repro.kernels.splatt_mttkrp",
+        "SplattKernel",
+        "SplattPlan",
+        _splatt_plan,
+        {"splatt": False, "mb": False, "rankb": True, "mb+rankb": True},
+        {},
+        full_write_set=False,
+    ),
+    KernelCostSpec(
+        "repro.kernels.csf_mttkrp",
+        "CSFKernel",
+        "CSFPlan",
+        _csf_plan,
+        {"csf": False, "csf-blocked": True},
+        {},
+        full_write_set=False,
+    ),
+    KernelCostSpec(
+        "repro.kernels.csf_any",
+        "CSFAnyKernel",
+        "CSFAnyPlan",
+        _csf_any_plan,
+        {"csf-any": False},
+        {},
+        full_write_set=True,
+    ),
+]
+
+#: Registry name -> the spec of its family.
 KERNEL_COST_SPECS: dict[str, KernelCostSpec] = {
-    spec.name: spec
-    for spec in [
-        KernelCostSpec(
-            "coo",
-            "repro.kernels.coo_mttkrp",
-            "COOKernel",
-            "COOPlan",
-            _coo_plan,
-            {"n_fibers": NNZ, "n_strips": 1},
-            full_write_set=False,
-        ),
-        KernelCostSpec(
-            "splatt",
-            "repro.kernels.splatt_mttkrp",
-            "SplattKernel",
-            "SplattPlan",
-            _splatt_plan,
-            {"n_strips": 1},
-            full_write_set=False,
-        ),
-        KernelCostSpec(
-            "mb",
-            "repro.kernels.blocked",
-            "MultiDimBlockedKernel",
-            "MBPlan",
-            _mb_plan,
-            {"n_strips": 1},
-            full_write_set=False,
-        ),
-        KernelCostSpec(
-            "rankb",
-            "repro.kernels.rankblocked",
-            "RankBlockedKernel",
-            "RankBPlan",
-            _rankb_plan,
-            {},
-            full_write_set=True,
-        ),
-        KernelCostSpec(
-            "mb+rankb",
-            "repro.kernels.combined",
-            "CombinedBlockedKernel",
-            "CombinedPlan",
-            _combined_plan,
-            {},
-            full_write_set=True,
-        ),
-        KernelCostSpec(
-            "csf",
-            "repro.kernels.csf_mttkrp",
-            "CSFKernel",
-            "CSFPlan",
-            _csf_plan,
-            {"n_strips": 1},
-            full_write_set=False,
-        ),
-        KernelCostSpec(
-            "csf-any",
-            "repro.kernels.csf_any",
-            "CSFAnyKernel",
-            "CSFAnyPlan",
-            _csf_any_plan,
-            {"n_strips": 1},
-            full_write_set=True,
-        ),
-        KernelCostSpec(
-            "csf-blocked",
-            "repro.kernels.csf_blocked",
-            "BlockedCSFKernel",
-            "BlockedCSFPlan",
-            _csf_blocked_plan,
-            {},
-            full_write_set=False,
-        ),
-    ]
+    name: spec for spec in _FAMILY_SPECS for name in spec.presets
 }
 
 #: Modules whose function bodies the interpreter may inline.
@@ -806,14 +739,11 @@ class _Walker:
 
     def _record_write(
         self,
-        matrix: Matrix,
         kind: str,
         elements: Poly,
         line: int,
         accumulate: bool,
     ) -> None:
-        if matrix.role == "scratch":
-            return  # kernel-internal; not part of the output footprint
         self.cert.writes.append(
             WriteRecord(kind, elements, line, accumulate)
         )
@@ -893,8 +823,6 @@ class _Walker:
             return UNKNOWN
         if isinstance(base, NumpyNS):
             return NumpyNS(f"{base.path}.{attr}")
-        if isinstance(base, SplattHandle):
-            return _splatt_handle().attrs.get(attr, UNKNOWN)
         if isinstance(base, CSFHandle):
             return self._csf_attr(base, attr)
         if isinstance(base, LevelHandle):
@@ -925,8 +853,6 @@ class _Walker:
             return _BoundMethod(base, "astype")
         if isinstance(base, ListVal) and attr == "append":
             return _BoundMethod(base, "append")
-        if isinstance(base, StripConfig) and attr == "strips":
-            return _BoundMethod(base, "strips")
         return UNKNOWN
 
     def _csf_attr(self, csf: CSFHandle, attr: str) -> AV:
@@ -1087,8 +1013,8 @@ class _Walker:
         sl = node.slice
         if isinstance(sl, ast.Tuple) and len(sl.elts) == 2:
             r, c = sl.elts
-            # B[:, lo:hi] — column strip (view; counted when packed or
-            # when rows are gathered from it)
+            # B[:, lo:hi] — column strip (a view; counted when rows are
+            # gathered from it)
             width = self._slice_width(c, base.width)
             if isinstance(r, ast.Slice) and r.lower is None and r.upper is None:
                 return Matrix(
@@ -1111,7 +1037,7 @@ class _Walker:
         # fancy gather
         idx = self._index_value(sl)
         if isinstance(idx, Chunk):
-            if base.is_output or base.role == "scratch":
+            if base.is_output:
                 # reads of the output through row indices only happen as
                 # the load half of `A[rows] += ...`; handled at the store
                 return _OutputGatherView(base, idx)
@@ -1244,15 +1170,6 @@ class _Walker:
                     return Const(a >= b)
             except TypeError:
                 return UNKNOWN
-        # `plan.rank_blocking is not None` — the certified strip path
-        if (
-            len(node.ops) == 1
-            and isinstance(node.ops[0], (ast.IsNot, ast.Is))
-            and isinstance(rights[0], Const)
-            and rights[0].value is None
-            and isinstance(left, StripConfig)
-        ):
-            return Const(isinstance(node.ops[0], ast.IsNot))
         return UNKNOWN
 
     def _eval_ifexp(self, node: ast.IfExp) -> AV:
@@ -1313,21 +1230,6 @@ class _Walker:
             # segmented reduction: pass the data chunk through; the
             # boundary argument was counted during evaluation
             return args[0] if args else UNKNOWN
-        if name == "ascontiguousarray":
-            src = args[0] if args else UNKNOWN
-            if isinstance(src, Matrix):
-                self.cert.pack_sites.append(node.lineno)
-                return src
-            return src
-        if name == "zeros":
-            shape = args[0] if args else UNKNOWN
-            if isinstance(shape, TupleVal) and len(shape.items) == 2:
-                rows, width = shape.items
-                w = width.axis if isinstance(width, AxisLen) else None
-                r = rows.axis if isinstance(rows, AxisLen) else None
-                if w is not None:
-                    return Matrix("scratch", w, r)
-            return UNKNOWN
         if name == "concatenate":
             src = args[0] if args else UNKNOWN
             if isinstance(src, ListVal):
@@ -1497,9 +1399,6 @@ class _Walker:
                 base.item = value
             return
         if isinstance(base, Matrix):
-            if base.role == "scratch":
-                self.eval(sl)
-                return
             if not (base.is_output or base.role == "A"):
                 self.problems.append(
                     _ct703(
@@ -1520,7 +1419,6 @@ class _Walker:
                 width = self._slice_width(sl.elts[1], base.width)
                 rows = base.rows if base.rows is not None else I_OUT
                 self._record_write(
-                    base,
                     "all_rows",
                     self.mult * rows * width,
                     line,
@@ -1531,7 +1429,6 @@ class _Walker:
             idx = self._index_value(sl)
             if isinstance(idx, Chunk) and idx.space == "out":
                 self._record_write(
-                    base,
                     "distinct_out",
                     self.mult * DISTINCT_OUT * base.width,
                     line,
@@ -1606,10 +1503,6 @@ class _Walker:
                 TupleVal([BlockHandle(), CSFHandle(iterable.csf_order)]),
                 stmt.lineno,
             )
-            self.exec_body(stmt.body)
-            return
-        if isinstance(iterable, BlockList):
-            self._bind(stmt.target, BlockHandle(), stmt.lineno)
             self.exec_body(stmt.body)
             return
         raise Unverifiable(
@@ -1780,6 +1673,7 @@ def derive_certificate(
                 "recognizes (see docs/static-analysis.md)",
             )
         ]
+    cert.substitute(spec.subs_for(name))
     return cert, walker.problems
 
 
@@ -1791,11 +1685,12 @@ def check_traffic_contract(
     cert: CostCertificate, spec: KernelCostSpec
 ) -> list[Diagnostic]:
     """CT701/CT702: derived streams and gathers vs the model mirror."""
+    subs = spec.subs_for(cert.kernel)
     diags: list[Diagnostic] = []
     model_streams = model_stream_bytes()
     for cls in STREAM_CLASSES:
-        want = _subbed(model_streams[cls], spec.subs)
-        have = _subbed(cert.stream_bytes.get(cls, ZERO), spec.subs)
+        want = _subbed(model_streams[cls], subs)
+        have = _subbed(cert.stream_bytes.get(cls, ZERO), subs)
         line = cert.stream_lines.get(cls, cert.exec_line)
         if have == ZERO and want != ZERO:
             diags.append(
@@ -1825,8 +1720,8 @@ def check_traffic_contract(
             )
     model_rows = model_gather_rows()
     for role in ("B", "C"):
-        want = _subbed(model_rows[role], spec.subs)
-        have = _subbed(cert.gather_rows.get(role, ZERO), spec.subs)
+        want = _subbed(model_rows[role], subs)
+        have = _subbed(cert.gather_rows.get(role, ZERO), subs)
         line = cert.gather_lines.get(role, cert.exec_line)
         if have == ZERO:
             diags.append(
@@ -2031,8 +1926,9 @@ def check_counter_contract(
             )
             continue
         emitted, line = emissions[counter]
-        want = _subbed(expected, spec.subs)
-        have = _subbed(emitted, spec.subs)
+        subs = spec.subs_for(cert.kernel)
+        want = _subbed(expected, subs)
+        have = _subbed(emitted, subs)
         if want != have:
             diags.append(
                 Diagnostic(
@@ -2177,8 +2073,12 @@ def enforce_kernel_cost(cls: type) -> None:
     )
     if spec is None:
         return
-    _, diags = certify_kernel(spec.name)
-    errors = [d for d in diags if d.severity.value == "error"]
+    errors = [
+        d
+        for name in spec.presets
+        for d in certify_kernel(name)[1]
+        if d.severity.value == "error"
+    ]
     if errors:
         from repro.util.errors import RegistrationError
 

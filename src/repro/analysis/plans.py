@@ -525,11 +525,7 @@ def verify_capacity(
         budget = matches[0].capacity_bytes
         level_name = matches[0].name
     budget = int(budget * _FACTOR_CACHE_FRACTION)
-    rb = getattr(plan, "rank_blocking", None)
-    if rb is not None:
-        strip_cols = max(hi - lo for lo, hi in rb.strips(rank))
-    else:
-        strip_cols = rank
+    strip_cols = max(hi - lo for lo, hi in plan.strips(rank))
     itemsize = 8  # VALUE_DTYPE is float64
     worst_rows = 0
     worst_coords = None
@@ -596,9 +592,6 @@ def verify_plan(
     if isinstance(obj, Plan):
         out: list[Diagnostic] = []
         blocked = getattr(obj, "blocked", None)
-        if blocked is None:
-            mb = getattr(obj, "mb_plan", None)
-            blocked = getattr(mb, "blocked", None)
         if blocked is not None:
             out += verify_grid(blocked.grid, file=file, line=line)
         rb = getattr(obj, "rank_blocking", None)

@@ -17,9 +17,10 @@ output-row write and every factor-row gather, then checks:
   anything else is silent precision drift).
 * SZ506 — the observed factor-row footprint (gather counts and distinct
   rows) matches :func:`repro.machine.traffic.predicted_footprint`.
-  Kernels that gather from restacked private strip copies (RankB and the
-  blocked-CSF local factors) are invisible to the guards; when a factor
-  saw no gathers at all the comparison is skipped rather than reported.
+  Rank strips and mode blocks gather through views of the guarded
+  factors, so every shipped kernel is observed.  A kernel that gathers
+  from private copies is invisible to the guards; when a factor saw no
+  gathers at all the comparison is skipped rather than reported.
 
 The instrumentation is opt-in and costs one Python call per (chunked)
 numpy operation — nothing in the normal execution path changes.
@@ -267,11 +268,9 @@ def _plan_value_arrays(plan) -> list[np.ndarray]:
         if isinstance(obj, np.ndarray):
             out.append(obj)
 
-    for chain in ("splatt.vals", "base.splatt.vals", "csf.vals", "vals"):
+    for chain in ("csf.vals", "vals"):
         chase(plan, chain)
     blocked = getattr(plan, "blocked", None)
-    if blocked is None:
-        blocked = getattr(getattr(plan, "mb_plan", None), "blocked", None)
     if blocked is not None:
         for block in blocked.blocks:
             chase(block, "splatt.vals")
@@ -460,8 +459,7 @@ def _check_footprint(
     ):
         tracker = factor_trackers.get(m)
         if tracker is None or tracker.gather_accesses == 0:
-            # The kernel gathered from restacked private copies (RankB
-            # strips, blocked-CSF local factors) — nothing observable.
+            # The kernel gathered from private copies: nothing observable.
             continue
         observed = tracker.gather_accesses
         if observed != predicted_accesses:

@@ -148,3 +148,18 @@ class BlockGrid:
     def __repr__(self) -> str:
         dims = "x".join(str(c) for c in self.block_counts)
         return f"BlockGrid({dims} blocks over shape {self.shape})"
+
+
+def resolve_grid(
+    shape: Sequence[int],
+    grid: "BlockGrid | None",
+    block_counts: "Sequence[int] | None",
+) -> "BlockGrid | None":
+    """The block grid from either spelling a caller used: an explicit
+    ``grid`` or uniform per-mode ``block_counts``; ``None`` when neither
+    is given."""
+    if grid is not None and block_counts is not None:
+        raise ConfigError("give grid or block_counts, not both")
+    if block_counts is not None:
+        return BlockGrid(shape, block_counts)
+    return grid

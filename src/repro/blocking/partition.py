@@ -26,7 +26,7 @@ from repro.util.validation import check_mode
 
 @dataclass(frozen=True)
 class TensorBlock:
-    """One non-empty block: its grid coordinates, index bounds, and the
+    """One block: its grid coordinates, index bounds, and the
     SPLATT-compressed sub-tensor.
 
     Sub-tensor indices are **local** to the block (global minus the lower
@@ -85,7 +85,7 @@ class BlockedTensor:
 
 @dataclass(frozen=True)
 class NDBlock:
-    """One non-empty N-mode block in local coordinates."""
+    """One N-mode block in local coordinates."""
 
     coords: tuple[int, ...]
     bounds: tuple[tuple[int, int], ...]
@@ -98,13 +98,19 @@ def partition_coo_nd(tensor: COOTensor, grid: BlockGrid) -> list[NDBlock]:
     The order-agnostic core of :func:`partition_coo` — blocks carry plain
     COO sub-tensors (local coordinates, block-sized shapes) so any format
     can be built per block; the blocked CSF kernel uses this for the
-    paper's "trivially extended to higher-order data" claim.  Blocks are
-    emitted in C order over the grid coordinates.
+    paper's "trivially extended to higher-order data" claim.  Non-empty
+    blocks are emitted in C order over the grid coordinates; a one-block
+    grid yields that block (empty or not) over the tensor itself.
     """
     if grid.shape != tensor.shape:
         raise ShapeError(
             f"grid shape {grid.shape} does not match tensor shape {tensor.shape}"
         )
+    if grid.n_blocks == 1:
+        # One block covering the tensor: its own arrays, with no block
+        # ids, sort or gather (the unblocked kernels' path).
+        coords = (0,) * grid.order
+        return [NDBlock(coords, grid.block_bounds(coords), tensor)]
     flat = grid.block_of(tensor.indices)
     order = np.argsort(flat, kind="stable")
     flat_sorted = flat[order]
@@ -159,10 +165,6 @@ def partition_coo(
     """
     if tensor.order != 3:
         raise ShapeError("multi-dimensional blocking is implemented for 3 modes")
-    if grid.shape != tensor.shape:
-        raise ShapeError(
-            f"grid shape {grid.shape} does not match tensor shape {tensor.shape}"
-        )
     output_mode = check_mode(output_mode, 3)
     if inner_mode is None:
         inner_mode = (output_mode + 1) % 3
@@ -171,45 +173,19 @@ def partition_coo(
         raise ShapeError("inner mode must differ from output mode")
     fiber_mode = 3 - output_mode - inner_mode
 
-    flat = grid.block_of(tensor.indices)
-    order = np.argsort(flat, kind="stable")
-    flat_sorted = flat[order]
-    if flat_sorted.shape[0]:
-        starts = np.flatnonzero(
-            np.concatenate(([True], flat_sorted[1:] != flat_sorted[:-1]))
-        )
-    else:
-        starts = np.empty(0, dtype=np.int64)
-    ends = np.concatenate((starts[1:], [flat_sorted.shape[0]]))
-
     # Loop-order priority: output block outermost, then fiber, then inner.
-    def loop_key(flat_id: int) -> tuple[int, int, int]:
-        coords = grid.block_coords(flat_id)
-        return (coords[output_mode], coords[fiber_mode], coords[inner_mode])
-
-    block_ids = [int(flat_sorted[s]) for s in starts]
-    emit_order = sorted(range(len(block_ids)), key=lambda n: loop_key(block_ids[n]))
-
-    blocks: list[TensorBlock] = []
-    for n in emit_order:
-        lo, hi = int(starts[n]), int(ends[n])
-        sel = order[lo:hi]
-        coords = grid.block_coords(block_ids[n])
-        bounds = grid.block_bounds(coords)
-        local_indices = tensor.indices[sel] - np.asarray(
-            [b[0] for b in bounds], dtype=tensor.indices.dtype
+    nd_blocks = sorted(
+        partition_coo_nd(tensor, grid),
+        key=lambda b: (
+            b.coords[output_mode], b.coords[fiber_mode], b.coords[inner_mode]
+        ),
+    )
+    blocks = [
+        TensorBlock(
+            coords=b.coords,
+            bounds=b.bounds,
+            splatt=SplattTensor.from_coo(b.tensor, output_mode, inner_mode),
         )
-        sub = COOTensor(
-            tuple(b[1] - b[0] for b in bounds),
-            local_indices,
-            tensor.values[sel],
-            validate=False,
-        )
-        blocks.append(
-            TensorBlock(
-                coords=coords,
-                bounds=bounds,
-                splatt=SplattTensor.from_coo(sub, output_mode, inner_mode),
-            )
-        )
+        for b in nd_blocks
+    ]
     return BlockedTensor(grid, blocks, output_mode, inner_mode, fiber_mode)

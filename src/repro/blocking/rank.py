@@ -106,3 +106,22 @@ class RankBlocking:
             f"{self.resolve_block_cols(rank)} cols, register block "
             f"{self.register_block}"
         )
+
+
+def resolve_rank_blocking(
+    rank_blocking: "RankBlocking | None" = None,
+    n_rank_blocks: "int | None" = None,
+    block_cols: "int | None" = None,
+) -> "RankBlocking | None":
+    """The rank blocking from whichever spelling a caller used; ``None``
+    when none is given."""
+    given = sum(x is not None for x in (rank_blocking, n_rank_blocks, block_cols))
+    if given > 1:
+        raise ConfigError(
+            "give exactly one of rank_blocking / n_rank_blocks / block_cols"
+        )
+    if n_rank_blocks is not None:
+        return RankBlocking(n_blocks=int(n_rank_blocks))
+    if block_cols is not None:
+        return RankBlocking(block_cols=int(block_cols))
+    return rank_blocking

@@ -1,4 +1,5 @@
-"""MTTKRP kernels: reference, COO, SPLATT (Alg. 1), and the blocked variants.
+"""MTTKRP kernels: reference, COO, the SPLATT family (Alg. 1 and its
+blocked presets), and CSF.
 
 Every kernel follows a two-phase API (mirroring how real tensor libraries
 amortize setup over the 10-1000s of CPD iterations, Section III-B):
@@ -27,11 +28,7 @@ from repro.kernels.reference import reference_mttkrp
 from repro.kernels.coo_mttkrp import COOKernel
 from repro.kernels.splatt_mttkrp import SplattKernel
 from repro.kernels.csf_mttkrp import CSFKernel
-from repro.kernels.csf_blocked import BlockedCSFKernel
 from repro.kernels.csf_any import CSFAnyKernel
-from repro.kernels.blocked import MultiDimBlockedKernel
-from repro.kernels.rankblocked import RankBlockedKernel
-from repro.kernels.combined import CombinedBlockedKernel
 from repro.kernels.counters import OperationCounts, splatt_op_counts, coo_op_counts
 
 __all__ = [
@@ -46,11 +43,7 @@ __all__ = [
     "COOKernel",
     "SplattKernel",
     "CSFKernel",
-    "BlockedCSFKernel",
     "CSFAnyKernel",
-    "MultiDimBlockedKernel",
-    "RankBlockedKernel",
-    "CombinedBlockedKernel",
     "OperationCounts",
     "splatt_op_counts",
     "coo_op_counts",

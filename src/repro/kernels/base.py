@@ -1,7 +1,8 @@
 """Kernel and Plan abstractions shared by every MTTKRP implementation.
 
-A :class:`Kernel` is a *strategy* (COO, SPLATT, MB, RankB, MB+RankB, CSF);
-a :class:`Plan` is that strategy's prepared representation of one tensor
+A :class:`Kernel` is a *strategy* registered under a name (COO; SPLATT and
+its MB/RankB/MB+RankB presets; CSF and its blocked preset); a
+:class:`Plan` is that strategy's prepared representation of one tensor
 for one output mode.  Preparation (sorting, fiber compression, block
 reorganization) happens once and is reused across the many MTTKRP calls of
 a CP-ALS run — the paper relies on the same amortization when arguing the
@@ -115,13 +116,20 @@ class Plan(ABC):
     inner_mode: int
     #: Fiber-label mode — rows of ``C``.
     fiber_mode: int
-    #: Rank-blocking configuration, set by the RankB/combined kernels and
+    #: Rank-blocking configuration, set by the rank-stripped presets and
     #: read by the machine model; ``None`` means no rank blocking.
     rank_blocking: "object | None" = None
 
     @abstractmethod
     def block_stats(self) -> list[BlockStats]:
         """Per-phase structural summary for the machine model."""
+
+    def strips(self, rank: int) -> list[tuple[int, int]]:
+        """Half-open column ranges of the rank strips an execution runs:
+        the rank blocking's, or one ``(0, rank)`` strip without one."""
+        if self.rank_blocking is None:
+            return [(0, rank)]
+        return self.rank_blocking.strips(rank)  # type: ignore[attr-defined]
 
     @property
     def nnz(self) -> int:

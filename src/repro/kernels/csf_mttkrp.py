@@ -1,4 +1,5 @@
-"""Root-mode MTTKRP over the general N-mode CSF tree.
+"""Root-mode MTTKRP over the general N-mode CSF tree, unblocked or
+blocked.
 
 The higher-order generalization of Algorithm 1 (Smith & Karypis's CSF
 kernel): accumulate leaf contributions ``val * F_last[leaf]`` into their
@@ -7,6 +8,12 @@ accumulated vector by its own factor row before passing it to its parent.
 For 3-mode tensors this computes exactly what the SPLATT kernel computes
 (the test suite checks that equivalence); it exists because the paper
 notes its methodology "can trivially be extended to higher-order data".
+
+That extension is the ``csf-blocked`` preset: multi-dimensional blocking
+over an N-dimensional grid (a local CSF tree per block) composed with
+rank strips, mirroring the 3-mode ``mb+rankb`` loop — strips outermost,
+blocks inside, each pass against column views of the factors.  ``csf``
+is the case with one block and one strip.
 
 The output mode is the tree's *root* mode; to compute MTTKRP for another
 mode, build a CSF with that mode first in ``mode_order``.
@@ -18,6 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.blocking.grid import BlockGrid, resolve_grid
+from repro.blocking.partition import NDBlock, partition_coo_nd
+from repro.blocking.rank import RankBlocking, resolve_rank_blocking
 from repro.kernels.base import (
     DEFAULT_SCRATCH_ELEMS,
     BlockStats,
@@ -32,76 +42,124 @@ from repro.kernels.base import (
 )
 from repro.tensor.coo import COOTensor
 from repro.tensor.csf import CSFTensor
+from repro.util.errors import ConfigError
+
+#: ``prepare`` parameters of the blocked preset, beyond ``mode_order``.
+BLOCKED_PARAMS = ("grid", "block_counts", "rank_blocking", "n_rank_blocks")
 
 
 class CSFPlan(Plan):
-    """Prepared CSF MTTKRP (any order >= 3; root mode is the output)."""
+    """Prepared root-mode CSF MTTKRP (any order; the root mode is the
+    output): one local CSF tree per block (one block when unblocked) and
+    the rank blocking (``None`` for one strip)."""
 
-    kernel_name = "csf"
-
-    def __init__(self, csf: CSFTensor) -> None:
-        self.csf = csf
-        self.shape = csf.shape
-        self.mode = csf.root_mode
+    def __init__(
+        self,
+        kernel_name: str,
+        shape: tuple[int, ...],
+        mode: int,
+        mode_order: tuple[int, ...],
+        blocks: "list[tuple[NDBlock, CSFTensor]]",
+        rank_blocking: "RankBlocking | None" = None,
+    ) -> None:
+        self.kernel_name = kernel_name
+        self.shape = shape
+        self.mode = mode
+        self.mode_order = mode_order
         # For 3-mode trees the SPLATT naming applies directly; for higher
         # orders "inner" is the leaf mode and "fiber" the level above it.
-        self.inner_mode = csf.mode_order[-1]
-        self.fiber_mode = csf.mode_order[-2]
-        self._stats: list[BlockStats] | None = None
+        self.inner_mode = mode_order[-1]
+        self.fiber_mode = mode_order[-2]
+        self.blocks = blocks
+        self.rank_blocking = rank_blocking
+        self._stats: "list[BlockStats] | None" = None
 
     def block_stats(self) -> list[BlockStats]:
         if self._stats is None:
-            csf = self.csf
-            last = csf.levels[-1]
-            inner_hist = np.bincount(csf.leaf_fids) if csf.nnz else np.empty(0, int)
-            fiber_hist = (
-                np.bincount(last.fids) if last.n_nodes else np.empty(0, int)
-            )
-            inner_counts = inner_hist[inner_hist > 0]
-            fiber_counts = fiber_hist[fiber_hist > 0]
-            self._stats = [
-                BlockStats(
-                    coords=tuple(0 for _ in csf.shape),
-                    nnz=csf.nnz,
-                    n_fibers=last.n_nodes,
-                    distinct_out=int(np.unique(csf.levels[0].fids).size),
-                    distinct_inner=int(inner_counts.shape[0]),
-                    distinct_fiber=int(fiber_counts.shape[0]),
-                    inner_counts=inner_counts,
-                    fiber_counts=fiber_counts,
+            stats = []
+            for block, csf in self.blocks:
+                last = csf.levels[-1]
+                inner_hist = np.bincount(csf.leaf_fids, minlength=0)
+                fiber_hist = np.bincount(last.fids, minlength=0)
+                inner_counts = inner_hist[inner_hist > 0]
+                fiber_counts = fiber_hist[fiber_hist > 0]
+                stats.append(
+                    BlockStats(
+                        coords=block.coords,
+                        nnz=csf.nnz,
+                        n_fibers=last.n_nodes,
+                        distinct_out=int(np.unique(csf.levels[0].fids).size),
+                        distinct_inner=int(inner_counts.shape[0]),
+                        distinct_fiber=int(fiber_counts.shape[0]),
+                        inner_counts=inner_counts,
+                        fiber_counts=fiber_counts,
+                    )
                 )
-            ]
+            self._stats = stats
         return self._stats
 
     def write_set(self) -> tuple[tuple[int, int], ...]:
-        """Only root-level rows (rows owning a subtree) are written."""
-        return intervals_from_rows(np.unique(self.csf.levels[0].fids))
+        """Only root-level rows (rows owning a subtree) are written:
+        each block's root rows, shifted to global output coordinates."""
+        rows = [
+            csf.levels[0].fids + block.bounds[self.mode][0]
+            for block, csf in self.blocks
+        ]
+        if not rows:
+            return ()
+        return intervals_from_rows(np.unique(np.concatenate(rows)))
 
 
 class CSFKernel(Kernel):
-    """N-mode CSF root-mode MTTKRP."""
+    """N-mode root-mode CSF MTTKRP per (rank strip, mode block), one
+    instance per registry name.
+
+    ``blocked=True`` makes ``prepare`` take a mode grid, which it then
+    requires, and optional rank strips (:data:`BLOCKED_PARAMS`).  Without
+    them a plan has one block covering the tensor and one ``(0, R)``
+    strip.
+    """
 
     name = "csf"
 
-    def __init__(self, scratch_elems: int = DEFAULT_SCRATCH_ELEMS) -> None:
+    def __init__(
+        self,
+        name: "str | None" = None,
+        *,
+        blocked: bool = False,
+        scratch_elems: int = DEFAULT_SCRATCH_ELEMS,
+    ) -> None:
+        if name is not None:
+            self.name = name
+        self.blocked = blocked
         self.scratch_elems = int(scratch_elems)
 
-    def prepare(
-        self,
-        tensor: COOTensor,
-        mode: int,
-        mode_order: "Sequence[int] | None" = None,
-        **params: object,
-    ) -> CSFPlan:
-        """Build the CSF tree with ``mode`` at the root.
+    def prepare(self, tensor: COOTensor, mode: int, **params: object) -> CSFPlan:
+        """Build the CSF trees with ``mode`` at the root.
 
         ``mode_order`` optionally fixes the full ordering (its first entry
         must be ``mode``); the default orders the remaining modes by
         increasing length, SPLATT's heuristic for maximizing compression.
         """
-        reject_unknown_params(self.name, params, known=("mode_order",))
+        known = ("mode_order", *(BLOCKED_PARAMS if self.blocked else ()))
+        reject_unknown_params(
+            self.name, {k: v for k, v in params.items() if k not in known}, known
+        )
         order = tensor.order
         mode = mode % order
+        grid = resolve_grid(
+            tensor.shape, params.get("grid"), params.get("block_counts")
+        )
+        if grid is None:
+            if self.blocked:
+                raise ConfigError(
+                    f"kernel {self.name!r} needs a grid or block_counts"
+                )
+            grid = BlockGrid(tensor.shape, (1,) * order)
+        rank_blocking = resolve_rank_blocking(
+            params.get("rank_blocking"), params.get("n_rank_blocks")
+        )
+        mode_order = params.get("mode_order")
         if mode_order is None:
             others = sorted(
                 (m for m in range(order) if m != mode),
@@ -111,10 +169,16 @@ class CSFKernel(Kernel):
         else:
             mode_order = tuple(int(m) for m in mode_order)
             if mode_order[0] != mode:
-                raise ValueError(
+                raise ConfigError(
                     f"mode_order {mode_order} must start with the output mode {mode}"
                 )
-        return CSFPlan(CSFTensor.from_coo(tensor, mode_order))
+        blocks = [
+            (block, CSFTensor.from_coo(block.tensor, mode_order))
+            for block in partition_coo_nd(tensor, grid)
+        ]
+        return CSFPlan(
+            self.name, tensor.shape, mode, mode_order, blocks, rank_blocking
+        )
 
     def execute(
         self,
@@ -124,7 +188,22 @@ class CSFKernel(Kernel):
     ) -> np.ndarray:
         factors, rank = check_factors(factors, plan.shape, plan.mode)
         A = alloc_output(out, plan.shape[plan.mode], rank, factor_dtype(factors))
-        execute_csf_into(plan.csf, factors, A, self.scratch_elems)
+        order = len(plan.shape)
+        for lo, hi in plan.strips(rank):
+            for block, csf in plan.blocks:
+                local_factors: list["np.ndarray | None"] = [None] * order
+                for m in range(order):
+                    if m == plan.mode:
+                        continue
+                    blo, bhi = block.bounds[m]
+                    local_factors[m] = factors[m][blo:bhi, lo:hi]
+                out_lo, out_hi = block.bounds[plan.mode]
+                execute_csf_into(
+                    csf,
+                    local_factors,
+                    A[out_lo:out_hi, lo:hi],
+                    self.scratch_elems,
+                )
         return A
 
 
@@ -137,9 +216,8 @@ def execute_csf_into(
     """Run the root-mode CSF MTTKRP for one (sub-)tensor, accumulating
     into ``A`` (indexed by the root mode's local coordinates).
 
-    ``factors`` is indexed by *original* mode; the entry at the root mode
-    is unused.  Shared with the blocked CSF kernel, which calls it per
-    block against factor-row slices.
+    ``factors`` is indexed by *original* mode (row views for a block,
+    column views for a rank strip); the entry at the root mode is unused.
     """
     if csf.nnz == 0:
         return
@@ -183,3 +261,4 @@ def execute_csf_into(
 
 
 register_kernel(CSFKernel())
+register_kernel(CSFKernel("csf-blocked", blocked=True))

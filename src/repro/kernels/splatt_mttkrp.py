@@ -1,7 +1,8 @@
-"""The SPLATT MTTKRP kernel — Algorithm 1 of the paper.
+"""The SPLATT MTTKRP family — Algorithm 1 of the paper and its blocked
+variants.
 
 For every fiber (group of nonzeros sharing the output row ``i`` and fiber
-coordinate ``k``) the kernel:
+coordinate ``k``) Algorithm 1:
 
 1. accumulates ``s[r] += val * B[j][r]`` over the fiber's nonzeros
    (lines 5-7 of Algorithm 1), then
@@ -10,19 +11,29 @@ coordinate ``k``) the kernel:
 saving ``R`` flops and an ``A``/``C`` row access per nonzero beyond the
 first in each fiber, relative to the COO kernel.
 
+MB (Section V-A), RankB (Section V-B, Algorithm 2) and MB+RankB
+(Figure 3b) all run Algorithm 1 once per (rank strip, mode block): strips
+outermost, blocks inside, each pass gathering from and accumulating into
+column views of the factors.  SPLATT is the case with one block and one
+strip.  One kernel therefore serves all four registry names; a name only
+fixes which of the grid and strip parameters ``prepare`` takes.
+
 The vectorized implementation materializes the per-nonzero products for a
 bounded *chunk* of fibers, reduces them fiber-wise with
 ``np.add.reduceat``, scales by the ``C`` rows, reduces row-wise, and
-accumulates into ``A``.  :func:`execute_splatt_into` is shared with the
-blocked kernels (a blocked MTTKRP is this routine per block).
+accumulates into ``A``.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Sequence
 
 import numpy as np
 
+from repro.blocking.grid import BlockGrid, resolve_grid
+from repro.blocking.partition import BlockedTensor, partition_coo
+from repro.blocking.rank import RankBlocking, resolve_rank_blocking
 from repro.kernels.base import (
     DEFAULT_SCRATCH_ELEMS,
     BlockStats,
@@ -37,7 +48,13 @@ from repro.kernels.base import (
 )
 from repro.tensor.coo import COOTensor
 from repro.tensor.splatt import SplattTensor
+from repro.util.errors import ConfigError
 from repro.util.validation import INDEX_DTYPE
+
+#: ``prepare`` parameters of the presets that take a mode grid (MB) and of
+#: those that take rank strips (RankB).
+GRID_PARAMS = ("grid", "block_counts", "inner_mode")
+STRIP_PARAMS = ("rank_blocking", "n_rank_blocks", "block_cols")
 
 
 def row_of_fiber(splatt: SplattTensor) -> np.ndarray:
@@ -56,10 +73,11 @@ def execute_splatt_into(
     scratch_elems: int = DEFAULT_SCRATCH_ELEMS,
 ) -> None:
     """Run Algorithm 1 for one SPLATT-compressed (sub-)tensor, accumulating
-    into ``A`` (global row indices; callers pass views/column strips for
-    rank blocking).
+    into ``A``.  ``B`` and ``C`` are indexed by the sub-tensor's local
+    coordinates; callers pass row views for a block and column views for
+    a rank strip.
 
-    ``fiber_rows`` is the per-fiber output row (:func:`row_of_fiber`),
+    ``fiber_rows`` is the per-fiber row of ``A`` (:func:`row_of_fiber`),
     precomputed by the plan so repeated executions don't pay for it.
     """
     n_fibers = splatt.n_fibers
@@ -97,41 +115,127 @@ def execute_splatt_into(
 
 
 class SplattPlan(Plan):
-    """Prepared SPLATT MTTKRP: the fiber-compressed tensor plus the
-    per-fiber output-row map."""
+    """Prepared SPLATT-family MTTKRP: the tensor as SPLATT-compressed
+    blocks (one block when unblocked), the global output row of every
+    fiber, and the rank blocking (``None`` for one strip)."""
 
-    kernel_name = "splatt"
-
-    def __init__(self, splatt: SplattTensor) -> None:
-        self.splatt = splatt
-        self.shape = splatt.shape
-        self.mode = splatt.output_mode
-        self.inner_mode = splatt.inner_mode
-        self.fiber_mode = splatt.fiber_mode
-        self.fiber_rows = row_of_fiber(splatt)
+    def __init__(
+        self,
+        kernel_name: str,
+        blocked: BlockedTensor,
+        rank_blocking: "RankBlocking | None" = None,
+    ) -> None:
+        self.kernel_name = kernel_name
+        self.blocked = blocked
+        self.shape = blocked.shape
+        self.mode = blocked.output_mode
+        self.inner_mode = blocked.inner_mode
+        self.fiber_mode = blocked.fiber_mode
+        self.rank_blocking = rank_blocking
+        rows = [
+            row_of_fiber(block.splatt) + block.bounds[self.mode][0]
+            for block in blocked.blocks
+        ]
+        #: Global output row of every fiber, block after block, and each
+        #: block's share of it (views).
+        self.fiber_rows = (
+            np.concatenate(rows) if rows else np.empty(0, dtype=INDEX_DTYPE)
+        )
+        self.block_rows = np.split(
+            self.fiber_rows,
+            np.cumsum([r.shape[0] for r in rows], dtype=INDEX_DTYPE)[:-1],
+        )
         self._stats: list[BlockStats] | None = None
+
+    @property
+    def splatt(self) -> SplattTensor:
+        """The compressed tensor of a one-block plan."""
+        blocks = self.blocked.blocks
+        if len(blocks) != 1:
+            raise AttributeError(
+                f"a {len(blocks)}-block plan has no single SPLATT tensor; "
+                "iterate plan.blocked.blocks"
+            )
+        return blocks[0].splatt
 
     def block_stats(self) -> list[BlockStats]:
         if self._stats is None:
-            self._stats = [BlockStats.from_splatt(self.splatt, (0, 0, 0))]
+            self._stats = [
+                BlockStats.from_splatt(block.splatt, block.coords)
+                for block in self.blocked.blocks
+            ]
         return self._stats
 
     def write_set(self) -> tuple[tuple[int, int], ...]:
         """Only rows that own at least one fiber are ever written."""
         return intervals_from_rows(np.unique(self.fiber_rows))
 
+    def with_strips(
+        self, kernel_name: str, rank_blocking: "RankBlocking | None"
+    ) -> "SplattPlan":
+        """This partition under another rank blocking.  Strips only
+        re-slice columns, so the blocks, row maps and block stats are
+        shared rather than rebuilt."""
+        self.block_stats()
+        plan = copy.copy(self)
+        plan.kernel_name = kernel_name
+        plan.rank_blocking = rank_blocking
+        return plan
+
 
 class SplattKernel(Kernel):
-    """The state-of-the-art baseline the paper optimizes (Algorithm 1)."""
+    """Algorithm 1 per (rank strip, mode block), one instance per registry
+    name.
+
+    ``grid=True`` makes ``prepare`` take, and require, a mode grid
+    (:data:`GRID_PARAMS`); ``strips=True`` does the same for rank strips
+    (:data:`STRIP_PARAMS`).  Without them a plan has one block covering
+    the tensor and one ``(0, R)`` strip.
+    """
 
     name = "splatt"
 
-    def __init__(self, scratch_elems: int = DEFAULT_SCRATCH_ELEMS) -> None:
+    def __init__(
+        self,
+        name: "str | None" = None,
+        *,
+        grid: bool = False,
+        strips: bool = False,
+        scratch_elems: int = DEFAULT_SCRATCH_ELEMS,
+    ) -> None:
+        if name is not None:
+            self.name = name
+        self.takes_grid = grid
+        self.takes_strips = strips
         self.scratch_elems = int(scratch_elems)
 
     def prepare(self, tensor: COOTensor, mode: int, **params: object) -> SplattPlan:
-        reject_unknown_params(self.name, params)
-        return SplattPlan(SplattTensor.from_coo(tensor, output_mode=mode))
+        known = (GRID_PARAMS if self.takes_grid else ()) + (
+            STRIP_PARAMS if self.takes_strips else ()
+        )
+        reject_unknown_params(
+            self.name, {k: v for k, v in params.items() if k not in known}, known
+        )
+        grid = resolve_grid(
+            tensor.shape, params.get("grid"), params.get("block_counts")
+        )
+        if grid is None:
+            if self.takes_grid:
+                raise ConfigError(
+                    f"kernel {self.name!r} needs a grid or block_counts "
+                    "(e.g. (1, 10, 5))"
+                )
+            grid = BlockGrid(tensor.shape, (1,) * tensor.order)
+        rank_blocking = resolve_rank_blocking(
+            *(params.get(k) for k in STRIP_PARAMS)
+        )
+        if rank_blocking is None and self.takes_strips:
+            raise ConfigError(
+                f"kernel {self.name!r} needs rank_blocking, n_rank_blocks, "
+                "or block_cols"
+            )
+        blocked = partition_coo(tensor, grid, mode, params.get("inner_mode"))
+        return SplattPlan(self.name, blocked, rank_blocking)
 
     def execute(
         self,
@@ -143,10 +247,22 @@ class SplattKernel(Kernel):
         B = factors[plan.inner_mode]
         C = factors[plan.fiber_mode]
         A = alloc_output(out, plan.shape[plan.mode], rank, factor_dtype(factors))
-        execute_splatt_into(
-            plan.splatt, plan.fiber_rows, B, C, A, self.scratch_elems
-        )
+        for lo, hi in plan.strips(rank):
+            for block, fiber_rows in zip(plan.blocked.blocks, plan.block_rows):
+                in_lo, in_hi = block.bounds[plan.inner_mode]
+                fb_lo, fb_hi = block.bounds[plan.fiber_mode]
+                execute_splatt_into(
+                    block.splatt,
+                    fiber_rows,
+                    B[in_lo:in_hi, lo:hi],
+                    C[fb_lo:fb_hi, lo:hi],
+                    A[:, lo:hi],
+                    self.scratch_elems,
+                )
         return A
 
 
 register_kernel(SplattKernel())
+register_kernel(SplattKernel("mb", grid=True))
+register_kernel(SplattKernel("rankb", strips=True))
+register_kernel(SplattKernel("mb+rankb", grid=True, strips=True))

@@ -89,8 +89,8 @@ def estimate_loads(plan: Plan, rank: int, machine: MachineSpec) -> LoadEstimate:
     nnz = float(sum(b.nnz for b in stats))
     fibers = float(sum(b.n_fibers for b in stats))
 
-    rank_blocking = getattr(plan, "rank_blocking", None)
-    strips = rank_blocking.strips(rank) if rank_blocking is not None else [(0, rank)]
+    rank_blocking = plan.rank_blocking
+    strips = plan.strips(rank)
 
     stream = b_loads = acc_loads = acc_stores = 0.0
     c_loads = a_loads = a_stores = 0.0

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.base import Plan
+from repro.kernels.splatt_mttkrp import SplattPlan
 from repro.machine.spec import MachineSpec
 from repro.tensor.splatt import SplattTensor
 from repro.util.errors import ConfigError
@@ -42,24 +43,21 @@ _REGION_LINES = 1 << 40
 
 
 def _phase_blocks(plan: Plan) -> "list[tuple[SplattTensor, tuple[int, int, int]]]":
-    """Extract (splatt, (out_off, inner_off, fiber_off)) per phase from any
-    of the library's plan types."""
-    if hasattr(plan, "splatt"):  # SplattPlan
-        return [(plan.splatt, (0, 0, 0))]
-    if hasattr(plan, "base"):  # RankBPlan
-        return [(plan.base.splatt, (0, 0, 0))]
-    mb_plan = getattr(plan, "mb_plan", plan)  # CombinedPlan or MBPlan
-    if hasattr(mb_plan, "blocked"):
-        out = []
-        for block in mb_plan.blocked.blocks:
-            offs = (
-                block.bounds[mb_plan.mode][0],
-                block.bounds[mb_plan.inner_mode][0],
-                block.bounds[mb_plan.fiber_mode][0],
-            )
-            out.append((block.splatt, offs))
-        return out
-    raise ConfigError(f"cannot trace plan type {type(plan).__name__}")
+    """(splatt, (out_off, inner_off, fiber_off)) per block of a
+    SPLATT-family plan."""
+    if not isinstance(plan, SplattPlan):
+        raise ConfigError(f"cannot trace plan type {type(plan).__name__}")
+    return [
+        (
+            block.splatt,
+            (
+                block.bounds[plan.mode][0],
+                block.bounds[plan.inner_mode][0],
+                block.bounds[plan.fiber_mode][0],
+            ),
+        )
+        for block in plan.blocked.blocks
+    ]
 
 
 def _phase_trace(
@@ -147,8 +145,7 @@ def mttkrp_trace(
     rank = check_rank(rank)
     line_bytes = machine.line_bytes
     blocks = _phase_blocks(plan)
-    rank_blocking = getattr(plan, "rank_blocking", None)
-    strips = rank_blocking.strips(rank) if rank_blocking is not None else [(0, rank)]
+    strips = plan.strips(rank)
 
     bases = {
         name: sid * _REGION_LINES for sid, name in enumerate(STRUCTURES)

@@ -281,8 +281,7 @@ def estimate_traffic(
     if itemsize <= 0:
         raise ValueError(f"itemsize must be positive, got {itemsize}")
     stats = plan.block_stats()
-    rank_blocking = getattr(plan, "rank_blocking", None)
-    strips = rank_blocking.strips(rank) if rank_blocking is not None else [(0, rank)]
+    strips = plan.strips(rank)
 
     total_nnz = sum(b.nnz for b in stats)
     total_fibers = sum(b.n_fibers for b in stats)
@@ -333,8 +332,7 @@ def predicted_footprint(plan: Plan, rank: int) -> FootprintPrediction:
     """Per-strip gather counts the analytic model assumes for ``plan``."""
     rank = check_rank(rank)
     stats = plan.block_stats()
-    rank_blocking = getattr(plan, "rank_blocking", None)
-    n_strips = rank_blocking.n_strips(rank) if rank_blocking is not None else 1
+    n_strips = len(plan.strips(rank))
     total_nnz = sum(b.nnz for b in stats)
     total_fibers = sum(b.n_fibers for b in stats)
     return FootprintPrediction(

@@ -27,7 +27,7 @@ Every term comes from the machine package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.blocking.rank import RankBlocking
 from repro.kernels.base import Plan, get_kernel
@@ -36,6 +36,9 @@ from repro.machine.spec import MachineSpec
 from repro.machine.traffic import TrafficEstimate, estimate_traffic
 from repro.tensor.coo import COOTensor
 from repro.util.validation import check_rank
+
+if TYPE_CHECKING:
+    from repro.kernels.splatt_mttkrp import SplattPlan
 
 
 @dataclass(frozen=True)
@@ -155,25 +158,33 @@ def predict_time(
     )
 
 
+def _preset(
+    block_counts: "Sequence[int] | None", rank_blocking: "RankBlocking | None"
+) -> str:
+    """The SPLATT-family registry preset that takes exactly these knobs."""
+    return ("splatt", "mb", "rankb", "mb+rankb")[
+        (block_counts is not None) + 2 * (rank_blocking is not None)
+    ]
+
+
 def prepare_plan(
     tensor: COOTensor,
     mode: int,
     block_counts: "Sequence[int] | None" = None,
     rank_blocking: "RankBlocking | None" = None,
 ) -> Plan:
-    """Build the right kernel's plan for a blocking configuration.
+    """Build the SPLATT-family plan for a blocking configuration.
 
     ``(None, None)`` gives the baseline SPLATT plan; block counts alone
     give MB; rank blocking alone gives RankB; both give MB+RankB.
     """
-    if block_counts is None and rank_blocking is None:
-        return get_kernel("splatt").prepare(tensor, mode)
-    if block_counts is None:
-        return get_kernel("rankb").prepare(tensor, mode, rank_blocking=rank_blocking)
-    if rank_blocking is None:
-        return get_kernel("mb").prepare(tensor, mode, block_counts=tuple(block_counts))
-    return get_kernel("mb+rankb").prepare(
-        tensor, mode, block_counts=tuple(block_counts), rank_blocking=rank_blocking
+    params: dict[str, object] = {}
+    if block_counts is not None:
+        params["block_counts"] = tuple(block_counts)
+    if rank_blocking is not None:
+        params["rank_blocking"] = rank_blocking
+    return get_kernel(_preset(block_counts, rank_blocking)).prepare(
+        tensor, mode, **params
     )
 
 
@@ -203,8 +214,7 @@ class ConfigPlanner:
     def __init__(self, tensor: COOTensor, mode: int) -> None:
         self.tensor = tensor
         self.mode = mode
-        self._splatt: "Plan | None" = None
-        self._mb: dict[tuple[int, ...], Plan] = {}
+        self._plans: "dict[tuple[int, ...] | None, SplattPlan]" = {}
 
     def plan_for(
         self,
@@ -212,25 +222,13 @@ class ConfigPlanner:
         rank_blocking: "RankBlocking | None",
     ) -> Plan:
         """Return a (cached) plan for one configuration."""
-        from repro.kernels.combined import CombinedPlan
-        from repro.kernels.rankblocked import RankBPlan
-
-        if block_counts is None:
-            if self._splatt is None:
-                self._splatt = get_kernel("splatt").prepare(self.tensor, self.mode)
-            base = self._splatt
-            if rank_blocking is None:
-                return base
-            return RankBPlan(base, rank_blocking)
-        key = tuple(int(c) for c in block_counts)
-        if key not in self._mb:
-            self._mb[key] = get_kernel("mb").prepare(
-                self.tensor, self.mode, block_counts=key
-            )
-        mb_plan = self._mb[key]
+        key = None if block_counts is None else tuple(int(c) for c in block_counts)
+        if key not in self._plans:
+            self._plans[key] = prepare_plan(self.tensor, self.mode, key)
+        plan = self._plans[key]
         if rank_blocking is None:
-            return mb_plan
-        return CombinedPlan(mb_plan, rank_blocking)
+            return plan
+        return plan.with_strips(_preset(key, rank_blocking), rank_blocking)
 
     def evaluator(self, rank: int, machine: MachineSpec):
         """A heuristic cost function backed by the cache."""

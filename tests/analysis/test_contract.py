@@ -185,6 +185,44 @@ class K(Kernel):
         assert _rules(dups) == ["KC101"]
         assert "'x'" in dups[0].message
 
+    def test_registry_name_read_from_registration_call(self):
+        """One class registered under several instance names (the kernel
+        presets) owns each name once; reusing a name is still KC101."""
+        body = (
+            'class K(Kernel):\n name = "k"\n'
+            " def __init__(self, name=None): pass\n"
+            " def prepare(self, tensor, mode, **p): return alloc_output\n"
+            " def execute(self, plan, factors, out=None):"
+            " return alloc_output(check_factors())\n"
+        )
+        presets = scan_source(
+            body + 'register_kernel(K())\nregister_kernel(K("k2"))\n'
+            'register_kernel(K(name="k3"))\n',
+            "k.py",
+        )
+        assert presets.diagnostics == []
+        assert [r.registry_name for r in presets.registrations] == [
+            "k", "k2", "k3"
+        ]
+        assert duplicate_name_diagnostics(presets.registrations) == []
+        clash = scan_source(body + 'register_kernel(K("k"))\n', "c.py")
+        dups = duplicate_name_diagnostics(
+            presets.registrations + clash.registrations
+        )
+        assert _rules(dups) == ["KC101"]
+
+    def test_instance_name_satisfies_kc102(self):
+        src = (
+            "class K(Kernel):\n"
+            " def __init__(self, name): self.name = name\n"
+            " def prepare(self, tensor, mode, **p): return alloc_output\n"
+            " def execute(self, plan, factors, out=None):"
+            " return alloc_output(check_factors())\n"
+        )
+        assert _rules(scan_source(src, "k.py").diagnostics) == ["KC102"]
+        named = scan_source(src + 'register_kernel(K("named"))\n', "k.py")
+        assert named.diagnostics == []
+
 
 class _ToyKernel(Kernel):
     name = "toy-registry-test"

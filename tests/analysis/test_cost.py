@@ -16,7 +16,6 @@ from repro.analysis.cost import (
 from repro.analysis.runner import run_check
 from repro.analysis.symbolic import (
     DISTINCT_OUT,
-    I_OUT,
     ITEMSIZE,
     N_FIBERS,
     N_STRIPS,
@@ -66,9 +65,9 @@ class TestCertificates:
         # ...but strip width R/n_strips cancels in gathered elements
         assert cert.gather_elements["B"] == NNZ * RANK
         assert cert.stream_bytes["val"] == N_STRIPS * NNZ * ITEMSIZE
-        # slab store over the full output, once per strip
-        assert cert.writes[0].kind == "all_rows"
-        assert cert.writes[0].elements == I_OUT * RANK
+        # each strip scatters into a column view of the fiber-owning rows
+        assert cert.writes[0].kind == "distinct_out"
+        assert cert.writes[0].elements == DISTINCT_OUT * RANK
 
     def test_csf_blocked_packed_factor_roles_recovered(self, registry):
         cert, _ = derive_certificate("csf-blocked", registry)

@@ -45,6 +45,7 @@ class TestCleanRuns:
             ("mb", {"block_counts": (2, 2, 2)}),
             ("rankb", {"n_rank_blocks": 2}),
             ("mb+rankb", {"block_counts": (2, 2, 1), "n_rank_blocks": 2}),
+            ("csf-blocked", {"block_counts": (2, 2, 2), "n_rank_blocks": 2}),
         ],
     )
     def test_zero_diagnostics_and_exact_result(self, kernel_name, params):
@@ -70,10 +71,15 @@ class TestCleanRuns:
         assert "0 error(s)" in text and "gather(s)" in text
 
     def test_restacked_kernels_skip_traffic_check(self):
-        # RankB gathers from private restacked copies: no observed
-        # gathers, and crucially no spurious SZ506.
-        report, _ = run("rankb", seed=3, n_rank_blocks=4)
-        assert report.gathers["factor[1]"] == (0, 0)
+        # Rank strips gather through column views of the guarded factors:
+        # every strip's B and C gathers are observed, and they match the
+        # traffic model (no SZ506).
+        tensor, factors = make_problem(3)
+        kernel = get_kernel("rankb")
+        plan = kernel.prepare(tensor, 0, n_rank_blocks=4)
+        report = sanitized_execute(kernel, plan, factors)
+        assert report.gathers["factor[1]"][0] == 4 * plan.nnz
+        assert report.gathers["factor[2]"][0] == 4 * plan.n_fibers
         assert not [d for d in report.diagnostics if d.rule == "SZ506"]
 
 

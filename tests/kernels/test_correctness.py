@@ -60,6 +60,36 @@ def test_kernels_across_structures(gen, kernel_name):
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
 
 
+#: (preset, params, equivalent unblocked preset): a one-block grid or a
+#: single rank strip is the unblocked kernel, bit for bit.
+PRESET_IDENTITIES = [
+    ("mb", {"block_counts": (1, 1, 1)}, "splatt", 3),
+    ("rankb", {"n_rank_blocks": 1}, "splatt", 3),
+    ("csf-blocked", {"block_counts": (1, 1, 1)}, "csf", 3),
+    ("csf-blocked", {"block_counts": (1, 1, 1, 1)}, "csf", 4),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "preset,params,unblocked,order",
+    PRESET_IDENTITIES,
+    ids=["mb-1x1x1", "rankb-1strip", "csf-blocked-1x1x1", "csf-blocked-1x1x1x1"],
+)
+def test_single_block_single_strip_presets_are_bitwise_unblocked(
+    preset, params, unblocked, order, dtype
+):
+    shape = (15, 22, 18, 9)[:order]
+    t = uniform_random_tensor(shape, 900, seed=39)
+    rng = np.random.default_rng(40)
+    factors = [rng.standard_normal((n, 7)).astype(dtype) for n in shape]
+    for mode in range(order):
+        got = get_kernel(preset).mttkrp(t, factors, mode, **params)
+        want = get_kernel(unblocked).mttkrp(t, factors, mode)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
 class TestEdgeCases:
     def test_empty_tensor(self):
         t = COOTensor((5, 6, 7), np.empty((0, 3)), np.empty(0))

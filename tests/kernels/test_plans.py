@@ -140,6 +140,18 @@ class TestKernelConfigErrors:
                 small_tensor, 0, n_rank_blocks=2, block_cols=16
             )
 
+    @pytest.mark.parametrize(
+        "kernel_name,params",
+        [("csf", {}), ("csf-blocked", {"block_counts": (2, 2, 2)})],
+    )
+    def test_csf_mode_order_must_lead_with_output_mode(
+        self, small_tensor, kernel_name, params
+    ):
+        with pytest.raises(ConfigError, match="must start with the output mode"):
+            get_kernel(kernel_name).prepare(
+                small_tensor, 0, mode_order=(1, 0, 2), **params
+            )
+
     def test_unknown_kernel(self):
         with pytest.raises(ConfigError, match="unknown kernel"):
             get_kernel("quantum")

@@ -61,8 +61,8 @@ def check_init_factors(
     rank: int,
 ) -> None:
     """Validate explicit initial factors: one per mode, each exactly
-    ``(shape[m], rank)`` — naming the offending mode instead of failing
-    deep inside the first MTTKRP."""
+    ``(shape[m], rank)`` and finite — naming the offending mode (and
+    entry) instead of failing deep inside the first MTTKRP or solve."""
     if len(factors) != len(shape):
         raise ConfigError(
             f"need one initial factor per mode: got {len(factors)} for a "
@@ -73,6 +73,13 @@ def check_init_factors(
             raise ConfigError(
                 f"initial factor for mode {m} must have shape "
                 f"({shape[m]}, {rank}), got {tuple(f.shape)}"
+            )
+        finite = np.isfinite(f)
+        if not finite.all():
+            row, col = (int(i) for i in np.argwhere(~finite)[0])
+            raise ConfigError(
+                f"initial factor for mode {m} has non-finite entry "
+                f"{f[row, col]} at ({row}, {col})"
             )
 
 

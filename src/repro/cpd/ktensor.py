@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.kernels.base import DEFAULT_SCRATCH_ELEMS
 from repro.tensor.coo import COOTensor
 from repro.util.errors import ShapeError
 from repro.util.validation import VALUE_DTYPE
@@ -82,10 +83,20 @@ class KruskalTensor:
             )
         if tensor.nnz == 0:
             return 0.0
-        rows = np.ones((tensor.nnz, self.rank), dtype=self.weights.dtype)
-        for m, f in enumerate(self.factors):
-            rows *= f[tensor.indices[:, m]]
-        return float(tensor.values @ (rows @ self.weights))
+        # The (nnz x R) product rows are built one cache-sized chunk at a
+        # time; only the per-nonzero model values ``y`` span the tensor.
+        columns = [
+            np.ascontiguousarray(tensor.indices[:, m]) for m in range(self.order)
+        ]
+        y = np.empty(tensor.nnz, dtype=self.weights.dtype)
+        chunk = max(1, DEFAULT_SCRATCH_ELEMS // self.rank)
+        for lo in range(0, tensor.nnz, chunk):
+            hi = lo + chunk
+            rows = self.factors[0][columns[0][lo:hi]]
+            for f, col in zip(self.factors[1:], columns[1:]):
+                rows *= f[col[lo:hi]]
+            y[lo:hi] = rows @ self.weights
+        return float(tensor.values @ y)
 
     def fit(self, tensor: COOTensor, tensor_norm: "float | None" = None) -> float:
         """CP fit: ``1 - ||X - X_hat|| / ||X||`` (1 = perfect)."""

@@ -30,9 +30,12 @@ from repro.util.errors import ConfigError, RegistrationError, ShapeError
 from repro.util.validation import VALUE_DTYPE, check_mode, check_rank
 
 #: Bound on the temporary ``(nonzeros x rank)`` expansion used by the
-#: vectorized kernels; chunks are sized so scratch stays near this many
-#: float64 elements (128 MiB).
-DEFAULT_SCRATCH_ELEMS = 1 << 24
+#: vectorized kernels and by :meth:`KruskalTensor.innerprod`: chunks are
+#: sized so scratch stays near this many elements (512 KiB of float64),
+#: which keeps each chunk's products cache-resident instead of streaming
+#: an ``nnz x R`` temporary through DRAM.  Kernel chunks end on output-row
+#: (or fiber) boundaries, so kernel outputs do not depend on this value.
+DEFAULT_SCRATCH_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)

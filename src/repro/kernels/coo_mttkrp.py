@@ -9,7 +9,10 @@ read-modify-write per nonzero.  SPLATT's fiber grouping amortizes the
 
 The implementation sorts nonzeros by output row at prepare time so the
 scatter into ``A`` becomes a segmented reduction (``np.add.reduceat``)
-instead of a per-element ``np.add.at``.
+instead of a per-element ``np.add.at``.  The per-nonzero products are
+built in cache-sized chunks that end on output-row boundaries, so each
+``A`` row is reduced in one chunk and the output is the same for any
+scratch budget.
 """
 
 from __future__ import annotations
@@ -108,9 +111,18 @@ class COOKernel(Kernel):
         if nnz == 0:
             return A
         chunk = max(1, self.scratch_elems // max(rank, 1))
-        for lo in range(0, nnz, chunk):
+        out_rows = plan.i
+        lo = 0
+        while lo < nnz:
+            # End the chunk on an output-row boundary, keeping at least
+            # one whole row.
             hi = min(lo + chunk, nnz)
-            i = plan.i[lo:hi]
+            if hi < nnz:
+                row = out_rows[hi]
+                hi = int(np.searchsorted(out_rows, row, side="left"))
+                if hi <= lo:
+                    hi = int(np.searchsorted(out_rows, row, side="right"))
+            i = out_rows[lo:hi]
             # Tensor values are stored float64; casting the chunk to the
             # factor dtype keeps float32 runs float32 end-to-end (a no-op
             # view for float64).
@@ -118,12 +130,12 @@ class COOKernel(Kernel):
             contrib = vals[:, None] * B[plan.j[lo:hi]]
             contrib *= C[plan.k[lo:hi]]
             # Nonzeros are sorted by i: reduce runs of equal i, then add the
-            # partial sums into A.  Rows straddling chunk boundaries simply
-            # accumulate twice via +=.
+            # partial sums into A.
             boundaries = np.flatnonzero(np.diff(i)) + 1
             starts = np.concatenate(([0], boundaries))
             partial = np.add.reduceat(contrib, starts, axis=0)
             A[i[starts]] += partial
+            lo = hi
         return A
 
 

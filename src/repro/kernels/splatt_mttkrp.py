@@ -19,9 +19,11 @@ strip.  One kernel therefore serves all four registry names; a name only
 fixes which of the grid and strip parameters ``prepare`` takes.
 
 The vectorized implementation materializes the per-nonzero products for a
-bounded *chunk* of fibers, reduces them fiber-wise with
+cache-sized *chunk* of whole output rows, reduces them fiber-wise with
 ``np.add.reduceat``, scales by the ``C`` rows, reduces row-wise, and
-accumulates into ``A``.
+accumulates into ``A``.  Chunks end on row boundaries (a row larger than
+the budget is one chunk), so each ``A`` row is reduced by a single
+``reduceat`` and the output is bitwise the same for any scratch budget.
 """
 
 from __future__ import annotations
@@ -80,38 +82,46 @@ def execute_splatt_into(
     ``fiber_rows`` is the per-fiber row of ``A`` (:func:`row_of_fiber`),
     precomputed by the plan so repeated executions don't pay for it.
     """
-    n_fibers = splatt.n_fibers
-    if n_fibers == 0:
+    if splatt.n_fibers == 0:
         return
     rank = B.shape[1]
+    row_ptr = splatt.row_ptr
     fiber_ptr = splatt.fiber_ptr
     target_nnz = max(1, scratch_elems // max(rank, 1))
+    fits = splatt.nnz <= target_nnz
 
-    f0 = 0
-    while f0 < n_fibers:
-        # Largest fiber range whose nonzeros fit the scratch budget (always
-        # at least one fiber to guarantee progress).
-        f1 = int(
-            np.searchsorted(fiber_ptr, fiber_ptr[f0] + target_nnz, side="right") - 1
-        )
-        f1 = min(max(f1, f0 + 1), n_fibers)
-        lo, hi = int(fiber_ptr[f0]), int(fiber_ptr[f1])
+    r0 = 0
+    while r0 < splatt.n_rows:
+        # Largest run of whole rows whose nonzeros fit the scratch budget
+        # (always at least one row to guarantee progress).
+        if fits:
+            r1 = splatt.n_rows
+        else:
+            f_fit = np.searchsorted(
+                fiber_ptr, fiber_ptr[row_ptr[r0]] + target_nnz, side="right"
+            ) - 1
+            r1 = int(np.searchsorted(row_ptr, f_fit, side="right") - 1)
+            r1 = min(max(r1, r0 + 1), splatt.n_rows)
+        f0, f1 = int(row_ptr[r0]), int(row_ptr[r1])
+        if f0 < f1:
+            lo, hi = int(fiber_ptr[f0]), int(fiber_ptr[f1])
 
-        # Lines 5-7: per-fiber accumulation of val * B[j].  The value
-        # chunk is cast to the output dtype so float32 factors stay
-        # float32 (no-op view for float64).
-        vals = splatt.vals[lo:hi].astype(A.dtype, copy=False)
-        prod = vals[:, None] * B[splatt.jidx[lo:hi]]
-        fiber_acc = np.add.reduceat(prod, fiber_ptr[f0:f1] - lo, axis=0)
+            # Lines 5-7: per-fiber accumulation of val * B[j].  The value
+            # chunk is cast to the output dtype so float32 factors stay
+            # float32 (no-op view for float64).
+            vals = splatt.vals[lo:hi].astype(A.dtype, copy=False)
+            prod = vals[:, None] * B[splatt.jidx[lo:hi]]
+            fiber_acc = np.add.reduceat(prod, fiber_ptr[f0:f1] - lo, axis=0)
 
-        # Lines 8-9: scale by the fiber's C row, reduce fibers into rows.
-        fiber_acc *= C[splatt.fiber_kidx[f0:f1]]
-        rows = fiber_rows[f0:f1]
-        boundaries = np.flatnonzero(np.diff(rows)) + 1
-        starts = np.concatenate(([0], boundaries))
-        A[rows[starts]] += np.add.reduceat(fiber_acc, starts, axis=0)
+            # Lines 8-9: scale by the fiber's C row, reduce fibers into
+            # rows.
+            fiber_acc *= C[splatt.fiber_kidx[f0:f1]]
+            rows = fiber_rows[f0:f1]
+            boundaries = np.flatnonzero(np.diff(rows)) + 1
+            starts = np.concatenate(([0], boundaries))
+            A[rows[starts]] += np.add.reduceat(fiber_acc, starts, axis=0)
 
-        f0 = f1
+        r0 = r1
 
 
 class SplattPlan(Plan):

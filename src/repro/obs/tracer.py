@@ -131,8 +131,11 @@ class _SpanHandle:
         self._start_ns = self._tracer._clock_ns()
         return self
 
-    def __exit__(self, *exc_info: object) -> None:
+    def __exit__(self, exc_type: "type[BaseException] | None", *_: object) -> None:
         end_ns = self._tracer._clock_ns()
+        if exc_type is not None:
+            # A body that raised still closes its span, marked failed.
+            self.meta["error"] = exc_type.__name__
         self._tracer._pop(self, end_ns)
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.util.errors import ShapeError
+from repro.util.errors import NonFiniteError, ShapeError
 from repro.util.validation import (
     INDEX_DTYPE,
     as_value_array,
@@ -39,7 +39,8 @@ class COOTensor:
     values:
         Float array of shape ``(nnz,)``.
     validate:
-        When true (default) bounds-check all coordinates.  Internal callers
+        When true (default) bounds-check all coordinates and reject NaN or
+        infinite values (:class:`NonFiniteError`).  Internal callers
         that construct provably-valid tensors pass ``False``.
 
     Notes
@@ -76,6 +77,13 @@ class COOTensor:
         if validate:
             for m, extent in enumerate(self.shape):
                 check_bounds(self.indices[:, m], extent, f"mode-{m} indices")
+            bad = np.flatnonzero(~np.isfinite(self.values))
+            if bad.size:
+                t = int(bad[0])
+                raise NonFiniteError(
+                    f"nonzero {t} at {tuple(int(i) for i in self.indices[t])} "
+                    f"has non-finite value {self.values[t]}"
+                )
 
     # ------------------------------------------------------------------
     # basic properties

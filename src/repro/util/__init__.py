@@ -10,6 +10,7 @@ from repro.util.errors import (
     FormatError,
     ConfigError,
     DistributionError,
+    NonFiniteError,
 )
 from repro.util.validation import (
     check_rank,
@@ -34,6 +35,7 @@ __all__ = [
     "FormatError",
     "ConfigError",
     "DistributionError",
+    "NonFiniteError",
     "check_rank",
     "check_mode",
     "check_shape",

@@ -23,6 +23,11 @@ class ConfigError(ReproError, ValueError):
     """An invalid configuration value (block size, machine spec, grid...)."""
 
 
+class NonFiniteError(ReproError, ValueError):
+    """A tensor value is NaN or infinite; rejected at construction so it
+    cannot surface later as a ``LinAlgError`` from the ALS solve."""
+
+
 class DistributionError(ReproError, RuntimeError):
     """An error in the simulated distributed substrate (bad grid, mismatched
     collective participation, ...)."""

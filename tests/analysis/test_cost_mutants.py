@@ -44,7 +44,7 @@ class TestSeededMutants:
             "splatt",
             "prod = vals[:, None] * B[splatt.jidx[lo:hi]]",
             "prod = vals[:, None] * B[splatt.jidx[lo:hi]]\n"
-            "        prod = prod * B[splatt.jidx[lo:hi]]",
+            "            prod = prod * B[splatt.jidx[lo:hi]]",
         )
         assert "CT701" in rules_fired("splatt", source)
 
@@ -109,7 +109,7 @@ class TestSeededMutants:
     def test_unrecognized_loop_trips_ct709(self):
         source = mutate(
             "splatt",
-            "while f0 < n_fibers:",
+            "while r0 < splatt.n_rows:",
             "while True:",
         )
         assert rules_fired("splatt", source) == {"CT709"}

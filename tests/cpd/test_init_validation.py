@@ -12,8 +12,8 @@ import pytest
 from repro.cpd import check_init_factors, cp_als, cp_als_dimtree
 from repro.dist import ProcessGrid, distributed_cp_als
 from repro.machine import power8_socket
-from repro.tensor import poisson_tensor
-from repro.util.errors import ConfigError
+from repro.tensor import COOTensor, poisson_tensor
+from repro.util.errors import ConfigError, NonFiniteError
 
 
 def _dist_als(tensor, rank, **kwargs):
@@ -108,6 +108,22 @@ class TestSharedStartValidation:
         init = _good_init(tensor.shape, 4)[:2]
         with pytest.raises(ConfigError, match="one initial factor per mode"):
             DRIVERS[driver](tensor, 4, n_iters=2, init=init)
+
+    def test_non_finite_init_names_mode_and_entry(self, tensor, driver):
+        init = _good_init(tensor.shape, 4)
+        init[1][3, 2] = np.inf
+        with pytest.raises(ConfigError, match=r"mode 1 .* at \(3, 2\)"):
+            DRIVERS[driver](tensor, 4, n_iters=2, init=init)
+
+    def test_nan_tensor_fails_at_the_boundary_not_in_pinv(self, tensor, driver):
+        # A NaN value used to pass construction and end the run in
+        # pinv's "SVD did not converge" LinAlgError.
+        values = tensor.values.copy()
+        values[5] = np.nan
+        with pytest.raises(NonFiniteError, match="nonzero 5"):
+            DRIVERS[driver](
+                COOTensor(tensor.shape, tensor.indices, values), 4, n_iters=2
+            )
 
     def test_negative_tol(self, tensor, driver):
         with pytest.raises(ConfigError, match="tol"):

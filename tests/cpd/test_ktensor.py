@@ -64,6 +64,43 @@ class TestInnerProduct:
         assert kt.innerprod(x) == 0.0
 
 
+def _unchunked_innerprod(kt, x):
+    """The inner product with the whole ``(nnz x R)`` row matrix at once."""
+    rows = np.ones((x.nnz, kt.rank), dtype=kt.weights.dtype)
+    for m, f in enumerate(kt.factors):
+        rows *= f[x.indices[:, m]]
+    return float(x.values @ (rows @ kt.weights))
+
+
+class TestChunkedInnerProduct:
+    """``innerprod`` builds the per-nonzero rows in cache-sized chunks."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_chunk_is_the_unchunked_formula_bitwise(self, dtype):
+        kt = random_kt((30, 40, 50), rank=5, seed=4)
+        kt = KruskalTensor(
+            kt.weights.astype(dtype), [f.astype(dtype) for f in kt.factors]
+        )
+        x = uniform_random_tensor(kt.shape, 3000, seed=5)
+        x = COOTensor(x.shape, x.indices, x.values.astype(dtype))
+        assert kt.innerprod(x) == _unchunked_innerprod(kt, x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rank", [3, 7, 32])
+    def test_many_chunks_match_the_unchunked_formula(self, dtype, rank):
+        # The products are exact per element; only BLAS's per-row
+        # summation order inside ``rows @ weights`` may depend on where a
+        # chunk starts, so agreement is to a few ulps of the dtype.
+        kt = random_kt((60, 70, 80), rank=rank, seed=6)
+        kt = KruskalTensor(
+            kt.weights.astype(dtype), [f.astype(dtype) for f in kt.factors]
+        )
+        x = uniform_random_tensor(kt.shape, 3 * (1 << 16) // rank + 11, seed=7)
+        x = COOTensor(x.shape, x.indices, x.values.astype(dtype))
+        rel = 1e-5 if dtype == np.float32 else 1e-12
+        assert kt.innerprod(x) == pytest.approx(_unchunked_innerprod(kt, x), rel=rel)
+
+
 class TestFit:
     def test_perfect_model(self):
         kt = random_kt()

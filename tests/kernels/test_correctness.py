@@ -128,33 +128,94 @@ class TestEdgeCases:
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
 
 
-class TestChunking:
-    """Tiny scratch budgets force the chunked paths."""
+def _skewed_tensor() -> COOTensor:
+    """Mode 0 has a run of empty rows (0-3) before a row heavier than the
+    8/64/1024-element budgets allow, plus more empty rows; modes 1 and 2
+    each have one dominant row."""
+    rng = np.random.default_rng(44)
+    heavy = np.column_stack(
+        [np.full(600, 4), rng.integers(0, 40, 600), rng.integers(0, 30, 600)]
+    )
+    light = np.column_stack(
+        [rng.choice([5, 6, 8], 60), rng.integers(0, 40, 60), rng.integers(0, 30, 60)]
+    )
+    idx = np.concatenate([heavy, light])
+    idx[::7, 1] = 39
+    idx[::5, 2] = 29
+    t = COOTensor((10, 40, 30), idx, rng.random(idx.shape[0]))
+    return t.deduplicate()
 
-    @pytest.mark.parametrize("scratch", [8, 64, 1024])
-    def test_splatt_chunked(self, small_tensor, factors_for, scratch):
+
+def _assert_budget_independent(make_kernel, params, budgets, tensors):
+    """``make_kernel(budget)`` gives the unbounded-budget output bitwise,
+    at every budget, mode and dtype."""
+    for base in tensors:
+        for dtype in (np.float32, np.float64):
+            t = COOTensor(base.shape, base.indices, base.values.astype(dtype))
+            rng = np.random.default_rng(7)
+            factors = [rng.random((n, 7)).astype(dtype) for n in t.shape]
+            for mode in range(3):
+                want = make_kernel(1 << 30).mttkrp(t, factors, mode, **params)
+                np.testing.assert_allclose(
+                    want,
+                    reference_mttkrp(t, factors, mode),
+                    rtol=1e-4 if dtype == np.float32 else 1e-10,
+                    atol=1e-5 if dtype == np.float32 else 1e-12,
+                )
+                for budget in budgets:
+                    got = make_kernel(budget).mttkrp(t, factors, mode, **params)
+                    np.testing.assert_array_equal(got, want)
+
+
+CHUNK_BUDGETS = [8, 64, 1024, 1 << 16]
+
+
+class TestChunking:
+    """Tiny scratch budgets force the chunked paths.  Chunks end on output
+    row (or fiber) boundaries, so the output is the same bits at any
+    budget."""
+
+    @pytest.mark.parametrize("scratch", CHUNK_BUDGETS)
+    def test_splatt_chunked(self, small_tensor, scratch):
         from repro.kernels.splatt_mttkrp import SplattKernel
 
-        factors = factors_for(small_tensor, 7)
-        ref = reference_mttkrp(small_tensor, factors, 0)
-        got = SplattKernel(scratch_elems=scratch).mttkrp(small_tensor, factors, 0)
-        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+        presets = {
+            "splatt": ({}, {}),
+            "mb": ({"grid": True}, {"block_counts": (2, 2, 2)}),
+            "rankb": ({"strips": True}, {"n_rank_blocks": 2}),
+            "mb+rankb": (
+                {"grid": True, "strips": True},
+                {"block_counts": (2, 2, 2), "n_rank_blocks": 2},
+            ),
+        }
+        tensors = [small_tensor, _skewed_tensor()]
+        for name, (flags, params) in presets.items():
+            _assert_budget_independent(
+                lambda budget: SplattKernel(name, scratch_elems=budget, **flags),
+                params,
+                [scratch],
+                tensors,
+            )
 
-    def test_coo_chunked(self, small_tensor, factors_for):
+    def test_coo_chunked(self, small_tensor):
         from repro.kernels.coo_mttkrp import COOKernel
 
-        factors = factors_for(small_tensor, 7)
-        ref = reference_mttkrp(small_tensor, factors, 0)
-        got = COOKernel(scratch_elems=16).mttkrp(small_tensor, factors, 0)
-        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+        _assert_budget_independent(
+            lambda budget: COOKernel(scratch_elems=budget),
+            {},
+            CHUNK_BUDGETS,
+            [small_tensor, _skewed_tensor()],
+        )
 
-    def test_csf_chunked(self, small_tensor, factors_for):
+    def test_csf_chunked(self, small_tensor):
         from repro.kernels.csf_mttkrp import CSFKernel
 
-        factors = factors_for(small_tensor, 7)
-        ref = reference_mttkrp(small_tensor, factors, 0)
-        got = CSFKernel(scratch_elems=16).mttkrp(small_tensor, factors, 0)
-        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+        _assert_budget_independent(
+            lambda budget: CSFKernel(scratch_elems=budget),
+            {},
+            CHUNK_BUDGETS,
+            [small_tensor, _skewed_tensor()],
+        )
 
 
 class TestHigherOrder:

@@ -51,6 +51,20 @@ class TestSpans:
         # Spans close innermost-first.
         assert [s.name for s in tracer.spans] == ["innermost", "inner", "outer"]
 
+    def test_failing_span_records_error_type(self):
+        tracer = Tracer(clock_ns=make_clock())
+        with pytest.raises(KeyError):
+            with tracer.span("outer"):
+                with tracer.span("inner", mode=1):
+                    raise KeyError("boom")
+        by_name = {s.name: s for s in tracer.spans}
+        assert by_name["inner"].meta == {"mode": 1, "error": "KeyError"}
+        assert by_name["outer"].meta == {"error": "KeyError"}
+        with tracer.span("after"):
+            pass
+        assert "error" not in tracer.spans[-1].meta
+        assert tracer.spans[-1].depth == 0
+
     def test_depth_resets_between_siblings(self):
         tracer = Tracer(clock_ns=make_clock())
         with tracer.span("a"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tensor import COOTensor, uniform_random_tensor
-from repro.util import ShapeError
+from repro.util import NonFiniteError, ShapeError
 
 
 def make_simple():
@@ -50,6 +50,15 @@ class TestConstruction:
     def test_wrong_mode_count_rejected(self):
         with pytest.raises(ShapeError):
             COOTensor((2, 2, 2), np.array([[0, 0]]), np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_value_names_first_bad_nonzero(self, bad, dtype):
+        t = make_simple()
+        vals = t.values.astype(dtype)
+        vals[[3, 5]] = bad
+        with pytest.raises(NonFiniteError, match=r"nonzero 3 at \(1, 0, 2\)"):
+            COOTensor(t.shape, t.indices, vals)
 
     def test_memory_bytes_paper_formula(self):
         # 32 * nnz for a 3-mode tensor (Section III-C).

@@ -13,7 +13,7 @@ from repro.tensor import (
     save_tns,
     uniform_random_tensor,
 )
-from repro.util import FormatError
+from repro.util import FormatError, NonFiniteError
 
 
 class TestTns:
@@ -152,3 +152,22 @@ class TestDtypeRoundTrip:
         path = tmp_path / "t.npz"
         save_npz(t, path)
         assert load_npz(path, dtype=np.float32).values.dtype == np.float32
+
+
+class TestNonFiniteValues:
+    def test_load_tns_rejects_nan(self):
+        text = "1 1 1 1.5\n2 3 1 nan\n1 2 2 inf\n"
+        with pytest.raises(NonFiniteError, match=r"nonzero 1 at \(1, 2, 0\)"):
+            load_tns(io.StringIO(text))
+
+    def test_load_npz_rejects_inf(self, tmp_path):
+        t = uniform_random_tensor((5, 6, 7), 20, seed=3)
+        path = tmp_path / "t.npz"
+        np.savez_compressed(
+            path,
+            shape=np.asarray(t.shape),
+            indices=t.indices,
+            values=np.where(np.arange(t.nnz) == 4, np.inf, t.values),
+        )
+        with pytest.raises(NonFiniteError, match="nonzero 4"):
+            load_npz(path)

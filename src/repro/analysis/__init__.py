@@ -1,6 +1,6 @@
 """Static analysis for the kernel zoo and its parallel schedules.
 
-Three passes behind one diagnostic model (``repro check``):
+Six passes behind one diagnostic model (``repro check``):
 
 * :mod:`repro.analysis.contract` — AST kernel-contract checker: every
   registered kernel conforms to the :class:`~repro.kernels.base.Kernel` /
@@ -28,16 +28,7 @@ Three passes behind one diagnostic model (``repro check``):
   precision lattice to prove the float32 contract statically, infers
   worker-task write effects, and lints tracer placement (rules
   DF601-DF610); DF611 is its registration-time gate in
-  ``Kernel.__init_subclass__`` / ``register_kernel``;
-* :mod:`repro.analysis.cost` — symbolic loop-nest cost certifier
-  (opt-in via ``repro check --cost``): abstractly interprets each
-  shipped kernel's ``execute`` body into per-array polynomial access
-  certificates and proves they match ``estimate_traffic`` /
-  ``predicted_footprint``, the plan's declared ``write_set()``, and the
-  obs counter emissions (rules CT701-CT707, CT709);
-  :mod:`repro.analysis.calibrate` closes the loop at runtime by
-  cross-checking measured counters against the certificates on tiny
-  seeded tensors (CT708; ``repro check --cost --calibrate``).
+  ``Kernel.__init_subclass__`` / ``register_kernel``.
 
 Unused ``# repro: noqa`` suppressions are reported as DG001.  Findings
 render as text, JSON, or SARIF 2.1.0 (:mod:`repro.analysis.sarif`).
@@ -90,19 +81,7 @@ from repro.analysis.races import (
     write_sets_for_grid,
     write_sets_for_ranges,
 )
-from repro.analysis.calibrate import calibrate_all, calibrate_kernel
-from repro.analysis.cost import (
-    KERNEL_COST_SPECS,
-    CostCertificate,
-    certify_all,
-    certify_kernel,
-    certify_kernel_source,
-    cost_vet_enabled,
-    derive_certificate,
-    enforce_kernel_cost,
-)
 from repro.analysis.runner import CheckResult, ParseCache, run_check
-from repro.analysis.symbolic import Poly, poly_sum
 
 __all__ = [
     "RULES",
@@ -137,18 +116,6 @@ __all__ = [
     "CheckResult",
     "ParseCache",
     "run_check",
-    "Poly",
-    "poly_sum",
-    "KERNEL_COST_SPECS",
-    "CostCertificate",
-    "certify_all",
-    "certify_kernel",
-    "certify_kernel_source",
-    "cost_vet_enabled",
-    "derive_certificate",
-    "enforce_kernel_cost",
-    "calibrate_all",
-    "calibrate_kernel",
     "DType",
     "FunctionSummary",
     "dataflow_vet_enabled",

@@ -97,16 +97,6 @@ RULES: dict[str, Rule] = {
         Rule("DF610", Severity.WARNING, "tracer emission inside a kernel loop"),
         Rule("DF611", Severity.ERROR, "kernel class failed registration-time dataflow vetting"),
         Rule("DF612", Severity.ERROR, "VALUE_DTYPE-pinned float64 sinks a factor-derived pipeline"),
-        # --- symbolic cost certifier (CT7xx) --------------------------
-        Rule("CT701", Severity.ERROR, "derived kernel traffic disagrees with the analytic model"),
-        Rule("CT702", Severity.ERROR, "model traffic term has no matching kernel access"),
-        Rule("CT703", Severity.ERROR, "kernel array access the traffic model does not describe"),
-        Rule("CT704", Severity.ERROR, "derived write footprint exceeds the declared write_set()"),
-        Rule("CT705", Severity.ERROR, "output write target or declared write_set() not statically resolvable"),
-        Rule("CT706", Severity.ERROR, "kernel.gathers counter emission inconsistent with the certificate"),
-        Rule("CT707", Severity.ERROR, "kernel.factor_bytes counter emission inconsistent with the certificate"),
-        Rule("CT708", Severity.ERROR, "measured obs counters drifted from the symbolic certificate"),
-        Rule("CT709", Severity.ERROR, "cost certificate underivable or unverifiable"),
         # --- suppression hygiene (DG0xx) ------------------------------
         Rule("DG001", Severity.WARNING, "unused `# repro: noqa` suppression"),
     ]
@@ -255,7 +245,6 @@ RULE_FAMILIES: dict[str, str] = {
     "PL": "plan verifier",
     "SZ": "execution sanitizer",
     "DF": "dtype & effect dataflow",
-    "CT": "cost certifier",
     "DG": "suppression hygiene",
 }
 

@@ -104,7 +104,7 @@ class ParseCache:
     """One shared AST per source file for every pass in a check run.
 
     Each pass used to re-parse its input (contract, hotpath, plans,
-    dataflow, cost: up to five parses per file per invocation); the
+    dataflow: up to four parses per file per invocation); the
     runner now parses once here and hands the tree to every pass.
     ``parse_count`` is the number of actual ``ast.parse`` calls — the
     cache-sharing test asserts it equals the number of distinct files.
@@ -160,8 +160,6 @@ def run_check(
     ignore: "set[str] | None" = None,
     plans: bool = False,
     dataflow: bool = False,
-    cost: bool = False,
-    calibrate: bool = False,
 ) -> CheckResult:
     """Run the contract and hot-path passes over ``paths``.
 
@@ -171,11 +169,7 @@ def run_check(
     (:func:`repro.analysis.plans.scan_source`) over every file;
     ``dataflow=True`` runs the interprocedural dtype/effect pass
     (:func:`repro.analysis.dataflow.scan_files`) across all of them with
-    one shared summary table; ``cost=True`` certifies every shipped
-    kernel against the traffic model (:mod:`repro.analysis.cost`,
-    CT7xx), and ``calibrate=True`` additionally runs the kernels on tiny
-    seeded tensors cross-checking measured obs counters against the
-    symbolic certificates (implies ``cost``).
+    one shared summary table.
 
     Every pass shares one :class:`ParseCache`, so each file is parsed at
     most once per invocation regardless of how many passes are enabled.
@@ -186,7 +180,6 @@ def run_check(
     """
     from repro.analysis import plans as plans_mod
 
-    cost = cost or calibrate
     files = iter_python_files(
         [Path(p) for p in paths] if paths else default_paths()
     )
@@ -223,28 +216,6 @@ def run_check(
         for rel, df_diags in df_by_file.items():
             raw_by_file.setdefault(rel, []).extend(df_diags)
 
-    cost_files: set[str] = set()
-    if cost:
-        from repro.analysis import cost as cost_mod
-
-        scan_result = cost_mod.certify_all(trees=cache.mapping())
-        if calibrate:
-            from repro.analysis import calibrate as calibrate_mod
-
-            cal = calibrate_mod.calibrate_all(scan_result.certificates)
-            for rel, cal_diags in cal.items():
-                scan_result.diagnostics_by_file.setdefault(rel, []).extend(
-                    cal_diags
-                )
-        for rel, ct_diags in scan_result.diagnostics_by_file.items():
-            cost_files.add(rel)
-            raw_by_file.setdefault(rel, []).extend(ct_diags)
-            # kernel modules may sit outside the scanned paths (e.g.
-            # `repro check tests --cost`); load their source so noqa
-            # suppression and DG001 accounting still apply.
-            if rel not in sources and rel in scan_result.sources:
-                sources[rel] = scan_result.sources[rel]
-
     # Duplicate-name findings join their file's raw list so both their
     # suppressions and DG001 usage accounting see them.
     for d in contract.duplicate_name_diagnostics(registrations):
@@ -264,8 +235,6 @@ def run_check(
             active.add("PL")
         if dataflow:
             active.add("DF")
-        if rel in cost_files:
-            active.add("CT")
         diags.extend(
             unused_suppression_diagnostics(
                 file_diags, suppressions, rel, active

@@ -462,21 +462,27 @@ def cmd_check(args: argparse.Namespace) -> int:
         run_check,
         write_sets_for_grid,
     )
+    from repro.util.errors import ConfigError
 
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
         # A typo'd path must not read as "checked clean" in CI.
         print(f"repro check: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
+    try:
+        select = resolve_rules(args.select)
+        ignore = resolve_rules(args.ignore)
+    except ConfigError as exc:
+        # A stale or typo'd rule id is a usage error, like a bad path.
+        print(f"repro check: {exc}", file=sys.stderr)
+        return 2
 
     result = run_check(
         paths=args.paths or None,
-        select=resolve_rules(args.select),
-        ignore=resolve_rules(args.ignore),
+        select=select,
+        ignore=ignore,
         plans=args.plans,
         dataflow=args.dataflow,
-        cost=args.cost,
-        calibrate=args.calibrate,
     )
     diags = result.diagnostics
 
@@ -1033,24 +1039,9 @@ def build_parser() -> argparse.ArgumentParser:
         "tracer placement",
     )
     p.add_argument(
-        "--cost",
-        action="store_true",
-        help="also certify every shipped kernel's loop nest against the "
-        "analytic traffic model (rules CT7xx): symbolic per-array access "
-        "polynomials vs estimate_traffic/predicted_footprint, write "
-        "footprints vs declared write_set(), obs counter emissions",
-    )
-    p.add_argument(
-        "--calibrate",
-        action="store_true",
-        help="with --cost (implied): run each kernel on tiny seeded "
-        "tensors and cross-check measured obs counters against the "
-        "symbolic certificates exactly (CT708/CT709)",
-    )
-    p.add_argument(
         "--statistics",
         action="store_true",
-        help="append a per-rule-family count summary (KC/RS/HP/PL/SZ/DF/CT/DG)",
+        help="append a per-rule-family count summary (KC/RS/HP/PL/SZ/DF/DG)",
     )
     p.add_argument(
         "--race-grid",

@@ -236,11 +236,6 @@ class Kernel(ABC):
             from repro.analysis.dataflow import enforce_kernel_dataflow
 
             enforce_kernel_dataflow(cls)
-        # Opt-in (REPRO_COST_VET=1) CT7xx gate: shipped kernels must
-        # still certify against the traffic model when redefined.
-        from repro.analysis.cost import enforce_kernel_cost
-
-        enforce_kernel_cost(cls)
         impl = cls.__dict__.get("execute")
         if impl is not None and not getattr(impl, "_obs_instrumented", False):
             cls.execute = _traced_execute(impl)  # type: ignore[method-assign]
@@ -493,11 +488,6 @@ def register_kernel(kernel: Kernel, *, replace: bool = False) -> Kernel:
     from repro.analysis.dataflow import enforce_kernel_dataflow
 
     enforce_kernel_dataflow(type(kernel))
-    # CT gate (opt-in via REPRO_COST_VET=1): shipped kernels re-certify
-    # against the traffic model at the registry door too.
-    from repro.analysis.cost import enforce_kernel_cost
-
-    enforce_kernel_cost(type(kernel))
     KERNELS[name] = kernel
     return kernel
 

@@ -50,6 +50,15 @@ class TestExitCodes:
         assert main(["check", str(tmp_path / "nope")]) == 2
         assert "no such path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--select", "--ignore"])
+    def test_unknown_rule_exits_two(self, tmp_path, capsys, flag):
+        # A stale rule id (e.g. from a deleted family) is a usage error:
+        # one line on stderr, no traceback.
+        assert main(["check", str(tmp_path), flag, "XX999"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro check: unknown rule or prefix 'XX999'")
+        assert err.count("\n") == 1
+
 
 class TestJSONFormat:
     def test_json_payload(self, seeded_kernels, capsys):

@@ -64,17 +64,17 @@ class TestCrossFormatConsistency:
 
     @pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
     def test_select_mixed_rule_list(self, seeded, capsys, fmt):
-        """--select CT701,DF601: only the named rules survive, in every
-        format (CT contributes none here — the shipped kernels are
-        clean)."""
+        """--select PL401,DF601: only the named rules survive, in every
+        format (PL contributes none here — the file constructs no
+        plans)."""
         code, out = _run(
             [
                 "check",
                 str(seeded),
                 "--dataflow",
-                "--cost",
+                "--plans",
                 "--select",
-                "CT701,DF601",
+                "PL401,DF601",
                 "--format",
                 fmt,
             ],

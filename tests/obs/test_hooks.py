@@ -24,20 +24,50 @@ def factors(tensor):
     return [rng.standard_normal((n, RANK)) for n in tensor.shape]
 
 
+#: prepare() parameters per registry name: 2x2x2 grids exercise the block
+#: loops, and 2 rank blocks at rank 8 give two 4-column strips.
+KERNEL_PARAMS: dict[str, dict] = {
+    "coo": {},
+    "splatt": {},
+    "csf": {},
+    "csf-any": {"mode_order": (0, 1, 2)},
+    "mb": {"block_counts": (2, 2, 2)},
+    "rankb": {"n_rank_blocks": 2},
+    "mb+rankb": {"block_counts": (2, 2, 2), "n_rank_blocks": 2},
+    "csf-blocked": {"block_counts": (2, 2, 2), "n_rank_blocks": 2},
+}
+
+
 class TestKernelHook:
-    def test_execute_records_span_and_counters(self, tensor, factors):
-        kern = get_kernel("splatt")
-        plan = kern.prepare(tensor, 0)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
+    def test_execute_records_span_and_counters(self, tensor, factors, name, dtype):
+        """The span and the exact ``kernel.*`` counters, checked against
+        the traffic model's gather counts (``predicted_footprint``)."""
+        from repro.machine.traffic import predicted_footprint
+
+        kern = get_kernel(name)
+        plan = kern.prepare(tensor, 0, **KERNEL_PARAMS[name])
         tracer = Tracer()
         with use_tracer(tracer):
-            kern.execute(plan, factors)
+            kern.execute(plan, [f.astype(dtype) for f in factors])
         (span,) = tracer.spans_named("mttkrp")
-        assert span.meta["kernel"] == "splatt"
+        assert span.meta["kernel"] == name
         assert span.meta["mode"] == 0
         assert span.meta["nnz"] == tensor.nnz
         assert tracer.counters["kernel.calls"] == 1
         assert tracer.counters["kernel.nonzeros"] == tensor.nnz
-        assert tracer.counters["kernel.factor_bytes"] > 0
+        # Every strip gathers one B row per nonzero and one C row per
+        # fiber; the counter reports one strip's worth (strip widths sum
+        # to R, so the byte count below is strip-invariant).
+        fp = predicted_footprint(plan, RANK)
+        gathers = tracer.counters["kernel.gathers"]
+        assert gathers * fp.n_strips == fp.b_accesses + fp.c_accesses
+        distinct_out = sum(b.distinct_out for b in plan.block_stats())
+        itemsize = np.dtype(dtype).itemsize
+        assert tracer.counters["kernel.factor_bytes"] == (
+            (gathers + distinct_out) * RANK * itemsize
+        )
 
     def test_every_registered_kernel_is_instrumented(self):
         from repro.kernels.base import KERNELS

@@ -898,6 +898,8 @@ def cmd_serve_load(args: argparse.Namespace) -> int:
                 "drained": bool(drain.get("drained")),
                 "queue_depth": drain.get("queue_depth"),
                 "completed": drain.get("completed"),
+                "warm_cache": drain.get("warm_cache"),
+                "phases_ms": drain.get("phases_ms"),
             }
 
     print(

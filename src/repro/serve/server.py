@@ -8,11 +8,13 @@ Architecture (three worlds, one job object):
   future to write the response;
 * a **dispatcher thread** blocks on the queue, coalesces same-signature
   jobs into batches, and hands batches to a small runner pool;
-* **runner threads** execute a batch body: build (or reuse) the tensor,
-  consult the :class:`~repro.serve.warmcache.WarmConfigCache` through
-  the tuner, prepare one parallel plan, then execute every job's MTTKRP
-  on the shared :class:`~repro.exec.WorkerPool` with per-job
-  cancellation tokens and deadline timers.
+* **runner threads** execute a batch body: build (or reuse) the tensor
+  and its memoized per-mode signatures, consult the
+  :class:`~repro.serve.warmcache.WarmConfigCache` through the tuner (a
+  warm hit is a lookup plus a grid/strip soundness check), prepare one
+  parallel plan, then execute every job's MTTKRP on the shared
+  :class:`~repro.exec.WorkerPool` with per-job cancellation tokens and
+  deadline timers.
 
 The split keeps the event loop non-blocking (admission is O(1)), lets
 batches overlap (``n_runners`` of them), and bounds every resource: the
@@ -58,6 +60,12 @@ __all__ = ["ServeConfig", "ServeServer", "ServeHandle", "start_in_thread"]
 
 _MACHINES = {"power8": power8, "power8_socket": power8_socket}
 
+#: The phases a completed job's latency splits into (``stats``'
+#: ``phases_ms``): admission-queue wait plus the wait behind earlier jobs
+#: of its batch, tensor lookup/build, tuning, plan preparation, and the
+#: job's own execution.  They sum to the job's latency.
+PHASES = ("queue", "tensor", "tune", "prepare", "execute")
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -97,13 +105,19 @@ class ServeConfig:
             )
 
 
+def _ms(hist: LatencyHistogram) -> dict:
+    return {k: (v * 1e3 if k != "count" else v) for k, v in hist.snapshot().items()}
+
+
 class _Stats:
-    """Thread-safe serve counters + the request latency histogram."""
+    """Thread-safe serve counters, the request latency histogram and one
+    histogram per :data:`PHASES` entry."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counts: "dict[str, int]" = {}
         self.latency = LatencyHistogram()
+        self.phases = {name: LatencyHistogram() for name in PHASES}
 
     def count(self, name: str, n: int = 1) -> None:
         with self._lock:
@@ -119,12 +133,10 @@ class _Stats:
     def snapshot(self) -> dict:
         with self._lock:
             counts = dict(self._counts)
-        lat = self.latency.snapshot()
         return {
             "counters": counts,
-            "latency_ms": {
-                k: (v * 1e3 if k != "count" else v) for k, v in lat.items()
-            },
+            "latency_ms": _ms(self.latency),
+            "phases_ms": {name: _ms(h) for name, h in self.phases.items()},
         }
 
 
@@ -145,7 +157,10 @@ class ServeServer:
         self.stats = _Stats()
         self._jobs: "dict[str, Job]" = {}
         self._jobs_lock = threading.Lock()
-        self._tensors: "dict[str, Any]" = {}
+        #: Tensor-cache entries: the built tensor and its per-mode
+        #: signatures, memoized so they are computed once and evicted
+        #: with the tensor.
+        self._tensors: "dict[str, tuple[Any, dict[int, Any]]]" = {}
         self._tensors_lock = threading.Lock()
         self._state = "idle"  # idle -> serving -> draining -> stopped
         self._state_lock = threading.Lock()
@@ -424,23 +439,31 @@ class ServeServer:
         self.stats.count("batches")
         tracer = current_tracer()
         try:
-            tensor = self._tensor_for(lead)
+            tensor, signatures = self._tensor_for(lead)
         except Exception as exc:
             for job in batch:
                 self._finish_error(
                     job, "invalid_job", f"tensor build failed: {exc}"
                 )
             return
+        t_built = t_tuned = time.monotonic()
         try:
             params = dict(lead.params)
             tuned_meta: "dict[str, Any] | None" = None
             if lead.tune:
-                from repro.tune import Tuner
+                from repro.tune import TensorSignature, Tuner
 
+                signature = signatures.get(lead.mode)
+                if signature is None:
+                    signature = signatures.setdefault(
+                        lead.mode, TensorSignature.of(tensor, lead.mode)
+                    )
                 tuner = Tuner(
-                    tensor, lead.mode, self.machine, cache=self.warm
+                    tensor, lead.mode, self.machine, cache=self.warm,
+                    signature=signature,
                 )
                 cfg = tuner.get_or_tune(lead.rank)
+                self.stats.count("warm_hits" if cfg.from_cache else "warm_misses")
                 accepted = TUNABLE_KERNELS[lead.kernel]
                 if "block_counts" in accepted:
                     # A tuned "no blocking" verdict maps to the identity
@@ -462,6 +485,7 @@ class ServeServer:
                         else list(cfg.block_counts)
                     ),
                 }
+                t_tuned = time.monotonic()
             executor = ParallelExecutor(
                 n_threads=self.config.n_workers,
                 backend="thread",
@@ -474,13 +498,14 @@ class ServeServer:
                     job, "invalid_job", f"plan preparation failed: {exc}"
                 )
             return
+        marks = (t_begin, t_built, t_tuned, time.monotonic())
         applied = {
             k: (list(v) if isinstance(v, tuple) else getattr(v, "block_cols", v))
             for k, v in params.items()
         }
         for job in batch:
             self._run_job(job, tensor, executor, pplan, applied, tuned_meta,
-                          len(batch))
+                          len(batch), marks)
         dur = time.monotonic() - t_begin
         per_job = dur / max(1, len(batch))
         self._service_ema_s = 0.8 * self._service_ema_s + 0.2 * per_job
@@ -496,7 +521,11 @@ class ServeServer:
         applied: dict,
         tuned_meta: "dict | None",
         batch_size: int,
+        marks: "tuple[float, float, float, float]",
     ) -> None:
+        """Run one job of a batch.  ``marks`` are the batch's monotonic
+        begin/built/tuned/prepared instants, from which the completed
+        job's :data:`PHASES` are recorded."""
         if job.expired():
             self._finish_expired(job)
             return
@@ -556,6 +585,7 @@ class ServeServer:
         def on_completed() -> None:
             self.stats.count("completed")
             self._record_latency(job)
+            self._record_phases(job, marks)
 
         # Counting runs before the future resolves, so a client holding
         # the response always sees its own job in the stats.
@@ -603,8 +633,25 @@ class ServeServer:
         if tracer.enabled:
             tracer.metric("serve.request_s", lat)
 
+    def _record_phases(
+        self, job: Job, marks: "tuple[float, float, float, float]"
+    ) -> None:
+        # Runs inside try_finish, so started_at and finished_at are set.
+        begin, built, tuned, prepared = marks
+        spans = (
+            (begin - job.enqueued_at) + (job.started_at - prepared),
+            built - begin,
+            tuned - built,
+            prepared - tuned,
+            job.finished_at - job.started_at,
+        )
+        for name, dur in zip(PHASES, spans):
+            self.stats.phases[name].record(dur)
+
     # -- tensor cache ---------------------------------------------------
     def _tensor_for(self, spec: JobSpec):
+        """The built tensor for ``spec`` and its ``{mode: signature}`` memo
+        (filled by the batch runner)."""
         key = spec.tensor.key()
         with self._tensors_lock:
             hit = self._tensors.get(key)
@@ -612,7 +659,7 @@ class ServeServer:
                 del self._tensors[key]
                 self._tensors[key] = hit  # refresh LRU recency
                 return hit
-        built = spec.tensor.build()
+        built = (spec.tensor.build(), {})
         with self._tensors_lock:
             self._tensors[key] = built
             while len(self._tensors) > self.config.tensor_cache_entries:

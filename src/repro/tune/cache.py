@@ -1,10 +1,10 @@
 """Persistent store of tuned blocking configurations.
 
 Entries are keyed by ``(signature key, rank, machine name)`` and carry
-the chosen block counts, rank-strip width, the modeled cost, and how the
-entry was obtained.  The JSON format is human-auditable, so a tuning
-database can be shipped alongside an application the way BLAS autotuners
-ship theirs.
+the chosen block counts, rank-strip width, the modeled cost and
+baseline cost, and how the entry was obtained.  The JSON format is
+human-auditable, so a tuning database can be shipped alongside an
+application the way BLAS autotuners ship theirs.
 
 Bounded operation
 -----------------
@@ -51,6 +51,11 @@ class CacheEntry:
     #: entries never stored through a :class:`TuningCache`); TTL-bounded
     #: caches age entries from this instant.
     created_unix: "float | None" = None
+    #: Modeled cost of the unblocked SPLATT baseline, recorded with
+    #: :attr:`cost` so a cache hit reports its speedup without re-running
+    #: the model (``None`` on entries written before it was recorded; the
+    #: tuner re-tunes those).
+    baseline_cost: "float | None" = None
 
     def rank_blocking(self) -> "RankBlocking | None":
         """Materialize the RankBlocking (or None)."""
@@ -69,6 +74,7 @@ class CacheEntry:
         counts = d.get("block_counts")
         itemsize = d.get("itemsize")
         created = d.get("created_unix")
+        baseline = d.get("baseline_cost")
         return cls(
             block_counts=None if counts is None else tuple(int(c) for c in counts),
             rank_block_cols=d.get("rank_block_cols"),
@@ -78,6 +84,7 @@ class CacheEntry:
             # misses for any dtype-checked lookup.
             itemsize=None if itemsize is None else int(itemsize),
             created_unix=None if created is None else float(created),
+            baseline_cost=None if baseline is None else float(baseline),
         )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from repro.blocking.grid import BlockGrid, resolve_grid
 from repro.blocking.heuristic import select_blocking
 from repro.blocking.rank import REGISTER_BLOCK_COLS, RankBlocking
 from repro.machine.spec import MachineSpec
@@ -80,17 +81,25 @@ class Tuner:
         machine: MachineSpec,
         *,
         cache: "TuningCache | None" = None,
+        signature: "TensorSignature | None" = None,
     ) -> None:
         self.tensor = tensor
         self.mode = check_mode(mode, tensor.order)
         self.machine = machine
         self.cache = cache
         self.planner = ConfigPlanner(tensor, self.mode)
-        self._signature: "TensorSignature | None" = None
+        if signature is not None:
+            require(
+                signature.mode == self.mode,
+                f"signature is for mode {signature.mode}, tuner for {self.mode}",
+            )
+        self._signature = signature
 
     @property
     def signature(self) -> TensorSignature:
-        """The tensor's structural fingerprint (computed lazily)."""
+        """The tensor's structural fingerprint (computed lazily unless the
+        caller passed one it already holds, e.g. the server's per-tensor
+        memo)."""
         if self._signature is None:
             self._signature = TensorSignature.of(self.tensor, self.mode)
         return self._signature
@@ -112,17 +121,36 @@ class Tuner:
         tracer.count("tune.evaluations", 1)
         return cost
 
-    def _verify(self, counts, rb, rank: int, origin: str) -> None:
-        """Run the plan verifier on a candidate configuration; a search
-        strategy (or a stale cache entry) must never hand out a plan that
-        fails the index-space soundness proof."""
-        from repro.analysis.diagnostics import Severity
+    def _diagnostics(self, counts, rb, rank: int) -> list:
+        """Plan-verifier diagnostics for a configuration, from its grid and
+        strips alone.
+
+        With no machine given, ``verify_plan`` on a SPLATT-family plan
+        checks only the plan's block grid (PL401/PL402) and rank blocking
+        (PL403/PL404), so verifying those two directly gives the same
+        diagnostics without sorting the tensor into a plan.  Counts that
+        cannot form a grid raise here exactly as the plan build would.
+        """
         from repro.analysis.plans import verify_plan
 
-        plan = self.planner.plan_for(counts, rb)
+        shape = self.tensor.shape
+        grid = resolve_grid(shape, None, counts) or BlockGrid(
+            shape, (1,) * len(shape)
+        )
+        out = verify_plan(grid)
+        if rb is not None:
+            out += verify_plan(rb, rank=rank)
+        return out
+
+    def _verify(self, counts, rb, rank: int, origin: str) -> None:
+        """Run the plan verifier on a candidate configuration; a search
+        strategy (or a stale cache entry) must never hand out a
+        configuration that fails the index-space soundness proof."""
+        from repro.analysis.diagnostics import Severity
+
         errors = [
             d
-            for d in verify_plan(plan, rank=rank)
+            for d in self._diagnostics(counts, rb, rank)
             if d.severity is Severity.ERROR
         ]
         if errors:
@@ -303,10 +331,15 @@ class Tuner:
         """Cache-first tuning: reuse a stored configuration when the
         tensor's signature has been tuned before on this machine.
 
+        A hit is a lookup plus a shape-only soundness check of the stored
+        grid and strips: it builds no plan and evaluates no model, and
+        returns the costs recorded when the entry was tuned.
+
         Entries are dtype-checked: a hit whose recorded itemsize differs
         from this tensor's (including legacy entries that recorded none)
         is treated as a miss, since the traffic model's working sets —
         and therefore the tuned configuration — scale with element size.
+        Entries without a recorded baseline cost are misses too.
         """
         tracer = current_tracer()
         with tracer.span(
@@ -316,11 +349,14 @@ class Tuner:
                 hit = self.cache.get(
                     self.signature.key(), rank, self.machine.name
                 )
-                if hit is not None and hit.itemsize != self.signature.itemsize:
-                    hit = None  # legacy or cross-dtype entry: re-tune
+                if hit is not None and (
+                    hit.itemsize != self.signature.itemsize
+                    or hit.baseline_cost is None
+                ):
+                    hit = None  # legacy, cross-dtype or unpriced: re-tune
                 if hit is not None:
-                    rb = hit.rank_blocking()
                     try:
+                        rb = hit.rank_blocking()
                         self._verify(hit.block_counts, rb, rank, "cached")
                     except ConfigError:
                         hit = None  # stale/unsound entry: fall through, re-tune
@@ -328,14 +364,12 @@ class Tuner:
                     if tracer.enabled:
                         tracer.count("tune.cache_hits", 1)
                         sp.meta["cache"] = "hit"
-                    baseline = self._evaluate(None, None, rank)
-                    cost = self._evaluate(hit.block_counts, rb, rank)
                     return TunedConfig(
                         block_counts=hit.block_counts,
                         rank_blocking=rb,
-                        cost=cost,
-                        baseline_cost=baseline,
-                        n_evaluations=2,
+                        cost=hit.cost,
+                        baseline_cost=hit.baseline_cost,
+                        n_evaluations=0,
                         strategy=hit.strategy,
                         from_cache=True,
                     )
@@ -361,6 +395,7 @@ class Tuner:
                         cost=result.cost,
                         strategy=strategy,
                         itemsize=self.signature.itemsize,
+                        baseline_cost=result.baseline_cost,
                     ),
                 )
             return result

@@ -156,6 +156,69 @@ class TestEndToEnd:
         assert resp["error"]["code"] == "invalid_job"
 
 
+class TestWarmBatchPath:
+    """Per-phase stats, the warm-hit counters and the signature memo."""
+
+    def test_phases_populated_and_sum_to_latency(self, client):
+        from repro.serve.server import PHASES
+
+        assert client.submit(job_payload())["ok"]
+        stats = client.stats()
+        phases = stats["phases_ms"]
+        assert tuple(phases) == PHASES
+        assert all(phases[name]["count"] == 1 for name in PHASES)
+        assert phases["execute"]["p50"] > 0 and phases["tune"]["p50"] > 0
+        latency = stats["latency_ms"]
+        # One sample per histogram: each p50 is reported within one
+        # bucket (growth 1.3) of the recorded value, the mean exactly.
+        total = sum(phases[name]["p50"] for name in PHASES)
+        assert total == pytest.approx(latency["p50"], rel=0.3)
+        mean_total = sum(phases[name]["mean"] for name in PHASES)
+        assert mean_total == pytest.approx(latency["mean"], rel=1e-9)
+
+    def test_drain_report_carries_phases(self):
+        client = ServeClient.start(ServeConfig(port=None))
+        try:
+            assert client.submit(job_payload())["ok"]
+        finally:
+            report = client.close()
+        assert report["phases_ms"]["execute"]["count"] == 1
+
+    def test_warm_counters_emitted(self):
+        from repro.obs import Tracer, to_metrics_doc, use_tracer
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            client = ServeClient.start(ServeConfig(port=None))
+            try:
+                assert not client.submit(job_payload())["tuned"]["from_cache"]
+                assert client.submit(job_payload())["tuned"]["from_cache"]
+                counters = client.stats()["counters"]
+            finally:
+                client.close()
+        assert counters["warm_misses"] == 1 and counters["warm_hits"] == 1
+        assert tracer.counters["serve.warm_misses"] == 1
+        assert tracer.counters["serve.warm_hits"] == 1
+        units = {c["name"]: c["unit"] for c in to_metrics_doc(tracer)["counters"]}
+        assert units["serve.warm_hits"] == "hits"
+        assert units["serve.warm_misses"] == "misses"
+
+    def test_signature_computed_once_per_tensor(self, client, monkeypatch):
+        from repro.tune import TensorSignature
+
+        calls = []
+        real = TensorSignature.of
+
+        def spy(tensor, mode):
+            calls.append(mode)
+            return real(tensor, mode)
+
+        monkeypatch.setattr(TensorSignature, "of", spy)
+        for i in range(3):
+            assert client.submit(job_payload(factors_seed=i))["ok"]
+        assert calls == [0]
+
+
 class TestCancellation:
     def test_cancel_unknown_job(self, client):
         resp = client.cancel("never-submitted")

@@ -88,7 +88,7 @@ class TestTuner:
         second = tuner.get_or_tune(256)
         assert second.from_cache
         assert second.block_counts == first.block_counts
-        assert second.n_evaluations <= 2
+        assert second.n_evaluations == 0
 
     def test_cache_transfers_across_same_structure(self, setup):
         """A tensor with the same signature reuses the stored config."""
@@ -100,6 +100,148 @@ class TestTuner:
         Tuner(tensor, 0, machine, cache=cache).get_or_tune(256)
         reused = Tuner(other, 0, machine, cache=cache).get_or_tune(256)
         assert reused.from_cache
+
+
+class TestWarmHitPath:
+    """A cache hit is a lookup plus a grid/strip soundness check: no plan
+    is built, no model is evaluated, and the recorded costs come back."""
+
+    @staticmethod
+    def _forbid_model(monkeypatch):
+        import repro.perf.model as model
+        import repro.tune.tuner as tuner_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm hit built a plan or ran the model")
+
+        monkeypatch.setattr(model, "prepare_plan", forbidden)
+        monkeypatch.setattr(model, "predict_time", forbidden)
+        monkeypatch.setattr(tuner_mod, "predict_time", forbidden)
+
+    def test_warm_hit_builds_no_plan_and_runs_no_model(self, setup, monkeypatch):
+        tensor, machine = setup
+        cache = TuningCache()
+        miss = Tuner(tensor, 0, machine, cache=cache).get_or_tune(128)
+        assert not miss.from_cache and miss.n_evaluations > 0
+        self._forbid_model(monkeypatch)
+        hit = Tuner(tensor, 0, machine, cache=cache).get_or_tune(128)
+        assert hit.from_cache
+        assert hit.n_evaluations == 0
+        assert (hit.block_counts, hit.rank_blocking) == (
+            miss.block_counts, miss.rank_blocking,
+        )
+        assert hit.cost == miss.cost
+        assert hit.baseline_cost == miss.baseline_cost
+        assert hit.speedup == miss.speedup
+
+    def test_given_signature_is_used(self, setup, monkeypatch):
+        tensor, machine = setup
+        sig = TensorSignature.of(tensor, 0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("signature recomputed")
+
+        monkeypatch.setattr(TensorSignature, "of", forbidden)
+        assert Tuner(tensor, 0, machine, signature=sig).signature is sig
+        with pytest.raises(ConfigError):
+            Tuner(tensor, 1, machine, signature=sig)
+
+    @pytest.mark.parametrize(
+        "counts", [None, (1, 1, 1), (2, 4, 2), (12, 10, 8), (13, 1, 1), (0, 1, 1)]
+    )
+    @pytest.mark.parametrize(
+        "rb",
+        [
+            None,
+            dict(block_cols=16),
+            dict(block_cols=5, register_block=4),
+            dict(n_blocks=3),
+            dict(n_blocks=64),  # more strips than rank columns: PL403
+        ],
+    )
+    def test_verify_matches_plan_verifier(self, counts, rb):
+        """The shape-only check reports exactly what ``verify_plan`` proves
+        of the built plan — or raises exactly what the plan build raises."""
+        from repro.analysis.diagnostics import Severity
+        from repro.analysis.plans import verify_plan
+        from repro.blocking.rank import RankBlocking
+        from repro.machine import power8
+
+        tensor = poisson_tensor((12, 10, 8), 400, seed=5)
+        rank = 32
+        rb = None if rb is None else RankBlocking(**rb)
+        tuner = Tuner(tensor, 0, power8(64))
+
+        def outcome(fn):
+            try:
+                return fn()
+            except Exception as exc:  # compared by type and message
+                return (type(exc), str(exc))
+
+        old = outcome(
+            lambda: verify_plan(tuner.planner.plan_for(counts, rb), rank=rank)
+        )
+        new = outcome(lambda: tuner._diagnostics(counts, rb, rank))
+        assert new == old
+        if isinstance(old, list):
+            errors = [d for d in old if d.severity is Severity.ERROR]
+            if errors:
+                with pytest.raises(ConfigError, match="plan verification"):
+                    tuner._verify(counts, rb, rank, "cached")
+            else:
+                tuner._verify(counts, rb, rank, "cached")
+        # The cases cover both outcomes of the proof.
+        if counts == (1, 1, 1) and rb is not None and rb.n_blocks == 64:
+            assert old and old[0].rule == "PL403"
+
+    @pytest.mark.parametrize(
+        "unsound",
+        [
+            CacheEntry((4096, 1, 1), None, 1e-9, "heuristic", itemsize=8,
+                       baseline_cost=1.0),
+            CacheEntry(None, 0, 1e-9, "heuristic", itemsize=8,
+                       baseline_cost=1.0),
+        ],
+        ids=["counts-exceed-shape", "zero-width-strips"],
+    )
+    def test_unsound_entry_is_retuned(self, setup, unsound):
+        tensor, machine = setup
+        cache = TuningCache()
+        tuner = Tuner(tensor, 0, machine, cache=cache)
+        cache.put(tuner.signature.key(), 128, machine.name, unsound)
+        result = tuner.get_or_tune(128)
+        assert not result.from_cache
+        assert result.n_evaluations > 0
+        stored = cache.get(tuner.signature.key(), 128, machine.name)
+        assert stored != unsound
+        assert stored.baseline_cost == result.baseline_cost
+        assert Tuner(tensor, 0, machine, cache=cache).get_or_tune(128).from_cache
+
+    def test_entry_without_baseline_is_a_miss(self, setup):
+        tensor, machine = setup
+        cache = TuningCache()
+        tuner = Tuner(tensor, 0, machine, cache=cache)
+        unpriced = CacheEntry(None, None, 1.0, "heuristic", itemsize=8)
+        cache.put(tuner.signature.key(), 128, machine.name, unpriced)
+        result = tuner.get_or_tune(128)
+        assert not result.from_cache
+        stored = cache.get(tuner.signature.key(), 128, machine.name)
+        assert stored.baseline_cost == result.baseline_cost > 0
+
+    def test_baseline_cost_roundtrips(self, tmp_path):
+        entry = CacheEntry((2, 2, 2), 32, 0.5, "heuristic", itemsize=8,
+                           baseline_cost=0.75)
+        assert entry.to_dict()["baseline_cost"] == 0.75
+        assert CacheEntry.from_dict(entry.to_dict()) == entry
+        cache = TuningCache()
+        cache.put("s", 64, "m", entry)
+        cache.save(tmp_path / "tune.json")
+        assert TuningCache.load(tmp_path / "tune.json").get("s", 64, "m") == entry
+        legacy = CacheEntry.from_dict(
+            {"block_counts": None, "cost": 0.5, "strategy": "heuristic",
+             "itemsize": 8}
+        )
+        assert legacy.baseline_cost is None
 
 
 class TestDtypeAwareCache:

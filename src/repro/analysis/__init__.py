@@ -1,6 +1,6 @@
 """Static analysis for the kernel zoo and its parallel schedules.
 
-Six passes behind one diagnostic model (``repro check``):
+Five passes behind one diagnostic model (``repro check``):
 
 * :mod:`repro.analysis.contract` — AST kernel-contract checker: every
   registered kernel conforms to the :class:`~repro.kernels.base.Kernel` /
@@ -23,12 +23,6 @@ Six passes behind one diagnostic model (``repro check``):
   observed writes against the plan's declared write-set, gather bounds,
   NaN/Inf emergence, dtype drift, and the traffic-model footprint
   (rules SZ501-SZ506; ``repro sanitize``);
-* :mod:`repro.analysis.dataflow` — interprocedural dtype & effect
-  dataflow (opt-in via ``repro check --dataflow``): propagates a
-  precision lattice to prove the float32 contract statically, infers
-  worker-task write effects, and lints tracer placement (rules
-  DF601-DF610); DF611 is its registration-time gate in
-  ``Kernel.__init_subclass__`` / ``register_kernel``.
 
 Unused ``# repro: noqa`` suppressions are reported as DG001.  Findings
 render as text, JSON, or SARIF 2.1.0 (:mod:`repro.analysis.sarif`).
@@ -36,15 +30,6 @@ render as text, JSON, or SARIF 2.1.0 (:mod:`repro.analysis.sarif`).
 Rule catalog with rationale and suppression: ``docs/static-analysis.md``.
 """
 
-from repro.analysis.dataflow import (
-    DType,
-    FunctionSummary,
-    dataflow_vet_enabled,
-    enforce_kernel_dataflow,
-    join,
-    scan_files,
-    vet_kernel_class,
-)
 from repro.analysis.diagnostics import (
     RULES,
     Diagnostic,
@@ -116,13 +101,6 @@ __all__ = [
     "CheckResult",
     "ParseCache",
     "run_check",
-    "DType",
-    "FunctionSummary",
-    "dataflow_vet_enabled",
-    "enforce_kernel_dataflow",
-    "join",
-    "scan_files",
-    "vet_kernel_class",
     "unused_suppression_diagnostics",
     "render_sarif",
     "to_sarif",

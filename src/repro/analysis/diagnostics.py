@@ -84,19 +84,6 @@ RULES: dict[str, Rule] = {
         Rule("SZ504", Severity.ERROR, "Inf emerged from finite inputs"),
         Rule("SZ505", Severity.ERROR, "output dtype drifted from VALUE_DTYPE"),
         Rule("SZ506", Severity.WARNING, "observed factor-row footprint diverges from the traffic model"),
-        # --- dtype & effect dataflow (DF6xx) --------------------------
-        Rule("DF601", Severity.ERROR, "literal float64 dtype on a precision-contract path"),
-        Rule("DF602", Severity.ERROR, "dtype-less numpy allocation on a precision-contract path"),
-        Rule("DF603", Severity.ERROR, "widening cast of a factor-derived value to float64"),
-        Rule("DF604", Severity.ERROR, "mixed-precision binary operation"),
-        Rule("DF605", Severity.ERROR, "helper returns a fixed dtype into a factor-dtype pipeline"),
-        Rule("DF606", Severity.ERROR, "worker/kernel body writes state outside its own arguments"),
-        Rule("DF607", Severity.ERROR, "process-backend task captures module-level mutable state"),
-        Rule("DF608", Severity.ERROR, "unpicklable callable/argument submitted to a process pool"),
-        Rule("DF609", Severity.ERROR, "tracer emission inside a per-element loop"),
-        Rule("DF610", Severity.WARNING, "tracer emission inside a kernel loop"),
-        Rule("DF611", Severity.ERROR, "kernel class failed registration-time dataflow vetting"),
-        Rule("DF612", Severity.ERROR, "VALUE_DTYPE-pinned float64 sinks a factor-derived pipeline"),
         # --- suppression hygiene (DG0xx) ------------------------------
         Rule("DG001", Severity.WARNING, "unused `# repro: noqa` suppression"),
     ]
@@ -244,7 +231,6 @@ RULE_FAMILIES: dict[str, str] = {
     "HP": "hot-path lint",
     "PL": "plan verifier",
     "SZ": "execution sanitizer",
-    "DF": "dtype & effect dataflow",
     "DG": "suppression hygiene",
 }
 
@@ -266,10 +252,12 @@ def unused_suppression_diagnostics(
     ``raw_diags`` are the file's diagnostics *before* suppression, so a
     noqa that matched at least one finding counts as used.  Only rules
     whose family pass actually ran this invocation (``active_families``)
-    are considered — a ``noqa[DF601]`` is not "unused" just because the
-    run skipped ``--dataflow`` — and runtime-only families (RS/SZ) are
-    always exempt.  A line whose noqa names ``DG001`` itself is never
-    flagged (the self-suppression spelling).
+    are considered — a ``noqa[PL401]`` is not "unused" just because the
+    run skipped ``--plans`` — and runtime-only families (RS/SZ) are
+    always exempt.  Ids that name no rule in :data:`RULES` (a deleted
+    rule, a typo) can never fire and are always reported.  A line whose
+    noqa names ``DG001`` itself is never flagged (the self-suppression
+    spelling).
     """
     by_line: dict[int, set[str]] = {}
     for d in raw_diags:
@@ -295,10 +283,24 @@ def unused_suppression_diagnostics(
             continue
         if "DG001" in rules:
             continue
+        unknown = sorted(r for r in rules if r not in RULES)
+        if unknown:
+            out.append(
+                Diagnostic(
+                    "DG001",
+                    file,
+                    line,
+                    0,
+                    "unknown rule id: " + ", ".join(unknown),
+                    hint="drop the id(s) from the noqa comment; no such "
+                    "rule exists",
+                )
+            )
         considered = {
             r
             for r in rules
-            if family_of(r) in active_families
+            if r in RULES
+            and family_of(r) in active_families
             and family_of(r) not in RUNTIME_FAMILIES
         }
         unused = sorted(considered - fired)

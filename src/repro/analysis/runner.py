@@ -51,8 +51,8 @@ _SKIP_DIRS = {
 
 #: Directory names that are *usually* packaging output — but only when
 #: they are not Python packages.  A bare name test here once silently
-#: excluded the whole ``repro/dist`` package from every check run,
-#: which is how the dist float64-upcast bug escaped the dataflow pass.
+#: excluded the whole ``repro/dist`` package from every check run, so
+#: no pass ever saw the dist sources.
 _PACKAGING_DIRS = {"build", "dist"}
 
 
@@ -103,10 +103,8 @@ def is_hot_path(path: Path) -> bool:
 class ParseCache:
     """One shared AST per source file for every pass in a check run.
 
-    Each pass used to re-parse its input (contract, hotpath, plans,
-    dataflow: up to four parses per file per invocation); the
-    runner now parses once here and hands the tree to every pass.
-    ``parse_count`` is the number of actual ``ast.parse`` calls — the
+    The runner parses each file once here and hands the tree to every
+    pass (contract, hotpath, plans).  ``parse_count`` is the number of actual ``ast.parse`` calls — the
     cache-sharing test asserts it equals the number of distinct files.
     """
 
@@ -124,10 +122,6 @@ class ParseCache:
             except SyntaxError:
                 self._trees[file] = None
         return self._trees[file]
-
-    def mapping(self) -> "dict[str, ast.Module | None]":
-        """Snapshot of every cached (file -> tree) entry."""
-        return dict(self._trees)
 
 
 @dataclass
@@ -159,17 +153,13 @@ def run_check(
     select: "set[str] | None" = None,
     ignore: "set[str] | None" = None,
     plans: bool = False,
-    dataflow: bool = False,
 ) -> CheckResult:
     """Run the contract and hot-path passes over ``paths``.
 
     ``select`` / ``ignore`` are resolved rule-id sets
     (:func:`repro.analysis.diagnostics.resolve_rules`).  ``plans=True``
     additionally runs the plan-verifier AST pass
-    (:func:`repro.analysis.plans.scan_source`) over every file;
-    ``dataflow=True`` runs the interprocedural dtype/effect pass
-    (:func:`repro.analysis.dataflow.scan_files`) across all of them with
-    one shared summary table.
+    (:func:`repro.analysis.plans.scan_source`) over every file.
 
     Every pass shares one :class:`ParseCache`, so each file is parsed at
     most once per invocation regardless of how many passes are enabled.
@@ -209,13 +199,6 @@ def run_check(
             file_diags.extend(plans_mod.scan_source(source, rel, tree))
         raw_by_file[rel] = file_diags
 
-    if dataflow:
-        from repro.analysis import dataflow as dataflow_mod
-
-        df_by_file = dataflow_mod.scan_files(sources, cache.mapping())
-        for rel, df_diags in df_by_file.items():
-            raw_by_file.setdefault(rel, []).extend(df_diags)
-
     # Duplicate-name findings join their file's raw list so both their
     # suppressions and DG001 usage accounting see them.
     for d in contract.duplicate_name_diagnostics(registrations):
@@ -233,8 +216,6 @@ def run_check(
             active.add("HP")
         if plans:
             active.add("PL")
-        if dataflow:
-            active.add("DF")
         diags.extend(
             unused_suppression_diagnostics(
                 file_diags, suppressions, rel, active

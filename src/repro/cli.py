@@ -10,8 +10,7 @@ Commands
 ``scaling``   the Table III distributed strong-scaling experiment
 ``datasets``  list the Table II registry
 ``check``     static analysis: kernel contracts, schedule races, hot-path
-              lint, (``--plans``) plan-soundness verification, and
-              (``--dataflow``) interprocedural dtype/effect dataflow
+              lint, and (``--plans``) plan-soundness verification
               (see docs/static-analysis.md)
 ``sanitize``  instrumented kernel execution: write-set containment, gather
               bounds, NaN/Inf, dtype drift, traffic-footprint cross-check
@@ -482,7 +481,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         select=select,
         ignore=ignore,
         plans=args.plans,
-        dataflow=args.dataflow,
     )
     diags = result.diagnostics
 
@@ -1034,16 +1032,9 @@ def build_parser() -> argparse.ArgumentParser:
         "constructions in the checked files (rules PL4xx)",
     )
     p.add_argument(
-        "--dataflow",
-        action="store_true",
-        help="also run the interprocedural dtype/effect dataflow pass "
-        "(rules DF6xx): precision-contract proof, worker write effects, "
-        "tracer placement",
-    )
-    p.add_argument(
         "--statistics",
         action="store_true",
-        help="append a per-rule-family count summary (KC/RS/HP/PL/SZ/DF/DG)",
+        help="append a per-rule-family count summary (KC/RS/HP/PL/SZ/DG)",
     )
     p.add_argument(
         "--race-grid",

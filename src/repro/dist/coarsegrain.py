@@ -101,7 +101,7 @@ def coarse_grained_mttkrp(
     out = np.zeros((decomp.tensor_shape[mode], rank), dtype=factor_dtype(
         [f if m != mode else None for m, f in enumerate(factors)]
     ))
-    compute_times = np.zeros(p)  # repro: noqa[DF602] — wall-clock seconds, not values
+    compute_times = np.zeros(p)
     for proc, block in enumerate(decomp.blocks):
         lo, hi = int(decomp.boundaries[proc]), int(decomp.boundaries[proc + 1])
         if block.nnz:

@@ -50,7 +50,7 @@ class CommLedger:
 
     def __post_init__(self) -> None:
         if self.rank_time is None:
-            self.rank_time = np.zeros(self.n_ranks)  # repro: noqa[DF602] — seconds, not values
+            self.rank_time = np.zeros(self.n_ranks)
 
     def charge(self, op: str, ranks: Sequence[int], nbytes: float, time: float) -> None:
         """Record a collective over ``ranks`` costing ``time`` seconds."""

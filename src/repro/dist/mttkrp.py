@@ -184,7 +184,7 @@ def distributed_mttkrp(
     # Output follows the factor dtype end-to-end: a float32 decomposition
     # folds and assembles float32 rows (the PR-4/5 precision contract).
     out = np.zeros((shape[mode], rank), dtype=factor_dtype(list(factors)))
-    compute_times = np.zeros(grid.n_ranks)  # repro: noqa[DF602] — seconds, not values
+    compute_times = np.zeros(grid.n_ranks)
 
     q, r, s = grid.dims
     axis_of = [decomp.axis_of_mode(m) for m in range(3)]

@@ -377,8 +377,8 @@ def run_process_mttkrp(
 
     ledger = CommLedger(grid.n_ranks)
     ledger_bytes, measured_bytes = _charge_ledger(ledger, results)
-    compute_times = np.zeros(grid.n_ranks)  # repro: noqa[DF602] — seconds, not values
-    comm_seconds = np.zeros(grid.n_ranks)  # repro: noqa[DF602] — seconds, not values
+    compute_times = np.zeros(grid.n_ranks)
+    comm_seconds = np.zeros(grid.n_ranks)
     for res in results:
         compute_times[res["rank"]] = res["compute_s"]
         comm_seconds[res["rank"]] = res["comm_seconds"]

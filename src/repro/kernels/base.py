@@ -220,22 +220,10 @@ class Kernel(ABC):
 
     name: str = "abstract"
 
-    def __init_subclass__(
-        cls, dataflow_vet: bool = True, **kwargs: object
-    ) -> None:
-        """Vet the subclass's own ``prepare``/``execute`` bodies with the
-        static dataflow pass (rule DF611 — raises ``RegistrationError``
-        on a precision/effect/tracer violation; disable per class with
-        ``dataflow_vet=False`` or globally with ``REPRO_DATAFLOW_VET=0``),
-        then instrument each concrete ``execute`` with the tracing hook
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        """Instrument each concrete ``execute`` with the tracing hook
         exactly once (idempotent under re-import and subclass chains)."""
         super().__init_subclass__(**kwargs)
-        if dataflow_vet:
-            # Lazy: repro.analysis never imports repro.kernels, so this
-            # cannot cycle, and kernel-free analysis users skip the cost.
-            from repro.analysis.dataflow import enforce_kernel_dataflow
-
-            enforce_kernel_dataflow(cls)
         impl = cls.__dict__.get("execute")
         if impl is not None and not getattr(impl, "_obs_instrumented", False):
             cls.execute = _traced_execute(impl)  # type: ignore[method-assign]
@@ -481,13 +469,6 @@ def register_kernel(kernel: Kernel, *, replace: bool = False) -> Kernel:
             f"kernel name {name!r} is already registered by "
             f"{type(existing).__name__}; pass replace=True to override"
         )
-    # DF611: classes that dodged the __init_subclass__ vetting (e.g.
-    # defined under REPRO_DATAFLOW_VET=0 or with dataflow_vet=False)
-    # are re-vetted at the registry door; already-clean classes are
-    # cached, so the common path is one set lookup.
-    from repro.analysis.dataflow import enforce_kernel_dataflow
-
-    enforce_kernel_dataflow(type(kernel))
     KERNELS[name] = kernel
     return kernel
 

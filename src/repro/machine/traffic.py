@@ -177,8 +177,8 @@ class _PhaseProfile:
         # and float32 prefix sums lose integer exactness past 2^24.
         counts = np.concatenate(
             [
-                np.asarray(stats.inner_counts, dtype=np.float64),  # repro: noqa[DF601]
-                np.asarray(stats.fiber_counts, dtype=np.float64),  # repro: noqa[DF601]
+                np.asarray(stats.inner_counts, dtype=np.float64),
+                np.asarray(stats.fiber_counts, dtype=np.float64),
             ]
         )
         is_inner = np.zeros(counts.shape[0], dtype=bool)

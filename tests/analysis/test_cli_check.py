@@ -59,6 +59,16 @@ class TestExitCodes:
         assert err.startswith("repro check: unknown rule or prefix 'XX999'")
         assert err.count("\n") == 1
 
+    def test_removed_dataflow_flag_is_a_usage_error(self, capsys):
+        # The dataflow pass is gone; its flag must fail like any unknown
+        # option (argparse usage line, exit 2), not with a traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--dataflow"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "unrecognized arguments: --dataflow" in err
+
 
 class TestJSONFormat:
     def test_json_payload(self, seeded_kernels, capsys):
@@ -178,50 +188,6 @@ class TestPlansFlag:
         (tmp_path / "bench.py").write_text(BAD_PLAN)
         assert main(["check", str(tmp_path), "--plans", "--select", "PL"]) == 1
         assert main(["check", str(tmp_path), "--plans", "--ignore", "PL"]) == 0
-
-
-DF_HAZARD = (
-    "import numpy as np\n"
-    "def f(factors):\n"
-    "    return np.zeros((3, 4), dtype=np.float64)\n"
-)
-
-
-class TestDataflowFlag:
-    def test_seeded_violation_exits_one(self, tmp_path, capsys):
-        kdir = tmp_path / "kernels"
-        kdir.mkdir()
-        (kdir / "k.py").write_text(DF_HAZARD)
-        assert main(["check", str(tmp_path), "--dataflow"]) == 1
-        out = capsys.readouterr().out
-        assert "DF601" in out
-        assert ":3:" in out  # line of the allocation
-
-    def test_without_flag_dataflow_pass_is_off(self, tmp_path, capsys):
-        kdir = tmp_path / "kernels"
-        kdir.mkdir()
-        (kdir / "k.py").write_text(DF_HAZARD)
-        assert main(["check", str(tmp_path)]) == 0
-
-    def test_repo_self_hosted_dataflow_is_clean(self, capsys):
-        # The acceptance gate: the pass proves the repo's own kernel,
-        # CPD, executor, and tuner paths honour the precision contract.
-        assert main(["check", "--dataflow"]) == 0
-        assert "0 error(s), 0 warning(s)" in capsys.readouterr().out
-
-    def test_statistics_lists_df_family(self, tmp_path, capsys):
-        kdir = tmp_path / "kernels"
-        kdir.mkdir()
-        (kdir / "k.py").write_text(DF_HAZARD)
-        assert main(["check", str(tmp_path), "--dataflow", "--statistics"]) == 1
-        assert "DF: 1  (dtype & effect dataflow)" in capsys.readouterr().out
-
-    def test_select_df_family(self, tmp_path, capsys):
-        kdir = tmp_path / "kernels"
-        kdir.mkdir()
-        (kdir / "k.py").write_text(DF_HAZARD)
-        assert main(["check", str(tmp_path), "--dataflow", "--select", "DF"]) == 1
-        assert main(["check", str(tmp_path), "--dataflow", "--ignore", "DF"]) == 0
 
 
 class TestStatisticsFlag:

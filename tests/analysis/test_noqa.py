@@ -13,7 +13,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.runner import iter_python_files
 
-ALL_FAMILIES = {"KC", "HP", "PL", "DF", "DG"}
+ALL_FAMILIES = {"KC", "HP", "PL", "DG"}
 
 
 def _rules(diags):
@@ -79,11 +79,28 @@ class TestDG001:
         )
 
     def test_inactive_family_exempt(self):
-        # noqa[DF601] is not "unused" on a run that skipped --dataflow.
+        # noqa[PL401] is not "unused" on a run that skipped --plans.
         out = unused_suppression_diagnostics(
-            [], {2: {"DF601"}}, "k.py", {"KC", "HP", "DG"}
+            [], {2: {"PL401"}}, "k.py", {"KC", "HP", "DG"}
         )
         assert out == []
+
+    @pytest.mark.parametrize(
+        "stale",
+        [
+            "CT701",  # a deleted family's rule id
+            "HP399",  # a live family, no such rule
+            "XX999",  # no such family
+        ],
+    )
+    def test_unknown_rule_id_flagged(self, stale):
+        # An id outside the catalogue can never fire, whatever ran.
+        for active in (ALL_FAMILIES, set()):
+            (d,) = unused_suppression_diagnostics(
+                [], {2: {stale}}, "k.py", active
+            )
+            assert d.rule == "DG001" and d.line == 2
+            assert f"unknown rule id: {stale}" in d.message
 
     def test_runtime_family_always_exempt(self):
         out = unused_suppression_diagnostics(
@@ -118,17 +135,18 @@ class TestDG001ThroughRunner:
         result = run_check(paths=[tmp_path])
         assert result.diagnostics == []
 
-    def test_df_noqa_needs_dataflow_run_to_be_judged(self, tmp_path):
-        kdir = tmp_path / "kernels"
-        kdir.mkdir()
-        (kdir / "k.py").write_text(
+    def test_unknown_rule_noqa_reported(self, tmp_path):
+        # A noqa naming a deleted rule is stale on every run, not only
+        # on one whose pass would have produced it.
+        (tmp_path / "m.py").write_text(
             "import numpy as np\n"
             "def f(factors):\n"
-            "    return np.sum(factors[0])  # repro: noqa[DF601]\n"
+            "    return np.sum(factors[0])  # repro: noqa[CT701]\n"
         )
-        assert run_check(paths=[tmp_path]).diagnostics == []
-        result = run_check(paths=[tmp_path], dataflow=True)
-        assert _rules(result.diagnostics) == ["DG001"]
+        result = run_check(paths=[tmp_path])
+        (d,) = result.diagnostics
+        assert (d.rule, d.line) == ("DG001", 3)
+        assert "unknown rule id: CT701" in d.message
 
     def test_hp_noqa_outside_hot_path_exempt(self, tmp_path):
         # The HP pass never ran on a non-kernels file, so its noqa is

@@ -14,7 +14,7 @@ from repro.cli import main
 @pytest.fixture
 def diags():
     return [
-        Diagnostic("DF601", "src/repro/kernels/k.py", 12, 4, "pinned", hint="derive"),
+        Diagnostic("PL401", "src/repro/kernels/k.py", 12, 4, "gap", hint="derive"),
         Diagnostic("HP303", "src/repro/kernels/k.py", 2, 0, "no dtype"),
     ]
 
@@ -30,9 +30,9 @@ class TestLogShape:
         rules = to_sarif(diags)["runs"][0]["tool"]["driver"]["rules"]
         assert {r["id"] for r in rules} == set(RULES)
         by_id = {r["id"]: r for r in rules}
-        assert by_id["DF601"]["defaultConfiguration"]["level"] == "error"
+        assert by_id["PL401"]["defaultConfiguration"]["level"] == "error"
         assert by_id["HP303"]["defaultConfiguration"]["level"] == "warning"
-        assert by_id["DF601"]["shortDescription"]["text"] == RULES["DF601"].summary
+        assert by_id["PL401"]["shortDescription"]["text"] == RULES["PL401"].summary
 
     def test_rule_index_points_into_descriptors(self, diags):
         run = to_sarif(diags)["runs"][0]
@@ -45,7 +45,7 @@ class TestResults:
     def test_levels_follow_severity(self, diags):
         results = to_sarif(diags)["runs"][0]["results"]
         levels = {r["ruleId"]: r["level"] for r in results}
-        assert levels == {"DF601": "error", "HP303": "warning"}
+        assert levels == {"PL401": "error", "HP303": "warning"}
 
     def test_location_is_one_based(self, diags):
         (res, _) = to_sarif(diags)["runs"][0]["results"]

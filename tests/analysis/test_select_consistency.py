@@ -9,13 +9,14 @@ import pytest
 
 from repro.cli import main
 
-#: One file, findings in two families when --dataflow runs: HP303
-#: (dtype-less allocation on the hot path) and DF601 (float64 literal).
+#: One file, findings in two families when --plans runs: HP303
+#: (dtype-less allocation on the hot path) and PL401 (a literal grid
+#: whose boundaries leave a gap).
 MULTI_FAMILY = (
     "import numpy as np\n"
     "def f(factors):\n"
     "    scratch = np.zeros((3, 4))\n"
-    "    return np.zeros((3, 4), dtype=np.float64)\n"
+    "    return BlockGrid.from_boundaries((10,), [[0, 5, 9]])\n"
 )
 
 
@@ -52,29 +53,28 @@ def _rules_sarif(out: str) -> set[str]:
 class TestCrossFormatConsistency:
     def test_unfiltered_shows_both_families_everywhere(self, seeded, capsys):
         path = str(seeded)
-        _, text = _run(["check", path, "--dataflow"], capsys)
-        _, js = _run(["check", path, "--dataflow", "--format", "json"], capsys)
+        _, text = _run(["check", path, "--plans"], capsys)
+        _, js = _run(["check", path, "--plans", "--format", "json"], capsys)
         _, sarif = _run(
-            ["check", path, "--dataflow", "--format", "sarif"], capsys
+            ["check", path, "--plans", "--format", "sarif"], capsys
         )
-        expected = {"HP303", "DF601"}
+        expected = {"HP303", "PL401"}
         assert expected <= _rules_text(text)
         assert _rules_json(js) == _rules_sarif(sarif)
         assert expected <= _rules_json(js)
 
     @pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
     def test_select_mixed_rule_list(self, seeded, capsys, fmt):
-        """--select PL401,DF601: only the named rules survive, in every
-        format (PL contributes none here — the file constructs no
-        plans)."""
+        """--select KC101,PL401: only the named rules survive, in every
+        format (KC contributes none here — the file registers no
+        kernels)."""
         code, out = _run(
             [
                 "check",
                 str(seeded),
-                "--dataflow",
                 "--plans",
                 "--select",
-                "PL401,DF601",
+                "KC101,PL401",
                 "--format",
                 fmt,
             ],
@@ -86,24 +86,24 @@ class TestCrossFormatConsistency:
             "json": _rules_json,
             "sarif": _rules_sarif,
         }[fmt](out)
-        assert "DF601" in rules
+        assert "PL401" in rules
         assert "HP303" not in rules
 
     @pytest.mark.parametrize("fmt", ["json", "sarif"])
     def test_ignore_matches_select_complement(self, seeded, capsys, fmt):
         path = str(seeded)
         _, ignored = _run(
-            ["check", path, "--dataflow", "--ignore", "HP", "--format", fmt],
+            ["check", path, "--plans", "--ignore", "HP", "--format", fmt],
             capsys,
         )
         _, selected = _run(
-            ["check", path, "--dataflow", "--select", "DF", "--format", fmt],
+            ["check", path, "--plans", "--select", "PL", "--format", fmt],
             capsys,
         )
         extract = {"json": _rules_json, "sarif": _rules_sarif}[fmt]
         rules = extract(ignored)
         assert rules == extract(selected)
-        assert "DF601" in rules
+        assert "PL401" in rules
         assert not {r for r in rules if r.startswith("HP")}
 
     def test_select_everything_ignored_is_clean(self, seeded, capsys):
@@ -112,9 +112,9 @@ class TestCrossFormatConsistency:
                 [
                     "check",
                     str(seeded),
-                    "--dataflow",
+                    "--plans",
                     "--ignore",
-                    "HP,DF",
+                    "HP,PL",
                     "--format",
                     fmt,
                 ],
@@ -129,15 +129,15 @@ class TestStatisticsRespectSelection:
             [
                 "check",
                 str(seeded),
-                "--dataflow",
+                "--plans",
                 "--select",
-                "DF601",
+                "PL401",
                 "--statistics",
             ],
             capsys,
         )
         assert code == 1
-        assert "DF: 1" in out
+        assert "PL: 1" in out
         assert "HP:" not in out
 
     def test_json_statistics_only_selected_family(self, seeded, capsys):
@@ -145,7 +145,7 @@ class TestStatisticsRespectSelection:
             [
                 "check",
                 str(seeded),
-                "--dataflow",
+                "--plans",
                 "--select",
                 "HP",
                 "--statistics",
@@ -161,9 +161,9 @@ class TestStatisticsRespectSelection:
             [
                 "check",
                 str(seeded),
-                "--dataflow",
+                "--plans",
                 "--ignore",
-                "DF",
+                "PL",
                 "--statistics",
                 "--format",
                 "json",

@@ -38,6 +38,16 @@ KERNEL_PARAMS: dict[str, dict] = {
 }
 
 
+#: The counters one instrumented ``execute`` emits (``_traced_execute``).
+KERNEL_COUNTERS = {
+    "kernel.calls",
+    "kernel.nonzeros",
+    "kernel.fibers",
+    "kernel.gathers",
+    "kernel.factor_bytes",
+}
+
+
 class TestKernelHook:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
     @pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
@@ -68,6 +78,10 @@ class TestKernelHook:
         assert tracer.counters["kernel.factor_bytes"] == (
             (gathers + distinct_out) * RANK * itemsize
         )
+        # Emission is per call: one span and the five per-call counters,
+        # nothing per block, strip, row or nonzero.
+        assert set(tracer.counters) == KERNEL_COUNTERS
+        assert tracer.span_counts() == {"mttkrp": 1}
 
     def test_every_registered_kernel_is_instrumented(self):
         from repro.kernels.base import KERNELS
@@ -194,3 +208,63 @@ class TestCPDHooks:
         assert len(tracer.spans_named("exec.parallel")) == 3 * res.n_iters
         # ...with per-worker spans underneath.
         assert len(tracer.spans_named("exec.worker")) >= 3 * res.n_iters
+
+
+class _CallCountingTracer(Tracer):
+    """Also records how many times each counter is bumped, which the
+    accumulated value alone cannot show."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.count_calls: dict[str, int] = {}
+
+    def count(self, name: str, value: float = 1) -> None:
+        super().count(name, value)
+        with self._lock:
+            self.count_calls[name] = self.count_calls.get(name, 0) + 1
+
+
+def _run_als_path(path: str, tensor) -> _CallCountingTracer:
+    from repro.cpd import cp_als
+    from repro.dist import ProcessGrid, distributed_cp_als
+    from repro.machine import power8_socket
+
+    tracer = _CallCountingTracer()
+    with use_tracer(tracer):
+        if path == "dist-sim":
+            distributed_cp_als(
+                tensor,
+                RANK,
+                ProcessGrid((2, 1, 1)),
+                power8_socket(),
+                n_iters=1,
+                tol=0.0,
+                seed=0,
+            )
+        else:
+            n_threads = 2 if path == "threads" else 1
+            cp_als(tensor, RANK, n_iters=1, tol=0.0, seed=0, n_threads=n_threads)
+    return tracer
+
+
+class TestEmissionScale:
+    @pytest.mark.parametrize(
+        "path",
+        ["serial", pytest.param("threads", marks=pytest.mark.parallel_exec), "dist-sim"],
+    )
+    def test_als_emission_does_not_scale_with_nnz(self, path):
+        """One ALS iteration emits the same spans and counter calls on a
+        tensor with 4x the nonzeros (and 2x every mode length): tracer
+        emission sits at per-call granularity everywhere on the path."""
+        from repro.obs import COUNTER_UNITS
+        from repro.tensor import uniform_random_tensor
+
+        small = uniform_random_tensor((12, 16, 14), 300, seed=3)
+        large = uniform_random_tensor((24, 32, 28), 1200, seed=3)
+        assert large.nnz >= 4 * small.nnz
+        traces = [_run_als_path(path, t) for t in (small, large)]
+        assert traces[0].span_counts() == traces[1].span_counts()
+        assert set(traces[0].counters) == set(traces[1].counters)
+        assert traces[0].count_calls == traces[1].count_calls
+        # Every counter on the path is a documented one.
+        assert set(traces[0].counters) <= set(COUNTER_UNITS)

@@ -4,11 +4,14 @@ Multi-dimensional blocking requires "the nonzeros in each block [to be]
 stored continuously"; the paper stresses that this rearrangement is cheap
 (one sort) compared to graph-partitioning reorderings and is amortized
 over the 10-1000s of CPD iterations.  :func:`partition_coo` performs that
-rearrangement and compresses each block into the SPLATT layout, producing
-the :class:`BlockedTensor` the MB kernels execute.
+rearrangement literally as one sort: a single
+:func:`~repro.tensor.coo.lex_order` over (block rank in the MB loop order,
+output, fiber, inner coordinate) leaves every block contiguous and sorted
+inside, so cutting at block changes and compressing each run into the
+SPLATT layout yields the :class:`BlockedTensor` the MB kernels execute.
 
-Block indices stay **global**: factor matrices are indexed directly, and
-the cache model sees each block's distinct-row working sets.
+Block sub-tensors hold **local** indices (global minus the block's lower
+bounds); execution slices each factor matrix to the block's bounds.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.blocking.grid import BlockGrid
-from repro.tensor.coo import COOTensor
-from repro.tensor.splatt import SplattTensor
+from repro.tensor.coo import COOTensor, lex_order
+from repro.tensor.splatt import SplattTensor, orientation
 from repro.util.errors import ShapeError
-from repro.util.validation import check_mode
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class NDBlock:
 def partition_coo_nd(tensor: COOTensor, grid: BlockGrid) -> list[NDBlock]:
     """Reorganize an N-mode COO tensor into local-coordinate blocks.
 
-    The order-agnostic core of :func:`partition_coo` — blocks carry plain
+    The order-agnostic counterpart of :func:`partition_coo` — blocks carry plain
     COO sub-tensors (local coordinates, block-sized shapes) so any format
     can be built per block; the blocked CSF kernel uses this for the
     paper's "trivially extended to higher-order data" claim.  Non-empty
@@ -154,7 +156,8 @@ def partition_coo(
     Blocks are emitted in an order that iterates output-mode block
     coordinates outermost (so consecutive blocks share their slice of
     ``A``), then fiber-mode, then inner-mode — the loop order the MB
-    kernel uses.
+    kernel uses; each is compressed straight from the one sort (see the
+    module docstring).  A one-block grid yields its block even if empty.
 
     Parameters
     ----------
@@ -165,27 +168,47 @@ def partition_coo(
     """
     if tensor.order != 3:
         raise ShapeError("multi-dimensional blocking is implemented for 3 modes")
-    output_mode = check_mode(output_mode, 3)
-    if inner_mode is None:
-        inner_mode = (output_mode + 1) % 3
-    inner_mode = check_mode(inner_mode, 3)
-    if inner_mode == output_mode:
-        raise ShapeError("inner mode must differ from output mode")
-    fiber_mode = 3 - output_mode - inner_mode
-
-    # Loop-order priority: output block outermost, then fiber, then inner.
-    nd_blocks = sorted(
-        partition_coo_nd(tensor, grid),
-        key=lambda b: (
-            b.coords[output_mode], b.coords[fiber_mode], b.coords[inner_mode]
-        ),
-    )
-    blocks = [
-        TensorBlock(
-            coords=b.coords,
-            bounds=b.bounds,
-            splatt=SplattTensor.from_coo(b.tensor, output_mode, inner_mode),
+    output_mode, inner_mode, fiber_mode = orientation(output_mode, inner_mode)
+    if grid.shape != tensor.shape:
+        raise ShapeError(
+            f"grid shape {grid.shape} does not match tensor shape {tensor.shape}"
         )
-        for b in nd_blocks
-    ]
+    if grid.n_blocks == 1:
+        splatt = SplattTensor.from_coo(tensor, output_mode, inner_mode)
+        block = TensorBlock((0, 0, 0), grid.block_bounds((0, 0, 0)), splatt)
+        return BlockedTensor(grid, [block], output_mode, inner_mode, fiber_mode)
+
+    # Block rank in the MB loop order: output block outermost, then
+    # fiber, then inner.
+    loop = (output_mode, fiber_mode, inner_mode)
+    loop_counts = [grid.block_counts[m] for m in loop]
+    per_mode = np.unravel_index(grid.block_of(tensor.indices), grid.block_counts)
+    rank = np.ravel_multi_index([per_mode[m] for m in loop], loop_counts)
+    del per_mode  # each nnz-sized temporary goes before the next is made
+    sizes = np.bincount(rank, minlength=grid.n_blocks)
+    ends = np.cumsum(sizes)
+    cols = [tensor.indices[:, m] for m in loop]
+    order = lex_order(
+        [rank, *cols], [grid.n_blocks, *(tensor.shape[m] for m in loop)]
+    )
+    del rank
+    i, k, j = (c[order] for c in cols)
+    vals = tensor.values[order]
+    del order
+
+    blocks: list[TensorBlock] = []
+    for r in np.flatnonzero(sizes):
+        st, en = int(ends[r] - sizes[r]), int(ends[r])
+        loop_coords = np.unravel_index(r, loop_counts)
+        coords = tuple(int(loop_coords[loop.index(m)]) for m in range(3))
+        bounds = grid.block_bounds(coords)
+        # Re-base the block's run of the sorted copies to local indices.
+        local = [col[st:en] for col in (i, k, j)]
+        for col, m in zip(local, loop):
+            col -= bounds[m][0]
+        splatt = SplattTensor._from_sorted(
+            tuple(hi - lo for lo, hi in bounds), output_mode, inner_mode,
+            *local, vals[st:en],
+        )
+        blocks.append(TensorBlock(coords, bounds, splatt))
     return BlockedTensor(grid, blocks, output_mode, inner_mode, fiber_mode)

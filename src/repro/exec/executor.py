@@ -154,13 +154,13 @@ def _extract_rows(
     output mode starts at zero (other modes keep global coordinates, so
     workers share the full B/C factor matrices)."""
     rows = tensor.indices[:, mode]
-    sel = (rows >= lo) & (rows < hi)
-    indices = tensor.indices[sel].copy()
+    pos = np.flatnonzero((rows >= lo) & (rows < hi))
+    indices = tensor.indices.take(pos, axis=0)
     indices[:, mode] -= lo
     shape = tuple(
         (hi - lo) if m == mode else s for m, s in enumerate(tensor.shape)
     )
-    return COOTensor(shape, indices, tensor.values[sel], validate=False)
+    return COOTensor(shape, indices, tensor.values.take(pos), validate=False)
 
 
 def _run_task(
@@ -328,7 +328,23 @@ class ParallelExecutor:
         sub-plan is built.  ``params`` go to the kernel's ``prepare``
         for every sub-tensor (block counts are clamped per sub-shape by
         the kernels themselves).
+
+        When a tracer is active the call is recorded as one
+        ``exec.prepare`` span.
         """
+        tracer = current_tracer()
+        if not tracer.enabled:
+            return self._prepare(tensor, mode, kernel, thread_ranges, params)
+        name = kernel if isinstance(kernel, str) else kernel.name
+        with tracer.span("exec.prepare", kernel=name, nnz=tensor.nnz) as sp:
+            pplan = self._prepare(tensor, mode, kernel, thread_ranges, params)
+            sp.meta.update(mode=pplan.mode, n_tasks=len(pplan.tasks))
+        return pplan
+
+    def _prepare(
+        self, tensor: COOTensor, mode: int, kernel: "str | Kernel",
+        thread_ranges: "Sequence[tuple[int, int]] | None", params: dict[str, object],
+    ) -> ParallelPlan:
         from repro.analysis.plans import verify_thread_ranges
 
         kern = get_kernel(kernel) if isinstance(kernel, str) else kernel

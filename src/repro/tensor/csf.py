@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.tensor.coo import COOTensor
+from repro.tensor.coo import COOTensor, lex_order
 from repro.util.errors import FormatError, ShapeError
 from repro.util.validation import INDEX_DTYPE, check_shape, value_dtype_of
 
@@ -85,8 +85,11 @@ class CSFTensor:
     ) -> "CSFTensor":
         """Compress a COO tensor given a mode ordering (root mode first).
 
-        The default ordering is ``(0, 1, ..., N-1)``.  SPLATT's heuristic of
-        sorting modes by length (shortest at the root) can be had by passing
+        Nonzeros are sorted along ``mode_order`` with
+        :func:`repro.tensor.coo.lex_order`; duplicate coordinates stay
+        separate leaves in their input order.  The default ordering is
+        ``(0, 1, ..., N-1)``.  SPLATT's heuristic of sorting modes by
+        length (shortest at the root) can be had by passing
         ``np.argsort(coo.shape)``.
         """
         order = len(coo.shape)
@@ -100,23 +103,7 @@ class CSFTensor:
 
         cols = [coo.indices[:, m] for m in mode_order]
         nnz = coo.nnz
-        if nnz == 0:
-            levels = [
-                CSFLevel(
-                    np.empty(0, dtype=INDEX_DTYPE), np.zeros(1, dtype=INDEX_DTYPE)
-                )
-                for _ in range(order - 1)
-            ]
-            return cls(
-                coo.shape,
-                mode_order,
-                levels,
-                np.empty(0, dtype=INDEX_DTYPE),
-                np.empty(0, dtype=coo.values.dtype),
-                validate=False,
-            )
-
-        perm = np.lexsort(tuple(reversed(cols)))
+        perm = lex_order(cols, [coo.shape[m] for m in mode_order])
         cols = [c[perm] for c in cols]
         vals = coo.values[perm]
 
@@ -124,8 +111,7 @@ class CSFTensor:
         # node begins at level l, i.e. where any of the first l+1 sorted
         # coordinates changed.  By construction starts[l] is a subset of
         # starts[l+1]: a new node at a level forces a new node below it.
-        prefix_change = np.zeros(nnz, dtype=bool)
-        prefix_change[0] = True
+        prefix_change = np.arange(nnz) == 0
         starts_per_level: list[np.ndarray] = []
         for lvl in range(order - 1):
             prefix_change[1:] |= cols[lvl][1:] != cols[lvl][:-1]

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.tensor.coo import COOTensor
+from repro.tensor.coo import COOTensor, lex_order
 from repro.util.errors import FormatError, ShapeError
 from repro.util.validation import (
     INDEX_DTYPE,
@@ -41,6 +41,18 @@ from repro.util.validation import (
     check_shape,
     value_dtype_of,
 )
+
+
+def orientation(output_mode: int, inner_mode: int | None = None) -> tuple[int, int, int]:
+    """Validated ``(output, inner, fiber)`` modes of a 3-mode layout; the
+    inner mode defaults to ``(output_mode + 1) % 3``."""
+    output_mode = check_mode(output_mode, 3)
+    if inner_mode is None:
+        inner_mode = (output_mode + 1) % 3
+    inner_mode = check_mode(inner_mode, 3)
+    if inner_mode == output_mode:
+        raise ShapeError("inner mode must differ from output mode")
+    return output_mode, inner_mode, 3 - output_mode - inner_mode
 
 
 class SplattTensor:
@@ -107,47 +119,40 @@ class SplattTensor:
     ) -> "SplattTensor":
         """Compress a COO tensor into the SPLATT layout for one output mode.
 
-        Nonzeros are sorted by ``(output, fiber, inner)`` coordinate; runs
-        with equal ``(output, fiber)`` become fibers.  Duplicate coordinates
-        are preserved as separate nonzeros (deduplicate the COO first if
-        that matters).
+        Nonzeros are sorted by ``(output, fiber, inner)`` coordinate with
+        :func:`repro.tensor.coo.lex_order`; runs with equal ``(output,
+        fiber)`` become fibers.  Duplicate coordinates are preserved as
+        separate nonzeros in their input order (deduplicate the COO first
+        if that matters).
         """
         if coo.order != 3:
             raise ShapeError(f"SPLATT format is 3-mode only, got order {coo.order}")
-        output_mode = check_mode(output_mode, 3)
-        if inner_mode is None:
-            inner_mode = (output_mode + 1) % 3
-        inner_mode = check_mode(inner_mode, 3)
-        if inner_mode == output_mode:
-            raise ShapeError("inner mode must differ from output mode")
-        fiber_mode = 3 - output_mode - inner_mode
-
+        output_mode, inner_mode, fiber_mode = orientation(output_mode, inner_mode)
         i = coo.indices[:, output_mode]
         k = coo.indices[:, fiber_mode]
         j = coo.indices[:, inner_mode]
-        order = np.lexsort((j, k, i))
-        i, k, j = i[order], k[order], j[order]
-        vals = coo.values[order]
+        order = lex_order(
+            (i, k, j),
+            (coo.shape[output_mode], coo.shape[fiber_mode], coo.shape[inner_mode]),
+        )
+        return cls._from_sorted(
+            coo.shape, output_mode, inner_mode,
+            i[order], k[order], j[order], coo.values[order],
+        )
+
+    @classmethod
+    def _from_sorted(
+        cls, shape: Sequence[int], output_mode: int, inner_mode: int,
+        i: np.ndarray, k: np.ndarray, j: np.ndarray, vals: np.ndarray,
+    ) -> "SplattTensor":
+        """Compress nonzeros already sorted by ``(i, k, j)``: output,
+        fiber and inner coordinate (the per-block step of
+        :func:`repro.blocking.partition.partition_coo`)."""
         nnz = vals.shape[0]
-        n_rows = coo.shape[output_mode]
-
-        if nnz == 0:
-            return cls(
-                coo.shape,
-                output_mode,
-                inner_mode,
-                fiber_mode,
-                np.zeros(n_rows + 1, dtype=INDEX_DTYPE),
-                np.empty(0, dtype=INDEX_DTYPE),
-                np.zeros(1, dtype=INDEX_DTYPE),
-                np.empty(0, dtype=INDEX_DTYPE),
-                np.empty(0, dtype=coo.values.dtype),
-                validate=False,
-            )
-
+        n_rows = shape[output_mode]
         # A nonzero starts a new fiber when (i, k) differs from its predecessor.
         new_fiber = np.empty(nnz, dtype=bool)
-        new_fiber[0] = True
+        new_fiber[:1] = True
         np.logical_or(i[1:] != i[:-1], k[1:] != k[:-1], out=new_fiber[1:])
         fiber_starts = np.flatnonzero(new_fiber)
         fiber_kidx = k[fiber_starts]
@@ -160,10 +165,10 @@ class SplattTensor:
         np.cumsum(fibers_per_row, out=row_ptr[1:])
 
         return cls(
-            coo.shape,
+            shape,
             output_mode,
             inner_mode,
-            fiber_mode,
+            3 - output_mode - inner_mode,
             row_ptr,
             fiber_kidx,
             fiber_ptr,

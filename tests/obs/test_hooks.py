@@ -128,6 +128,27 @@ class TestExecutorHook:
         assert tracer.counters["exec.workers"] == len(pplan.tasks)
         assert np.isfinite(result).all()
 
+    @pytest.mark.parametrize("kernel", ["splatt", "mb"])
+    def test_prepare_records_one_span(self, tensor, kernel):
+        from repro.exec import ParallelExecutor
+
+        executor = ParallelExecutor(n_threads=2, backend="serial")
+        params = {"block_counts": (2, 2, 2)} if kernel == "mb" else {}
+        tracer = Tracer()
+        with use_tracer(tracer):
+            pplans = [executor.prepare(tensor, m, kernel, **params) for m in (0, 2)]
+        assert tracer.span_counts() == {"exec.prepare": 2}
+        for span, pplan in zip(tracer.spans_named("exec.prepare"), pplans):
+            assert span.meta == {
+                "kernel": kernel,
+                "nnz": tensor.nnz,
+                "mode": pplan.mode,
+                "n_tasks": len(pplan.tasks),
+            }
+        # Disabled tracer: prepare records nothing.
+        executor.prepare(tensor, 1, kernel, **params)
+        assert tracer.span_counts() == {"exec.prepare": 2}
+
     def test_process_backend_synthesizes_worker_spans(self, tensor, factors):
         from repro.exec import ParallelExecutor
 

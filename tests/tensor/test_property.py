@@ -1,10 +1,14 @@
 """Property-based tests for the tensor formats (hypothesis)."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.blocking import BlockGrid, partition_coo
 from repro.tensor import COOTensor, CSFTensor, SplattTensor
+from repro.tensor.coo import lex_order
 
 
 @st.composite
@@ -87,3 +91,181 @@ def test_slice_nnz_partitions_nonzeros(t):
         counts = t.slice_nnz(mode)
         assert counts.shape[0] == t.shape[mode]
         assert counts.sum() == t.nnz
+
+
+# ----------------------------------------------------------------------
+# lex_order: the one nonzero sort, pinned to np.lexsort's permutation
+# ----------------------------------------------------------------------
+@st.composite
+def sort_columns(draw):
+    """Shuffled coordinate columns over tiny extents (duplicates common)."""
+    order = draw(st.integers(1, 5))
+    extents = [draw(st.integers(1, 4)) for _ in range(order)]
+    nnz = draw(st.integers(0, 60))
+    cols = [
+        np.array(
+            draw(st.lists(st.integers(0, e - 1), min_size=nnz, max_size=nnz)),
+            dtype=np.int64,
+        )
+        for e in extents
+    ]
+    shuffle = np.array(draw(st.permutations(range(nnz))), dtype=np.int64)
+    return [c[shuffle] for c in cols], extents
+
+
+@given(sort_columns())
+@settings(max_examples=200, deadline=None)
+def test_lex_order_equals_lexsort(case):
+    cols, extents = case
+    order = lex_order(cols, extents)
+    np.testing.assert_array_equal(order, np.lexsort(cols[::-1]))
+
+
+def _splatt_reference(shape, out, inner, idx, vals):
+    """SPLATT arrays built independently of the library: lexsort by
+    (output, fiber, inner), then compress runs of equal (output, fiber)."""
+    fiber = 3 - out - inner
+    perm = np.lexsort((idx[:, inner], idx[:, fiber], idx[:, out]))
+    i, k, j = idx[perm][:, [out, fiber, inner]].T
+    starts = np.flatnonzero(
+        np.r_[True, (i[1:] != i[:-1]) | (k[1:] != k[:-1])]
+    ) if i.size else np.empty(0, dtype=np.int64)
+    row_ptr = np.r_[0, np.cumsum(np.bincount(i[starts], minlength=shape[out]))]
+    return {
+        "row_ptr": row_ptr,
+        "fiber_kidx": k[starts],
+        "fiber_ptr": np.r_[starts, i.size],
+        "jidx": j,
+        "vals": vals[perm],
+    }
+
+
+def _assert_splatt_equal(splatt, ref):
+    for name, expected in ref.items():
+        np.testing.assert_array_equal(getattr(splatt, name), expected, err_msg=name)
+
+
+@st.composite
+def partition_cases(draw):
+    """A 3-mode tensor with duplicate coordinates likely, a uniform or
+    explicit-boundary grid over it, and an orientation."""
+    shape = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    nnz = draw(st.integers(0, 60))
+    idx = np.array(
+        [
+            draw(st.lists(st.integers(0, e - 1), min_size=nnz, max_size=nnz))
+            for e in shape
+        ],
+        dtype=np.int64,
+    ).T.reshape(nnz, 3)
+    vals = np.arange(1, nnz + 1, dtype=np.float64)
+    tensor = COOTensor(shape, idx, vals)
+    if draw(st.booleans()):
+        grid = BlockGrid(shape, [draw(st.integers(1, e)) for e in shape])
+    else:
+        grid = BlockGrid.from_boundaries(
+            shape,
+            [
+                [0, *sorted(draw(st.sets(st.integers(1, e - 1), max_size=3))), e]
+                if e > 1
+                else [0, 1]
+                for e in shape
+            ],
+        )
+    out = draw(st.integers(0, 2))
+    inner = draw(st.sampled_from([m for m in range(3) if m != out]))
+    return tensor, grid, out, inner
+
+
+@given(partition_cases())
+@settings(max_examples=150, deadline=None)
+def test_partition_coo_matches_per_block_lexsort(case):
+    tensor, grid, out, inner = case
+    fiber = 3 - out - inner
+    blocked = partition_coo(tensor, grid, out, inner)
+    # Reference: every block in (output, fiber, inner) loop order,
+    # filtered, re-based to local coordinates, lexsorted and compressed.
+    loop_order = sorted(
+        itertools.product(*(range(n) for n in grid.block_counts)),
+        key=lambda c: (c[out], c[fiber], c[inner]),
+    )
+    expected = []
+    for coords in loop_order:
+        bounds = grid.block_bounds(coords)
+        mask = np.ones(tensor.nnz, dtype=bool)
+        for m, (lo, hi) in enumerate(bounds):
+            mask &= (tensor.indices[:, m] >= lo) & (tensor.indices[:, m] < hi)
+        if grid.n_blocks > 1 and not mask.any():
+            continue
+        lows = np.array([lo for lo, _ in bounds])
+        block_shape = tuple(hi - lo for lo, hi in bounds)
+        ref = _splatt_reference(
+            block_shape, out, inner, tensor.indices[mask] - lows, tensor.values[mask]
+        )
+        expected.append((coords, bounds, block_shape, ref))
+    assert [b.coords for b in blocked.blocks] == [e[0] for e in expected]
+    for block, (coords, bounds, block_shape, ref) in zip(blocked.blocks, expected):
+        assert block.bounds == bounds
+        assert block.splatt.shape == block_shape
+        _assert_splatt_equal(block.splatt, ref)
+    assert blocked.nnz == tensor.nnz
+
+
+# ----------------------------------------------------------------------
+# The int64-overflow guard: Amazon's paper dimensions (4.8M x 1.8M x 1.8M)
+# ----------------------------------------------------------------------
+AMAZON_SHAPE = (4_821_207, 1_774_269, 1_805_187)
+
+
+def _amazon_corner_tensor():
+    """A few dozen nonzeros in the top 45% of every extent, some repeated.
+    The product of the extents exceeds 2**63, and the leading coordinates
+    straddle the point where a packed key would wrap, so a sort on an
+    unguarded packed key orders them wrongly."""
+    rng = np.random.default_rng(7)
+    idx = np.stack(
+        [rng.integers(int(0.55 * e), e, size=40) for e in AMAZON_SHAPE], axis=1
+    )
+    idx = np.concatenate([idx, idx[::5]])[rng.permutation(48)]
+    return COOTensor(AMAZON_SHAPE, idx, np.arange(1.0, 49.0))
+
+
+def test_lex_order_overflow_guard_matches_lexsort():
+    assert np.prod([float(e) for e in AMAZON_SHAPE]) > 2.0**63
+    t = _amazon_corner_tensor()
+    cols = [t.indices[:, m] for m in range(3)]
+    ref = np.lexsort(cols[::-1])
+    np.testing.assert_array_equal(lex_order(cols, AMAZON_SHAPE), ref)
+
+    s = t.sort()
+    np.testing.assert_array_equal(s.indices, t.indices[ref])
+    np.testing.assert_array_equal(s.values, t.values[ref])
+
+    d = t.deduplicate()
+    rows, first, group = np.unique(
+        t.indices[ref], axis=0, return_index=True, return_inverse=True
+    )
+    summed = np.zeros(rows.shape[0])
+    np.add.at(summed, group.ravel(), t.values[ref])
+    assert d.nnz == rows.shape[0] < t.nnz
+    np.testing.assert_array_equal(d.indices, rows)
+    np.testing.assert_array_equal(d.values, summed)
+
+    # CSF over (0, 1, 2) is the SPLATT layout with output 0, fiber 1,
+    # inner 2 (levels: slices, fibers, leaves).
+    csf = CSFTensor.from_coo(t)
+    ref_csf = _splatt_reference(t.shape, 0, 2, t.indices, t.values)
+    np.testing.assert_array_equal(csf.levels[0].fids, np.unique(t.indices[:, 0]))
+    np.testing.assert_array_equal(csf.levels[0].fptr, np.unique(ref_csf["row_ptr"]))
+    np.testing.assert_array_equal(csf.levels[1].fids, ref_csf["fiber_kidx"])
+    np.testing.assert_array_equal(csf.levels[1].fptr, ref_csf["fiber_ptr"])
+    np.testing.assert_array_equal(csf.leaf_fids, ref_csf["jidx"])
+    np.testing.assert_array_equal(csf.vals, ref_csf["vals"])
+
+
+def test_splatt_overflow_guard_matches_lexsort():
+    t = _amazon_corner_tensor()
+    for out in (1, 2):
+        splatt = SplattTensor.from_coo(t, output_mode=out)
+        ref = _splatt_reference(t.shape, out, (out + 1) % 3, t.indices, t.values)
+        _assert_splatt_equal(splatt, ref)

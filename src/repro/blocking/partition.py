@@ -17,11 +17,13 @@ bounds); execution slices each factor matrix to the block's bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.blocking.grid import BlockGrid
 from repro.tensor.coo import COOTensor, lex_order
+from repro.tensor.csf import CSFTensor
 from repro.tensor.splatt import SplattTensor, orientation
 from repro.util.errors import ShapeError
 
@@ -87,61 +89,63 @@ class BlockedTensor:
 
 @dataclass(frozen=True)
 class NDBlock:
-    """One N-mode block in local coordinates."""
+    """One N-mode block: its grid coordinates and index bounds."""
 
     coords: tuple[int, ...]
     bounds: tuple[tuple[int, int], ...]
-    tensor: COOTensor
 
 
-def partition_coo_nd(tensor: COOTensor, grid: BlockGrid) -> list[NDBlock]:
-    """Reorganize an N-mode COO tensor into local-coordinate blocks.
+def partition_coo_nd(
+    tensor: COOTensor, grid: BlockGrid, mode_order: Sequence[int]
+) -> list[tuple[NDBlock, CSFTensor]]:
+    """Reorganize an N-mode COO tensor into CSF-compressed blocks.
 
-    The order-agnostic counterpart of :func:`partition_coo` — blocks carry plain
-    COO sub-tensors (local coordinates, block-sized shapes) so any format
-    can be built per block; the blocked CSF kernel uses this for the
-    paper's "trivially extended to higher-order data" claim.  Non-empty
-    blocks are emitted in C order over the grid coordinates; a one-block
-    grid yields that block (empty or not) over the tensor itself.
+    The order-agnostic counterpart of :func:`partition_coo`, for the
+    blocked CSF kernel (the paper's "trivially extended to higher-order
+    data" claim): one :func:`~repro.tensor.coo.lex_order` over (flat block
+    id, coordinates along ``mode_order``) leaves every block contiguous
+    and sorted inside, and each run is compressed into a CSF tree with
+    local coordinates and a block-sized shape, with no second sort.
+    Non-empty blocks are emitted in C order over the grid coordinates; a
+    one-block grid yields that block (empty or not) over the tensor
+    itself.
     """
     if grid.shape != tensor.shape:
         raise ShapeError(
             f"grid shape {grid.shape} does not match tensor shape {tensor.shape}"
         )
+    mode_order = tuple(int(m) for m in mode_order)
     if grid.n_blocks == 1:
-        # One block covering the tensor: its own arrays, with no block
-        # ids, sort or gather (the unblocked kernels' path).
+        # One block covering the tensor: no block ids and no gather (the
+        # unblocked kernels' path).
         coords = (0,) * grid.order
-        return [NDBlock(coords, grid.block_bounds(coords), tensor)]
+        block = NDBlock(coords, grid.block_bounds(coords))
+        return [(block, CSFTensor.from_coo(tensor, mode_order))]
     flat = grid.block_of(tensor.indices)
-    order = np.argsort(flat, kind="stable")
-    flat_sorted = flat[order]
-    if flat_sorted.shape[0]:
-        starts = np.flatnonzero(
-            np.concatenate(([True], flat_sorted[1:] != flat_sorted[:-1]))
-        )
-    else:
-        starts = np.empty(0, dtype=np.int64)
-    ends = np.concatenate((starts[1:], [flat_sorted.shape[0]]))
+    sizes = np.bincount(flat, minlength=grid.n_blocks)
+    ends = np.cumsum(sizes)
+    cols = [tensor.indices[:, m] for m in mode_order]
+    order = lex_order(
+        [flat, *cols], [grid.n_blocks, *(tensor.shape[m] for m in mode_order)]
+    )
+    del flat
+    cols = [c[order] for c in cols]
+    vals = tensor.values[order]
+    del order
 
-    blocks: list[NDBlock] = []
-    for st, en in zip(starts, ends):
-        sel = order[int(st) : int(en)]
-        coords = grid.block_coords(int(flat_sorted[st]))
+    blocks: list[tuple[NDBlock, CSFTensor]] = []
+    for r in np.flatnonzero(sizes):
+        st, en = int(ends[r] - sizes[r]), int(ends[r])
+        coords = grid.block_coords(int(r))
         bounds = grid.block_bounds(coords)
-        offsets = np.asarray([b[0] for b in bounds], dtype=tensor.indices.dtype)
-        blocks.append(
-            NDBlock(
-                coords=coords,
-                bounds=bounds,
-                tensor=COOTensor(
-                    tuple(hi - lo for lo, hi in bounds),
-                    tensor.indices[sel] - offsets,
-                    tensor.values[sel],
-                    validate=False,
-                ),
-            )
+        # Re-base the block's run of the sorted copies to local indices.
+        local = [col[st:en] for col in cols]
+        for col, m in zip(local, mode_order):
+            col -= bounds[m][0]
+        csf = CSFTensor._from_sorted(
+            tuple(hi - lo for lo, hi in bounds), mode_order, local, vals[st:en]
         )
+        blocks.append((NDBlock(coords, bounds), csf))
     return blocks
 
 

@@ -25,10 +25,13 @@ MTTKRP calls of a CP-ALS run, exactly as with the serial kernels.
 Backends
 --------
 ``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  NumPy releases
-    the GIL inside the large ``reduceat``/gather chunks that dominate
-    every kernel's inner loop, so threads overlap the heavy lifting even
-    though the orchestration is Python.
+    A :class:`~concurrent.futures.ThreadPoolExecutor`.  The GIL is
+    released inside the compiled fiber reduction (scipy's
+    ``csr_matvecs``, called by :func:`repro.kernels.base.fiber_sums`)
+    that runs lines 5-7 of Algorithm 1 for the SPLATT and CSF kernels,
+    and inside NumPy's large ``reduceat``/gather calls (lines 8-9, the
+    COO kernel, the internal CSF levels), so threads overlap the heavy
+    lifting even though the orchestration is Python.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor` writing through
     :mod:`multiprocessing.shared_memory` — sidesteps the GIL entirely at

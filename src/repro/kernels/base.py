@@ -13,14 +13,25 @@ each execution phase (a block; unblocked kernels have exactly one) is
 summarized by its nonzero/fiber counts and the number of *distinct* factor
 rows it touches.  Those distinct counts are per-phase working sets, which
 is all the analytic cache model needs (DESIGN.md §3).
+
+:func:`fiber_sums` is the one compiled loop: lines 5-7 of Algorithm 1
+(``s += val * B[j]`` over each fiber) are the CSR product ``S @ B`` with
+``S = (vals, jidx, fiber_ptr)``, run by scipy's ``csr_matvecs``.  The
+extension is loaded by file path, so ``scipy/__init__.py`` and
+``scipy.sparse`` are never imported (:func:`load_csr_matvecs`).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.metadata
+import importlib.util
+import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from types import ModuleType
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +47,143 @@ from repro.util.validation import VALUE_DTYPE, check_mode, check_rank
 #: an ``nnz x R`` temporary through DRAM.  Kernel chunks end on output-row
 #: (or fiber) boundaries, so kernel outputs do not depend on this value.
 DEFAULT_SCRATCH_ELEMS = 1 << 16
+
+
+def _sparsetools_path() -> "str | None":
+    """File of scipy's compiled ``scipy.sparse._sparsetools`` extension,
+    found without executing ``scipy/__init__.py``; ``None`` if absent."""
+    spec = importlib.util.find_spec("scipy")
+    roots = (spec.submodule_search_locations or []) if spec is not None else []
+    for root in roots:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def load_csr_matvecs() -> Callable:
+    """scipy's compiled ``csr_matvecs(n_row, n_col, n_vecs, Ap, Aj, Ax, X,
+    Y)``, which computes ``Y += A @ X`` for a CSR matrix ``A`` and
+    releases the GIL while it runs.
+
+    The extension is loaded straight from its file, so neither
+    ``scipy/__init__.py`` nor ``scipy.sparse`` runs (together about 200 ms
+    and 22 MiB).  Raises :class:`ImportError` naming the installed scipy
+    version when the file or the symbol is missing; there is no fallback.
+    """
+    path = _sparsetools_path()
+    module: "ModuleType | None" = None
+    if path is not None:
+        # The module name must end in ``_sparsetools``: an extension's
+        # init function is found by that last component.
+        spec = importlib.util.spec_from_file_location(
+            "repro.kernels._sparsetools", path
+        )
+        if spec is not None and spec.loader is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+    matvecs = getattr(module, "csr_matvecs", None)
+    if matvecs is None:
+        try:
+            version = importlib.metadata.version("scipy")
+        except importlib.metadata.PackageNotFoundError:
+            version = "not installed"
+        raise ImportError(
+            f"scipy's compiled csr_matvecs was not found (scipy {version}, "
+            f"extension {path or 'missing'}); the MTTKRP kernels need the "
+            "scipy>=1.9 this package declares"
+        )
+    return matvecs
+
+
+_CSR_MATVECS = load_csr_matvecs()
+
+
+def seal_fibers(
+    ptr: np.ndarray, idx: np.ndarray, vals: np.ndarray, extent: int, where: str
+) -> None:
+    """Check that ``(ptr, idx, vals)`` is a CSR matrix with ``extent``
+    columns, then make the three arrays read-only.
+
+    :func:`fiber_sums` hands these arrays to compiled code that does no
+    bounds checks, so every plan runs this once when it is built: ``ptr``
+    starts at 0, never decreases and ends at ``len(idx)``, and every
+    leaf index lies in ``[0, extent)``.  Raises :class:`ShapeError`
+    naming ``where`` (the block and the mode) otherwise.
+    """
+    nnz = idx.shape[0]
+    if (
+        vals.shape[0] != nnz
+        or ptr.shape[0] == 0
+        or ptr[0] != 0
+        or ptr[-1] != nnz
+        or np.any(ptr[1:] < ptr[:-1])
+    ):
+        raise ShapeError(
+            f"{where}: fiber pointers are not a monotone partition of the "
+            f"{nnz} nonzeros"
+        )
+    if nnz and (idx.min() < 0 or idx.max() >= extent):
+        raise ShapeError(
+            f"{where}: leaf index outside [0, {extent}) "
+            f"(observed [{idx.min()}, {idx.max()}])"
+        )
+    for array in (ptr, idx, vals):
+        array.flags.writeable = False
+
+
+def fiber_sums(
+    ptr: np.ndarray,
+    idx: np.ndarray,
+    vals: np.ndarray,
+    X: np.ndarray,
+    n_cols: int,
+    bounds: "Sequence[int] | None" = None,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Lines 5-7 of Algorithm 1 as one compiled CSR product.
+
+    ``S = (vals, idx, ptr)`` has one row per fiber and ``n_cols`` columns:
+    ``S[f] @ X`` is the sum of ``vals[t] * X[idx[t]]`` over fiber ``f``'s
+    nonzeros, accumulated in nonzero order.  For each consecutive pair
+    ``f0, f1`` of ``bounds`` (default: all fibers in one piece) this
+    yields ``(f0, f1, S[f0:f1] @ X)``, a fresh array of ``X``'s dtype.
+
+    The arrays must have passed :func:`seal_fibers` with the same
+    ``n_cols``; here only O(1) checks run.  ``X`` is copied once when it
+    is not C-contiguous (a rank strip's column view), and the nonzero
+    values are cast one chunk at a time (float32 factors stay float32).
+
+    Compiled code reads ``X``'s buffer directly, past ``__getitem__``.  So
+    when ``X`` is not a plain ndarray (the sanitizer's guarded views), the
+    exact index stream is first replayed as ``X[idx]`` on the caller's
+    view: rules SZ502 and SZ506 then observe every row the loop reads.
+    """
+    if X.ndim != 2 or X.shape[0] != n_cols:
+        raise ShapeError(
+            f"operand has shape {X.shape}, the plan's leaf mode has {n_cols} rows"
+        )
+    if X.dtype not in SUPPORTED_FACTOR_DTYPES:
+        raise ShapeError(f"operand must be float32 or float64, got {X.dtype}")
+    if vals.dtype.kind != "f" or idx.dtype != ptr.dtype:
+        raise ShapeError(
+            f"CSR arrays have dtypes {ptr.dtype}/{idx.dtype}/{vals.dtype}"
+        )
+    if bounds is None:
+        bounds = (0, ptr.shape[0] - 1)
+    if type(X) is not np.ndarray:
+        X[idx[ptr[bounds[0]] : ptr[bounds[-1]]]]
+    X = np.ascontiguousarray(X)
+    n_vecs = X.shape[1]
+    for f0, f1 in zip(bounds[:-1], bounds[1:]):
+        lo, hi = int(ptr[f0]), int(ptr[f1])
+        Y = np.zeros((f1 - f0, n_vecs), dtype=X.dtype)
+        _CSR_MATVECS(
+            f1 - f0, n_cols, n_vecs,
+            ptr[f0 : f1 + 1] - lo, idx[lo:hi],
+            vals[lo:hi].astype(X.dtype, copy=False), X, Y,
+        )
+        yield f0, f1, Y
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ Karypis's CSF work shows one tree suffices: the output mode may sit at
 any level.  For a target level ``l`` the kernel runs two passes:
 
 * **up** (bottom-up): for each level-``l`` node, the sum over its leaves
-  of ``val * prod(factor rows of levels below l)`` — the same segmented
-  reduction as the root-mode kernel, stopped early;
+  of ``val * prod(factor rows of levels below l)`` — the same reduction
+  as the root-mode kernel, stopped early: its leaf level is the same
+  compiled CSR product (:func:`repro.kernels.base.fiber_sums`), the
+  levels above it NumPy ``reduceat`` calls;
 * **down** (top-down): for each level-``l`` node, the product of its
   ancestors' factor rows (levels above ``l``), propagated by repeating
   parent values over child ranges.
@@ -37,9 +39,11 @@ from repro.kernels.base import (
     alloc_output,
     check_factors,
     factor_dtype,
+    fiber_sums,
     register_kernel,
     reject_unknown_params,
 )
+from repro.kernels.csf_mttkrp import seal_leaves
 from repro.tensor.coo import COOTensor
 from repro.tensor.csf import CSFTensor
 
@@ -69,6 +73,7 @@ class CSFAnyPlan(Plan):
         self.target_level = csf.mode_order.index(mode)
         self.inner_mode = csf.mode_order[-1]
         self.fiber_mode = csf.mode_order[-2]
+        seal_leaves(csf, f"block {(0,) * csf.order}, mode {self.inner_mode}")
         self._stats: "list[BlockStats] | None" = None
 
     def block_stats(self) -> list[BlockStats]:
@@ -152,16 +157,17 @@ class CSFAnyKernel(Kernel):
             return A
         lvl = plan.target_level
         order = csf.order
-        # Values are stored float64; the cast keeps float32 factor runs
-        # float32 end-to-end (no-op view for float64).
-        vals = csf.vals.astype(A.dtype, copy=False)
 
         # ---- up pass: subtree sums below the target level --------------
         if lvl == order - 1:
             up = None  # leaves carry raw values; handled in the combine
         else:
-            prod = vals[:, None] * factors[csf.mode_order[-1]][csf.leaf_fids]
-            up = np.add.reduceat(prod, csf.levels[-1].fptr[:-1], axis=0)
+            # Leaves -> last internal level: the compiled CSR product.
+            leaf_mode = csf.mode_order[-1]
+            [(_, _, up)] = fiber_sums(
+                csf.levels[-1].fptr, csf.leaf_fids, csf.vals,
+                factors[leaf_mode], csf.shape[leaf_mode],
+            )
             for m in range(order - 2, lvl, -1):
                 up = up * factors[csf.mode_order[m]][csf.levels[m].fids]
                 up = np.add.reduceat(up, csf.levels[m - 1].fptr[:-1], axis=0)
@@ -184,7 +190,9 @@ class CSFAnyKernel(Kernel):
         if lvl == 0:
             A[csf.levels[0].fids] += up
         elif lvl == order - 1:
-            rows = down * vals[:, None]
+            # Values may be stored float64; the cast keeps float32 factor
+            # runs float32 end-to-end (no-op view for float64).
+            rows = down * csf.vals.astype(A.dtype, copy=False)[:, None]
             _scatter_add_rows(A, csf.leaf_fids, rows)
         else:
             _scatter_add_rows(A, csf.levels[lvl].fids, down * up)

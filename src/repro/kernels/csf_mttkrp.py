@@ -15,6 +15,14 @@ rank strips, mirroring the 3-mode ``mb+rankb`` loop — strips outermost,
 blocks inside, each pass against column views of the factors.  ``csf``
 is the case with one block and one strip.
 
+The leaf level (leaves into their parents, the fiber sums of lines 5-7
+of Algorithm 1) is one compiled CSR product over the tree's own
+``fptr``/``leaf_fids``/``vals`` (:func:`repro.kernels.base.fiber_sums`);
+it needs no scratch beyond its ``nodes x R`` result, so ``scratch_elems``
+no longer changes anything here (it is kept so every kernel takes the
+same constructor argument).  The internal levels are not CSR products
+and stay NumPy gathers and ``reduceat`` calls.
+
 The output mode is the tree's *root* mode; to compute MTTKRP for another
 mode, build a CSF with that mode first in ``mode_order``.
 """
@@ -36,9 +44,11 @@ from repro.kernels.base import (
     alloc_output,
     check_factors,
     factor_dtype,
+    fiber_sums,
     intervals_from_rows,
     register_kernel,
     reject_unknown_params,
+    seal_fibers,
 )
 from repro.tensor.coo import COOTensor
 from repro.tensor.csf import CSFTensor
@@ -46,6 +56,15 @@ from repro.util.errors import ConfigError
 
 #: ``prepare`` parameters of the blocked preset, beyond ``mode_order``.
 BLOCKED_PARAMS = ("grid", "block_counts", "rank_blocking", "n_rank_blocks")
+
+
+def seal_leaves(csf: CSFTensor, where: str) -> None:
+    """:func:`~repro.kernels.base.seal_fibers` over a tree's leaf level,
+    the CSR matrix :func:`~repro.kernels.base.fiber_sums` reads."""
+    leaf_mode = csf.mode_order[-1]
+    seal_fibers(
+        csf.levels[-1].fptr, csf.leaf_fids, csf.vals, csf.shape[leaf_mode], where
+    )
 
 
 class CSFPlan(Plan):
@@ -72,6 +91,8 @@ class CSFPlan(Plan):
         self.fiber_mode = mode_order[-2]
         self.blocks = blocks
         self.rank_blocking = rank_blocking
+        for block, csf in blocks:
+            seal_leaves(csf, f"block {block.coords}, mode {self.inner_mode}")
         self._stats: "list[BlockStats] | None" = None
 
     def block_stats(self) -> list[BlockStats]:
@@ -172,12 +193,9 @@ class CSFKernel(Kernel):
                 raise ConfigError(
                     f"mode_order {mode_order} must start with the output mode {mode}"
                 )
-        blocks = [
-            (block, CSFTensor.from_coo(block.tensor, mode_order))
-            for block in partition_coo_nd(tensor, grid)
-        ]
         return CSFPlan(
-            self.name, tensor.shape, mode, mode_order, blocks, rank_blocking
+            self.name, tensor.shape, mode, mode_order,
+            partition_coo_nd(tensor, grid, mode_order), rank_blocking,
         )
 
     def execute(
@@ -198,20 +216,12 @@ class CSFKernel(Kernel):
                     blo, bhi = block.bounds[m]
                     local_factors[m] = factors[m][blo:bhi, lo:hi]
                 out_lo, out_hi = block.bounds[plan.mode]
-                execute_csf_into(
-                    csf,
-                    local_factors,
-                    A[out_lo:out_hi, lo:hi],
-                    self.scratch_elems,
-                )
+                execute_csf_into(csf, local_factors, A[out_lo:out_hi, lo:hi])
         return A
 
 
 def execute_csf_into(
-    csf: CSFTensor,
-    factors: Sequence[np.ndarray],
-    A: np.ndarray,
-    scratch_elems: int = DEFAULT_SCRATCH_ELEMS,
+    csf: CSFTensor, factors: Sequence[np.ndarray], A: np.ndarray
 ) -> None:
     """Run the root-mode CSF MTTKRP for one (sub-)tensor, accumulating
     into ``A`` (indexed by the root mode's local coordinates).
@@ -221,31 +231,12 @@ def execute_csf_into(
     """
     if csf.nnz == 0:
         return
-    rank = A.shape[1]
-
-    # Leaves -> last internal level, in bounded-scratch chunks.
-    last = csf.levels[-1]
-    fptr = last.fptr
-    vals = csf.vals
-    leaf_fids = csf.leaf_fids
-    leaf_factor = factors[csf.mode_order[-1]]
-    target_nnz = max(1, scratch_elems // max(rank, 1))
-    chunks: list[np.ndarray] = []
-    n_nodes = last.n_nodes
-    f0 = 0
-    while f0 < n_nodes:
-        f1 = int(
-            np.searchsorted(fptr, fptr[f0] + target_nnz, side="right") - 1
-        )
-        f1 = min(max(f1, f0 + 1), n_nodes)
-        lo, hi = int(fptr[f0]), int(fptr[f1])
-        # Cast the value chunk to the output dtype so float32 factors stay
-        # float32 (no-op view for float64).
-        vchunk = vals[lo:hi].astype(A.dtype, copy=False)
-        prod = vchunk[:, None] * leaf_factor[leaf_fids[lo:hi]]
-        chunks.append(np.add.reduceat(prod, fptr[f0:f1] - lo, axis=0))
-        f0 = f1
-    acc = np.concatenate(chunks, axis=0) if len(chunks) > 1 else chunks[0]
+    # Leaves -> last internal level: the compiled CSR product.
+    leaf_mode = csf.mode_order[-1]
+    [(_, _, acc)] = fiber_sums(
+        csf.levels[-1].fptr, csf.leaf_fids, csf.vals,
+        factors[leaf_mode], csf.shape[leaf_mode],
+    )
 
     # Walk internal levels bottom-up: scale by the level's factor rows,
     # then reduce children into parents.

@@ -18,12 +18,16 @@ column views of the factors.  SPLATT is the case with one block and one
 strip.  One kernel therefore serves all four registry names; a name only
 fixes which of the grid and strip parameters ``prepare`` takes.
 
-The vectorized implementation materializes the per-nonzero products for a
-cache-sized *chunk* of whole output rows, reduces them fiber-wise with
-``np.add.reduceat``, scales by the ``C`` rows, reduces row-wise, and
-accumulates into ``A``.  Chunks end on row boundaries (a row larger than
-the budget is one chunk), so each ``A`` row is reduced by a single
-``reduceat`` and the output is bitwise the same for any scratch budget.
+Lines 5-7 run as compiled code: they are the CSR product ``S @ B`` with
+``S = (vals, jidx, fiber_ptr)`` (:func:`repro.kernels.base.fiber_sums`),
+which reads the plan's own arrays, so no ``nnz x R`` product is ever
+materialized.  The fiber sums come in cache-sized *chunks* of whole
+output rows, counted in fibers (``fibers x R <= scratch_elems``); each
+chunk is scaled by its ``C`` rows, reduced row-wise with
+``np.add.reduceat`` and accumulated into ``A``.  A fiber's sum is taken in
+nonzero order whatever the chunking, and a row never spans two chunks
+(a row larger than the budget is one chunk), so the output is bitwise the
+same for any scratch budget.
 """
 
 from __future__ import annotations
@@ -44,9 +48,11 @@ from repro.kernels.base import (
     alloc_output,
     check_factors,
     factor_dtype,
+    fiber_sums,
     intervals_from_rows,
     register_kernel,
     reject_unknown_params,
+    seal_fibers,
 )
 from repro.tensor.coo import COOTensor
 from repro.tensor.splatt import SplattTensor
@@ -64,6 +70,21 @@ def row_of_fiber(splatt: SplattTensor) -> np.ndarray:
     return np.repeat(
         np.arange(splatt.n_rows, dtype=INDEX_DTYPE), splatt.fibers_per_row()
     )
+
+
+def row_chunks(row_ptr: np.ndarray, max_fibers: int) -> list[int]:
+    """Fiber boundaries of consecutive runs of whole output rows, each run
+    holding at most ``max_fibers`` fibers (a heavier row is a run of its
+    own; empty rows never start a run)."""
+    n_fibers = int(row_ptr[-1])
+    bounds = [0]
+    while bounds[-1] < n_fibers:
+        f0 = bounds[-1]
+        cut = int(row_ptr[np.searchsorted(row_ptr, f0 + max_fibers, "right") - 1])
+        if cut <= f0:
+            cut = int(row_ptr[np.searchsorted(row_ptr, f0, "right")])
+        bounds.append(cut)
+    return bounds
 
 
 def execute_splatt_into(
@@ -84,44 +105,18 @@ def execute_splatt_into(
     """
     if splatt.n_fibers == 0:
         return
-    rank = B.shape[1]
-    row_ptr = splatt.row_ptr
-    fiber_ptr = splatt.fiber_ptr
-    target_nnz = max(1, scratch_elems // max(rank, 1))
-    fits = splatt.nnz <= target_nnz
-
-    r0 = 0
-    while r0 < splatt.n_rows:
-        # Largest run of whole rows whose nonzeros fit the scratch budget
-        # (always at least one row to guarantee progress).
-        if fits:
-            r1 = splatt.n_rows
-        else:
-            f_fit = np.searchsorted(
-                fiber_ptr, fiber_ptr[row_ptr[r0]] + target_nnz, side="right"
-            ) - 1
-            r1 = int(np.searchsorted(row_ptr, f_fit, side="right") - 1)
-            r1 = min(max(r1, r0 + 1), splatt.n_rows)
-        f0, f1 = int(row_ptr[r0]), int(row_ptr[r1])
-        if f0 < f1:
-            lo, hi = int(fiber_ptr[f0]), int(fiber_ptr[f1])
-
-            # Lines 5-7: per-fiber accumulation of val * B[j].  The value
-            # chunk is cast to the output dtype so float32 factors stay
-            # float32 (no-op view for float64).
-            vals = splatt.vals[lo:hi].astype(A.dtype, copy=False)
-            prod = vals[:, None] * B[splatt.jidx[lo:hi]]
-            fiber_acc = np.add.reduceat(prod, fiber_ptr[f0:f1] - lo, axis=0)
-
-            # Lines 8-9: scale by the fiber's C row, reduce fibers into
-            # rows.
-            fiber_acc *= C[splatt.fiber_kidx[f0:f1]]
-            rows = fiber_rows[f0:f1]
-            boundaries = np.flatnonzero(np.diff(rows)) + 1
-            starts = np.concatenate(([0], boundaries))
-            A[rows[starts]] += np.add.reduceat(fiber_acc, starts, axis=0)
-
-        r0 = r1
+    chunks = row_chunks(splatt.row_ptr, max(1, scratch_elems // max(B.shape[1], 1)))
+    # Lines 5-7: the compiled per-fiber sums of val * B[j], one chunk of
+    # whole rows at a time.
+    for f0, f1, fiber_acc in fiber_sums(
+        splatt.fiber_ptr, splatt.jidx, splatt.vals, B, splatt.inner_extent, chunks
+    ):
+        # Lines 8-9: scale by the fiber's C row, reduce fibers into rows.
+        fiber_acc *= C[splatt.fiber_kidx[f0:f1]]
+        rows = fiber_rows[f0:f1]
+        boundaries = np.flatnonzero(np.diff(rows)) + 1
+        starts = np.concatenate(([0], boundaries))
+        A[rows[starts]] += np.add.reduceat(fiber_acc, starts, axis=0)
 
 
 class SplattPlan(Plan):
@@ -142,6 +137,12 @@ class SplattPlan(Plan):
         self.inner_mode = blocked.inner_mode
         self.fiber_mode = blocked.fiber_mode
         self.rank_blocking = rank_blocking
+        for block in blocked.blocks:
+            sp = block.splatt
+            seal_fibers(
+                sp.fiber_ptr, sp.jidx, sp.vals, sp.inner_extent,
+                f"block {block.coords}, mode {self.inner_mode}",
+            )
         rows = [
             row_of_fiber(block.splatt) + block.bounds[self.mode][0]
             for block in blocked.blocks

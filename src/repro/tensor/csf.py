@@ -102,11 +102,25 @@ class CSFTensor:
             raise ShapeError(f"{mode_order} is not a permutation of modes")
 
         cols = [coo.indices[:, m] for m in mode_order]
-        nnz = coo.nnz
         perm = lex_order(cols, [coo.shape[m] for m in mode_order])
-        cols = [c[perm] for c in cols]
-        vals = coo.values[perm]
+        return cls._from_sorted(
+            coo.shape, mode_order, [c[perm] for c in cols], coo.values[perm]
+        )
 
+    @classmethod
+    def _from_sorted(
+        cls,
+        shape: Sequence[int],
+        mode_order: tuple[int, ...],
+        cols: list[np.ndarray],
+        vals: np.ndarray,
+    ) -> "CSFTensor":
+        """Compress nonzeros already sorted along ``mode_order``;
+        ``cols[l]`` holds the coordinates of mode ``mode_order[l]`` (the
+        per-block step of
+        :func:`repro.blocking.partition.partition_coo_nd`)."""
+        order = len(shape)
+        nnz = vals.shape[0]
         # starts_per_level[l] lists the nonzero positions at which a new
         # node begins at level l, i.e. where any of the first l+1 sorted
         # coordinates changed.  By construction starts[l] is a subset of
@@ -130,7 +144,7 @@ class CSFTensor:
             levels.append(CSFLevel(fids=fids, fptr=fptr.astype(INDEX_DTYPE)))
 
         return cls(
-            coo.shape,
+            shape,
             mode_order,
             levels,
             cols[-1],

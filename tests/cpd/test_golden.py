@@ -101,40 +101,40 @@ GOLDEN: dict[str, str] = {
     "cp_als-coo-f32-t2": "d79d9adcdce65bc0950f7cfd7ab4ab71128328faa0d1c7f3418f2c84f9d820c2",
     "cp_als-coo-f64-t1": "7b838efe371ac814635bb15fac6abde8fb86493dde04be79efbf61cea15e74a0",
     "cp_als-coo-f64-t2": "7b838efe371ac814635bb15fac6abde8fb86493dde04be79efbf61cea15e74a0",
-    "cp_als-csf-any-f32-t1": "5f983870d3dc3e47155cb1dc521444c5e14e4ead20b6c3380ded31353e2fd478",
-    "cp_als-csf-any-f32-t2": "5f983870d3dc3e47155cb1dc521444c5e14e4ead20b6c3380ded31353e2fd478",
-    "cp_als-csf-any-f64-t1": "b0c7d58c46c478616698d7f665441d9e70913d26c4fe0b91b5c717f6641a58bf",
-    "cp_als-csf-any-f64-t2": "b0c7d58c46c478616698d7f665441d9e70913d26c4fe0b91b5c717f6641a58bf",
-    "cp_als-csf-blocked-f32-t1": "abe0878b66dae8037c739269ee6f8a78d7562afd6006f317a863954bc8dc70dc",
-    "cp_als-csf-blocked-f32-t2": "abe0878b66dae8037c739269ee6f8a78d7562afd6006f317a863954bc8dc70dc",
-    "cp_als-csf-blocked-f64-t1": "ac88a6b5f20d65c893552d38e627a266be8c6271f1a7d83200c3d7f66432461a",
-    "cp_als-csf-blocked-f64-t2": "ac88a6b5f20d65c893552d38e627a266be8c6271f1a7d83200c3d7f66432461a",
-    "cp_als-csf-f32-t1": "194fba23ed51b1302a3689de11cbef82ede04eb6fa3f4e6c0894f03fbce68d75",
-    "cp_als-csf-f32-t2": "194fba23ed51b1302a3689de11cbef82ede04eb6fa3f4e6c0894f03fbce68d75",
-    "cp_als-csf-f64-t1": "3bf4a0a05c622d069e1a0dc901299bdd716064670dc3dff1bdc527711cc2f5be",
-    "cp_als-csf-f64-t2": "3bf4a0a05c622d069e1a0dc901299bdd716064670dc3dff1bdc527711cc2f5be",
-    "cp_als-mb+rankb-f32-t1": "9c32abaeaacff206cb678b314e85957b2e0865c0833b238626dae3541ef7673a",
-    "cp_als-mb+rankb-f32-t2": "9c32abaeaacff206cb678b314e85957b2e0865c0833b238626dae3541ef7673a",
-    "cp_als-mb+rankb-f64-t1": "407ac08390c6b8e37d08310694d2cf1c8fd57b40937da691b4be3910fcc4a5aa",
-    "cp_als-mb+rankb-f64-t2": "407ac08390c6b8e37d08310694d2cf1c8fd57b40937da691b4be3910fcc4a5aa",
-    "cp_als-mb-f32-t1": "9c32abaeaacff206cb678b314e85957b2e0865c0833b238626dae3541ef7673a",
-    "cp_als-mb-f32-t2": "9c32abaeaacff206cb678b314e85957b2e0865c0833b238626dae3541ef7673a",
-    "cp_als-mb-f64-t1": "407ac08390c6b8e37d08310694d2cf1c8fd57b40937da691b4be3910fcc4a5aa",
-    "cp_als-mb-f64-t2": "407ac08390c6b8e37d08310694d2cf1c8fd57b40937da691b4be3910fcc4a5aa",
-    "cp_als-rankb-f32-t1": "f03d69a3b1b66508bc1ae9b96f8bdc7a68046f6cebbb7b81b212602885ccc331",
-    "cp_als-rankb-f32-t2": "f03d69a3b1b66508bc1ae9b96f8bdc7a68046f6cebbb7b81b212602885ccc331",
-    "cp_als-rankb-f64-t1": "b56199e3866cbe5f84c675f119af397a9ec8e86fafd9e2d832b6e4fa0aa66903",
-    "cp_als-rankb-f64-t2": "b56199e3866cbe5f84c675f119af397a9ec8e86fafd9e2d832b6e4fa0aa66903",
-    "cp_als-splatt-f32-t1": "f03d69a3b1b66508bc1ae9b96f8bdc7a68046f6cebbb7b81b212602885ccc331",
-    "cp_als-splatt-f32-t2": "f03d69a3b1b66508bc1ae9b96f8bdc7a68046f6cebbb7b81b212602885ccc331",
-    "cp_als-splatt-f64-t1": "b56199e3866cbe5f84c675f119af397a9ec8e86fafd9e2d832b6e4fa0aa66903",
-    "cp_als-splatt-f64-t2": "b56199e3866cbe5f84c675f119af397a9ec8e86fafd9e2d832b6e4fa0aa66903",
+    "cp_als-csf-any-f32-t1": "a6e23f1e8cb2c52fd362c6c98fa412d712c6dbf6fc9810e55aaf9e2cfd377a12",
+    "cp_als-csf-any-f32-t2": "a6e23f1e8cb2c52fd362c6c98fa412d712c6dbf6fc9810e55aaf9e2cfd377a12",
+    "cp_als-csf-any-f64-t1": "1b29dd522d7226ad42c03eba27cc3e66efe2d176409f84b7b77419ad5e2c2b3f",
+    "cp_als-csf-any-f64-t2": "1b29dd522d7226ad42c03eba27cc3e66efe2d176409f84b7b77419ad5e2c2b3f",
+    "cp_als-csf-blocked-f32-t1": "93fe825f3683eb7999fa5160007cb6f65c9cead191bfebdf35020924c9dd1e8e",
+    "cp_als-csf-blocked-f32-t2": "93fe825f3683eb7999fa5160007cb6f65c9cead191bfebdf35020924c9dd1e8e",
+    "cp_als-csf-blocked-f64-t1": "7cfe2d25c799cc5d3e15761f60d6985ea9a9cab9516585ee954fcf3f41475f06",
+    "cp_als-csf-blocked-f64-t2": "7cfe2d25c799cc5d3e15761f60d6985ea9a9cab9516585ee954fcf3f41475f06",
+    "cp_als-csf-f32-t1": "75d8cb6307317bbcf9a2cc10774316c964b8b854636ca155b71f9dcd84c5fad4",
+    "cp_als-csf-f32-t2": "75d8cb6307317bbcf9a2cc10774316c964b8b854636ca155b71f9dcd84c5fad4",
+    "cp_als-csf-f64-t1": "2a65a1ff1efac1066e35066cd5c68f98ccb108a50f319bce75607d2d791dddcc",
+    "cp_als-csf-f64-t2": "2a65a1ff1efac1066e35066cd5c68f98ccb108a50f319bce75607d2d791dddcc",
+    "cp_als-mb+rankb-f32-t1": "c636646ebacefdbe4e0aff7de597953e498d76ec1eb6148425ad70184376ef46",
+    "cp_als-mb+rankb-f32-t2": "c636646ebacefdbe4e0aff7de597953e498d76ec1eb6148425ad70184376ef46",
+    "cp_als-mb+rankb-f64-t1": "bd86fd78e8c8570f99f3964392a2c1a885ae7fe0550db51c5f5d4f96830fd05b",
+    "cp_als-mb+rankb-f64-t2": "bd86fd78e8c8570f99f3964392a2c1a885ae7fe0550db51c5f5d4f96830fd05b",
+    "cp_als-mb-f32-t1": "c636646ebacefdbe4e0aff7de597953e498d76ec1eb6148425ad70184376ef46",
+    "cp_als-mb-f32-t2": "c636646ebacefdbe4e0aff7de597953e498d76ec1eb6148425ad70184376ef46",
+    "cp_als-mb-f64-t1": "bd86fd78e8c8570f99f3964392a2c1a885ae7fe0550db51c5f5d4f96830fd05b",
+    "cp_als-mb-f64-t2": "bd86fd78e8c8570f99f3964392a2c1a885ae7fe0550db51c5f5d4f96830fd05b",
+    "cp_als-rankb-f32-t1": "b5820ffe3afad247aca887b4184c681b61a2fa31f55309d063c6c842d0c53d07",
+    "cp_als-rankb-f32-t2": "b5820ffe3afad247aca887b4184c681b61a2fa31f55309d063c6c842d0c53d07",
+    "cp_als-rankb-f64-t1": "b40b1cea8da1c1f40389c6ec671c0512474f406ee8e994fab19a9ebdca20bbc2",
+    "cp_als-rankb-f64-t2": "b40b1cea8da1c1f40389c6ec671c0512474f406ee8e994fab19a9ebdca20bbc2",
+    "cp_als-splatt-f32-t1": "b5820ffe3afad247aca887b4184c681b61a2fa31f55309d063c6c842d0c53d07",
+    "cp_als-splatt-f32-t2": "b5820ffe3afad247aca887b4184c681b61a2fa31f55309d063c6c842d0c53d07",
+    "cp_als-splatt-f64-t1": "b40b1cea8da1c1f40389c6ec671c0512474f406ee8e994fab19a9ebdca20bbc2",
+    "cp_als-splatt-f64-t2": "b40b1cea8da1c1f40389c6ec671c0512474f406ee8e994fab19a9ebdca20bbc2",
     "dimtree-f32": "d4041c51b607ae9dc01a10825b536686b3a8d355565b37273ee8fbeaab398886",
     "dimtree-f64": "e5d5dc760c4e239ee20cb588854b3dd352c19de7412a0303b3fa11d153f58b5a",
-    "dist-process-f32": "89d071e14d38fbf557cf58d2d663ae971d842985cba9b22bc57f9d04c0487887",
-    "dist-process-f64": "634c5a52d301d8cfb76364262e0044f3e1ed0afd9de608896b9a90808f3d809b",
-    "dist-sim-f32": "89d071e14d38fbf557cf58d2d663ae971d842985cba9b22bc57f9d04c0487887",
-    "dist-sim-f64": "634c5a52d301d8cfb76364262e0044f3e1ed0afd9de608896b9a90808f3d809b",
+    "dist-process-f32": "b46507bf4949f6918d8d9c682cf14db40913376e7efa0375e995e863d030d1bf",
+    "dist-process-f64": "ff1ae968156541612b52e89d4de48cdd555078905876d9dbf9327436e904c049",
+    "dist-sim-f32": "b46507bf4949f6918d8d9c682cf14db40913376e7efa0375e995e863d030d1bf",
+    "dist-sim-f64": "ff1ae968156541612b52e89d4de48cdd555078905876d9dbf9327436e904c049",
 }
 
 

@@ -1,0 +1,173 @@
+"""The compiled fiber reduction: its loader, its plan-build seal, and its
+O(1) guards.
+
+``fiber_sums`` hands plan arrays to scipy's ``csr_matvecs``, which does
+no bounds checks, so these tests pin the three things that keep it from
+reading outside ``X``: every plan checks its leaf indices and pointers
+when it is built, then freezes them; the helper checks the operand's
+extent and dtype on every call.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.kernels.base as base
+from repro.blocking import BlockGrid, partition_coo
+from repro.blocking.partition import partition_coo_nd
+from repro.kernels import get_kernel
+from repro.kernels.base import fiber_sums
+from repro.kernels.csf_mttkrp import CSFPlan
+from repro.kernels.splatt_mttkrp import SplattPlan
+from repro.tensor import poisson_tensor
+from repro.util.errors import ShapeError
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+@pytest.fixture(scope="module")
+def tensor():
+    return poisson_tensor((12, 15, 9), 400, seed=3)
+
+
+def test_matches_naive_loop():
+    rng = np.random.default_rng(0)
+    ptr = np.array([0, 3, 3, 7, 8])
+    idx = rng.integers(0, 6, 8)
+    vals = rng.standard_normal(8)
+    X = rng.standard_normal((6, 4))
+    [(f0, f1, got)] = fiber_sums(ptr, idx, vals, X, 6)
+    want = np.zeros((4, 4))
+    for f in range(4):
+        for t in range(ptr[f], ptr[f + 1]):
+            want[f] = want[f] + vals[t] * X[idx[t]]
+    assert (f0, f1) == (0, 4)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_chunks_and_strided_operand_agree():
+    rng = np.random.default_rng(1)
+    ptr = np.array([0, 2, 5, 6, 9, 10])
+    idx = rng.integers(0, 7, 10)
+    vals = rng.standard_normal(10).astype(np.float32)
+    wide = rng.standard_normal((7, 8)).astype(np.float32)
+    strip = wide[:, 2:5]
+    [(_, _, whole)] = fiber_sums(ptr, idx, vals, np.ascontiguousarray(strip), 7)
+    pieces = list(fiber_sums(ptr, idx, vals, strip, 7, [0, 2, 5]))
+    assert [(f0, f1) for f0, f1, _ in pieces] == [(0, 2), (2, 5)]
+    assert all(y.dtype == np.float32 for _, _, y in pieces)
+    np.testing.assert_array_equal(np.concatenate([y for _, _, y in pieces]), whole)
+
+
+def test_operand_extent_and_dtype_are_checked():
+    ptr, idx, vals = np.array([0, 2]), np.array([0, 4]), np.ones(2)
+    with pytest.raises(ShapeError, match="5 rows"):
+        list(fiber_sums(ptr, idx, vals, np.ones((4, 3)), 5))
+    with pytest.raises(ShapeError, match="float32 or float64"):
+        list(fiber_sums(ptr, idx, vals, np.ones((5, 3), dtype=np.int64), 5))
+
+
+def test_tampered_splatt_index_raises_at_plan_build(tensor):
+    blocked = partition_coo(tensor, BlockGrid(tensor.shape, (2, 2, 1)), 0)
+    block = blocked.blocks[-1]
+    block.splatt.jidx[0] = block.splatt.inner_extent
+    with pytest.raises(ShapeError, match=re.escape(f"block {block.coords}, mode 1")):
+        SplattPlan("mb", blocked)
+
+
+def test_tampered_splatt_pointer_raises_at_plan_build(tensor):
+    blocked = partition_coo(tensor, BlockGrid(tensor.shape, (1, 1, 1)), 0)
+    blocked.blocks[0].splatt.fiber_ptr[1] = blocked.blocks[0].splatt.nnz + 5
+    with pytest.raises(ShapeError, match="monotone"):
+        SplattPlan("splatt", blocked)
+
+
+def test_tampered_csf_leaf_raises_at_plan_build(tensor):
+    grid = BlockGrid(tensor.shape, (2, 1, 2))
+    blocks = partition_coo_nd(tensor, grid, (0, 2, 1))
+    block, csf = blocks[0]
+    csf.leaf_fids[-1] = -1
+    with pytest.raises(ShapeError, match=re.escape(f"block {block.coords}, mode 1")):
+        CSFPlan("csf-blocked", tensor.shape, 0, (0, 2, 1), blocks)
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [("splatt", {}), ("mb", {"block_counts": (2, 2, 2)}), ("csf", {}),
+     ("csf-blocked", {"block_counts": (2, 2, 2)}), ("csf-any", {})],
+)
+def test_built_plan_arrays_are_read_only(tensor, name, params):
+    plan = get_kernel(name).prepare(tensor, 0, **params)
+    if hasattr(plan, "blocked"):
+        arrays = [b.splatt for b in plan.blocked.blocks]
+        fields = ("jidx", "fiber_ptr", "vals")
+    else:
+        arrays = [csf for _, csf in plan.blocks] if hasattr(plan, "blocks") else [plan.csf]
+        fields = ("leaf_fids", "vals")
+    for owner in arrays:
+        for field in fields:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(owner, field)[0] = 0
+    if not hasattr(plan, "blocked"):
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0].levels[-1].fptr[0] = 0
+
+
+def test_missing_extension_names_the_scipy_version(monkeypatch):
+    monkeypatch.setattr(base, "_sparsetools_path", lambda: None)
+    with pytest.raises(ImportError, match=r"scipy \d+\.\d+"):
+        base.load_csr_matvecs()
+
+
+def test_missing_symbol_names_the_scipy_version(monkeypatch, tmp_path):
+    fake = tmp_path / "_sparsetools.py"
+    fake.write_text("csr_matvec = None\n")
+    monkeypatch.setattr(base, "_sparsetools_path", lambda: str(fake))
+    with pytest.raises(ImportError, match=r"scipy \d+\.\d+.*_sparsetools\.py"):
+        base.load_csr_matvecs()
+
+
+def test_no_scipy_import_and_scipy_sparse_still_works():
+    """The package never imports ``scipy`` itself; a later ``import
+    scipy.sparse`` still works and its ``csr_matvecs`` agrees."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import repro, repro.kernels, repro.cpd, repro.exec, repro.dist
+        from repro.kernels.base import fiber_sums
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
+        import scipy.sparse
+        rng = np.random.default_rng(0)
+        indptr = np.r_[0, np.cumsum(rng.integers(0, 6, 30))]
+        indices = rng.integers(0, 20, indptr[-1])
+        S = scipy.sparse.csr_matrix(
+            (rng.standard_normal(indptr[-1]), indices, indptr), shape=(30, 20)
+        )
+        X = rng.standard_normal((20, 5))
+        [(_, _, ours)] = fiber_sums(S.indptr, S.indices, S.data, X, 20)
+        theirs = np.zeros((30, 5))
+        scipy.sparse._sparsetools.csr_matvecs(
+            30, 20, 5, S.indptr, S.indices, S.data, X.ravel(), theirs.ravel()
+        )
+        assert np.array_equal(ours, theirs)
+        np.testing.assert_allclose(ours, S @ X, rtol=1e-12, atol=1e-12)
+        print("ok")
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import BlockGrid, partition_coo
+from repro.blocking.partition import partition_coo_nd
 from repro.tensor import COOTensor, CSFTensor, SplattTensor
 from repro.tensor.coo import lex_order
 
@@ -209,6 +210,61 @@ def test_partition_coo_matches_per_block_lexsort(case):
         assert block.splatt.shape == block_shape
         _assert_splatt_equal(block.splatt, ref)
     assert blocked.nnz == tensor.nnz
+
+
+def _csf_reference(mode_order, idx, vals):
+    """CSF arrays built independently of the library: lexsort along
+    ``mode_order``, then one node per run of equal coordinate prefixes."""
+    perm = np.lexsort([idx[:, m] for m in reversed(mode_order)])
+    cols = [idx[perm, m] for m in mode_order]
+    nnz = idx.shape[0]
+    changed = np.zeros(nnz, dtype=bool)
+    changed[:1] = True
+    starts = []
+    for col in cols[:-1]:
+        changed[1:] |= col[1:] != col[:-1]
+        starts.append(np.flatnonzero(changed))
+    levels = []
+    for lvl, st_l in enumerate(starts):
+        below = starts[lvl + 1] if lvl + 1 < len(starts) else np.arange(nnz)
+        fptr = np.r_[np.searchsorted(below, st_l), below.size]
+        levels.append((cols[lvl][st_l], fptr))
+    return levels, cols[-1], vals[perm]
+
+
+@given(partition_cases(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_partition_coo_nd_matches_per_block_lexsort(case, seed):
+    """One sort serves every block: each block's CSF tree equals a
+    per-block lexsort reference, array for array, in C block order."""
+    tensor, grid, _, _ = case
+    mode_order = tuple(np.random.default_rng(seed).permutation(3))
+    blocks = partition_coo_nd(tensor, grid, mode_order)
+    expected = []
+    for coords in itertools.product(*(range(n) for n in grid.block_counts)):
+        bounds = grid.block_bounds(coords)
+        mask = np.ones(tensor.nnz, dtype=bool)
+        for m, (lo, hi) in enumerate(bounds):
+            mask &= (tensor.indices[:, m] >= lo) & (tensor.indices[:, m] < hi)
+        if grid.n_blocks > 1 and not mask.any():
+            continue
+        lows = np.array([lo for lo, _ in bounds])
+        ref = _csf_reference(
+            mode_order, tensor.indices[mask] - lows, tensor.values[mask]
+        )
+        expected.append((coords, bounds, ref))
+    assert [b.coords for b, _ in blocks] == [e[0] for e in expected]
+    for (block, csf), (coords, bounds, (levels, leaf_fids, vals)) in zip(
+        blocks, expected
+    ):
+        assert block.bounds == bounds
+        assert csf.shape == tuple(hi - lo for lo, hi in bounds)
+        assert csf.mode_order == mode_order
+        for level, (fids, fptr) in zip(csf.levels, levels):
+            np.testing.assert_array_equal(level.fids, fids)
+            np.testing.assert_array_equal(level.fptr, fptr)
+        np.testing.assert_array_equal(csf.leaf_fids, leaf_fids)
+        np.testing.assert_array_equal(csf.vals, vals)
 
 
 # ----------------------------------------------------------------------

@@ -99,9 +99,11 @@ class BlockGrid:
         ``indices`` has shape ``(n, order)``; the result is ``(n,)`` flat
         ids in C order over the per-mode block coordinates.
 
-        Out-of-range coordinates raise :class:`ShapeError` — without the
-        check, ``searchsorted`` would silently clamp them into the first
-        or last block (the runtime twin of plan-verifier rule PL401).
+        Each mode maps coordinates through a table of block ids, one entry
+        per index of the mode.  Out-of-range coordinates raise
+        :class:`ShapeError` — without the check, a negative coordinate
+        would silently wrap into the last block (the runtime twin of
+        plan-verifier rule PL401).
         """
         indices = np.asarray(indices)
         if indices.ndim != 2 or indices.shape[1] != self.order:
@@ -116,8 +118,11 @@ class BlockGrid:
                 raise ShapeError(
                     f"{bad} mode-{m} coordinate(s) outside [0, {self.shape[m]})"
                 )
-            coord = np.searchsorted(bounds[1:], col, side="right")
-            flat = flat * (bounds.shape[0] - 1) + coord
+            n_blocks = bounds.shape[0] - 1
+            block_ids = np.repeat(
+                np.arange(n_blocks, dtype=INDEX_DTYPE), np.diff(bounds)
+            )
+            flat = flat * n_blocks + block_ids[col]
         return flat
 
     def block_coords(self, flat_id: int) -> tuple[int, ...]:

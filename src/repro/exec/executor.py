@@ -26,12 +26,13 @@ Backends
 --------
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  The GIL is
-    released inside the compiled fiber reduction (scipy's
-    ``csr_matvecs``, called by :func:`repro.kernels.base.fiber_sums`)
-    that runs lines 5-7 of Algorithm 1 for the SPLATT and CSF kernels,
-    and inside NumPy's large ``reduceat``/gather calls (lines 8-9, the
-    COO kernel, the internal CSF levels), so threads overlap the heavy
-    lifting even though the orchestration is Python.
+    released inside the compiled CSR products (scipy's ``csr_matvecs``,
+    called by :func:`repro.kernels.base.fiber_sums` and
+    :func:`repro.kernels.base.segment_sums_into`) that run lines 5-9 of
+    Algorithm 1 for the SPLATT and CSF kernels, and inside NumPy's large
+    gather and ``reduceat`` calls (line 8's ``C[k]`` gather, the COO
+    kernel), so threads overlap the heavy lifting even though the
+    orchestration is Python.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor` writing through
     :mod:`multiprocessing.shared_memory` — sidesteps the GIL entirely at

@@ -14,10 +14,13 @@ summarized by its nonzero/fiber counts and the number of *distinct* factor
 rows it touches.  Those distinct counts are per-phase working sets, which
 is all the analytic cache model needs (DESIGN.md §3).
 
-:func:`fiber_sums` is the one compiled loop: lines 5-7 of Algorithm 1
-(``s += val * B[j]`` over each fiber) are the CSR product ``S @ B`` with
-``S = (vals, jidx, fiber_ptr)``, run by scipy's ``csr_matvecs``.  The
-extension is loaded by file path, so ``scipy/__init__.py`` and
+Two helpers run the one compiled loop, scipy's ``csr_matvecs``, which
+releases the GIL.  :func:`fiber_sums` runs lines 5-7 of Algorithm 1
+(``s += val * B[j]`` over each fiber), the CSR product ``S @ B`` with
+``S = (vals, jidx, fiber_ptr)``.  :func:`segment_sums_into` runs line 9
+(fibers added into their output rows) and the tree kernels' other
+segmented sums, a unit-value CSR product that accumulates in place.
+The extension is loaded by file path, so ``scipy/__init__.py`` and
 ``scipy.sparse`` are never imported (:func:`load_csr_matvecs`).
 """
 
@@ -38,7 +41,7 @@ import numpy as np
 from repro.obs.tracer import current_tracer
 from repro.tensor.coo import COOTensor
 from repro.util.errors import ConfigError, RegistrationError, ShapeError
-from repro.util.validation import VALUE_DTYPE, check_mode, check_rank
+from repro.util.validation import INDEX_DTYPE, VALUE_DTYPE, check_mode, check_rank
 
 #: Bound on the temporary ``(nonzeros x rank)`` expansion used by the
 #: vectorized kernels and by :meth:`KruskalTensor.innerprod`: chunks are
@@ -100,37 +103,42 @@ def load_csr_matvecs() -> Callable:
 _CSR_MATVECS = load_csr_matvecs()
 
 
+def seal_pointers(ptr: np.ndarray, n: int, where: str) -> None:
+    """Check that ``ptr`` is a monotone partition of ``n`` entries (it
+    starts at 0, never decreases and ends at ``n``), then make it
+    read-only.  Raises :class:`ShapeError` naming ``where`` otherwise."""
+    if ptr.shape[0] == 0 or ptr[0] != 0 or ptr[-1] != n or np.any(ptr[1:] < ptr[:-1]):
+        raise ShapeError(
+            f"{where}: pointers are not a monotone partition of the {n} "
+            "entries below them"
+        )
+    ptr.flags.writeable = False
+
+
 def seal_fibers(
     ptr: np.ndarray, idx: np.ndarray, vals: np.ndarray, extent: int, where: str
 ) -> None:
     """Check that ``(ptr, idx, vals)`` is a CSR matrix with ``extent``
     columns, then make the three arrays read-only.
 
-    :func:`fiber_sums` hands these arrays to compiled code that does no
-    bounds checks, so every plan runs this once when it is built: ``ptr``
-    starts at 0, never decreases and ends at ``len(idx)``, and every
+    :func:`fiber_sums` and :func:`segment_sums_into` hand plan arrays to
+    compiled code that does no bounds checks, so every plan runs this
+    (and :func:`seal_pointers` on its other pointer arrays) once when it
+    is built: ``ptr`` is a monotone partition of the nonzeros, and every
     leaf index lies in ``[0, extent)``.  Raises :class:`ShapeError`
     naming ``where`` (the block and the mode) otherwise.
     """
     nnz = idx.shape[0]
-    if (
-        vals.shape[0] != nnz
-        or ptr.shape[0] == 0
-        or ptr[0] != 0
-        or ptr[-1] != nnz
-        or np.any(ptr[1:] < ptr[:-1])
-    ):
-        raise ShapeError(
-            f"{where}: fiber pointers are not a monotone partition of the "
-            f"{nnz} nonzeros"
-        )
+    if vals.shape[0] != nnz:
+        raise ShapeError(f"{where}: {vals.shape[0]} values for {nnz} leaf indices")
+    seal_pointers(ptr, nnz, where)
     if nnz and (idx.min() < 0 or idx.max() >= extent):
         raise ShapeError(
             f"{where}: leaf index outside [0, {extent}) "
             f"(observed [{idx.min()}, {idx.max()}])"
         )
-    for array in (ptr, idx, vals):
-        array.flags.writeable = False
+    idx.flags.writeable = False
+    vals.flags.writeable = False
 
 
 def fiber_sums(
@@ -184,6 +192,60 @@ def fiber_sums(
             vals[lo:hi].astype(X.dtype, copy=False), X, Y,
         )
         yield f0, f1, Y
+
+
+def unit_csr(n: int, dtype: "np.dtype | type") -> tuple[np.ndarray, np.ndarray]:
+    """Column indices ``0..n-1`` and ``n`` ones of ``dtype``: the body of
+    the unit-value CSR matrix :func:`segment_sums_into` runs.  A caller
+    allocates it once per execute, sized to its largest ``X``."""
+    return np.arange(n, dtype=INDEX_DTYPE), np.ones(n, dtype=dtype)
+
+
+def segment_sums_into(
+    ptr: np.ndarray,
+    X: np.ndarray,
+    Y: np.ndarray,
+    unit: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """``Y[r] += X[ptr[r]] + ... + X[ptr[r+1] - 1]`` for every row ``r``,
+    as one compiled CSR product with unit values (:func:`unit_csr`).
+
+    This is line 9 of Algorithm 1 (fibers into output rows) and every
+    other segmented sum of the tree kernels.  Each row adds its segment
+    to its old value left to right, in place: no temporary, and the same
+    bits whether ``Y`` starts at zero or holds earlier blocks' sums.
+    ``ptr`` must start at 0, end at ``len(X)`` and never decrease
+    (plan arrays are checked once, when the plan is built); here only
+    O(1) checks run.  ``X`` must be C-contiguous; ``Y`` may be a strided
+    view (a rank strip), which the compiled call copies in and back.
+
+    Compiled code writes ``Y``'s buffer directly, past ``__setitem__``.
+    So when ``Y`` is not a plain ndarray (the sanitizer's guarded
+    output), the rows that own a segment are self-assigned first: rule
+    SZ501 then observes exactly the rows the loop writes.
+    """
+    cols, ones = unit
+    n_rows = ptr.shape[0] - 1
+    if (
+        X.ndim != 2
+        or Y.shape != (n_rows, X.shape[1])
+        or ptr[0] != 0
+        or ptr[-1] != X.shape[0]
+        or cols.shape[0] < X.shape[0]
+        or cols.dtype != ptr.dtype
+        or ones.dtype != X.dtype
+        or Y.dtype != X.dtype
+        or not X.flags.c_contiguous
+    ):
+        raise ShapeError(
+            f"segment sums of {X.shape} {X.dtype} rows into {Y.shape} "
+            f"{Y.dtype} need {n_rows} pointer segments covering every row"
+        )
+    if type(Y) is not np.ndarray:
+        owners = np.flatnonzero(ptr[1:] != ptr[:-1])
+        Y[owners] = Y[owners]
+    n = X.shape[0]
+    _CSR_MATVECS(n_rows, n, X.shape[1], ptr, cols[:n], ones[:n], X, Y)
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,17 @@ any level.  For a target level ``l`` the kernel runs two passes:
   of ``val * prod(factor rows of levels below l)`` — the same reduction
   as the root-mode kernel, stopped early: its leaf level is the same
   compiled CSR product (:func:`repro.kernels.base.fiber_sums`), the
-  levels above it NumPy ``reduceat`` calls;
+  levels above it the same compiled segment sums
+  (:func:`repro.kernels.base.segment_sums_into`);
 * **down** (top-down): for each level-``l`` node, the product of its
   ancestors' factor rows (levels above ``l``), propagated by repeating
   parent values over child ranges.
 
 The contribution of node ``n`` with coordinate ``fid(n)`` is then
 ``down(n) * up(n)``, scatter-added into the output (coordinates repeat
-across subtrees, unlike the root level).  With ``l = 0`` this reduces to
+across subtrees, unlike the root level): the plan sorts the target
+level's nodes by coordinate once, and each execute sums the runs of
+that order with ``np.add.reduceat``.  With ``l = 0`` this reduces to
 the root-mode kernel; the test suite checks every placement against the
 dense reference.
 
@@ -42,22 +45,11 @@ from repro.kernels.base import (
     fiber_sums,
     register_kernel,
     reject_unknown_params,
+    unit_csr,
 )
-from repro.kernels.csf_mttkrp import seal_leaves
+from repro.kernels.csf_mttkrp import seal_tree, up_level
 from repro.tensor.coo import COOTensor
 from repro.tensor.csf import CSFTensor
-
-
-def _scatter_add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
-    """``out[idx] += rows`` with repeated indices, via sort + reduceat."""
-    if idx.shape[0] == 0:
-        return
-    order = np.argsort(idx, kind="stable")
-    idx_s = idx[order]
-    rows_s = rows[order]
-    boundaries = np.flatnonzero(np.diff(idx_s)) + 1
-    starts = np.concatenate(([0], boundaries))
-    out[idx_s[starts]] += np.add.reduceat(rows_s, starts, axis=0)
 
 
 class CSFAnyPlan(Plan):
@@ -73,8 +65,25 @@ class CSFAnyPlan(Plan):
         self.target_level = csf.mode_order.index(mode)
         self.inner_mode = csf.mode_order[-1]
         self.fiber_mode = csf.mode_order[-2]
-        seal_leaves(csf, f"block {(0,) * csf.order}, mode {self.inner_mode}")
+        seal_tree(csf, f"block {(0,) * csf.order}, mode {self.inner_mode}")
+        if self.target_level > 0:
+            # Below the root, output coordinates repeat across subtrees.
+            ids = self._target_ids()
+            #: Stable order of the target level's nodes by output row, the
+            #: start of each row's run in that order, and the run's row.
+            self.scatter_order = np.argsort(ids, kind="stable")
+            sorted_ids = ids[self.scatter_order]
+            self.scatter_starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+            self.scatter_rows = sorted_ids[self.scatter_starts]
+            for array in (self.scatter_order, self.scatter_starts, self.scatter_rows):
+                array.flags.writeable = False
         self._stats: "list[BlockStats] | None" = None
+
+    def _target_ids(self) -> np.ndarray:
+        """Output coordinate of every node at the target level."""
+        if self.target_level < len(self.csf.levels):
+            return self.csf.levels[self.target_level].fids
+        return self.csf.leaf_fids
 
     def block_stats(self) -> list[BlockStats]:
         if self._stats is None:
@@ -84,11 +93,7 @@ class CSFAnyPlan(Plan):
             fiber_hist = np.bincount(last.fids) if last.n_nodes else np.empty(0, int)
             inner_counts = inner_hist[inner_hist > 0]
             fiber_counts = fiber_hist[fiber_hist > 0]
-            out_level = (
-                csf.levels[self.target_level].fids
-                if self.target_level < len(csf.levels)
-                else csf.leaf_fids
-            )
+            out_level = self._target_ids()
             self._stats = [
                 BlockStats(
                     coords=tuple(0 for _ in csf.shape),
@@ -162,15 +167,16 @@ class CSFAnyKernel(Kernel):
         if lvl == order - 1:
             up = None  # leaves carry raw values; handled in the combine
         else:
-            # Leaves -> last internal level: the compiled CSR product.
+            # Leaves -> last internal level: the compiled CSR product;
+            # then the root-mode kernel's levels, stopped at ``lvl``.
             leaf_mode = csf.mode_order[-1]
             [(_, _, up)] = fiber_sums(
                 csf.levels[-1].fptr, csf.leaf_fids, csf.vals,
                 factors[leaf_mode], csf.shape[leaf_mode],
             )
+            unit = unit_csr(up.shape[0], up.dtype)
             for m in range(order - 2, lvl, -1):
-                up = up * factors[csf.mode_order[m]][csf.levels[m].fids]
-                up = np.add.reduceat(up, csf.levels[m - 1].fptr[:-1], axis=0)
+                up = up_level(csf, m, up, factors, unit)
 
         # ---- down pass: ancestor products above the target level -------
         if lvl == 0:
@@ -189,13 +195,16 @@ class CSFAnyKernel(Kernel):
         # ---- combine ----------------------------------------------------
         if lvl == 0:
             A[csf.levels[0].fids] += up
-        elif lvl == order - 1:
+            return A
+        if lvl == order - 1:
             # Values may be stored float64; the cast keeps float32 factor
             # runs float32 end-to-end (no-op view for float64).
-            rows = down * csf.vals.astype(A.dtype, copy=False)[:, None]
-            _scatter_add_rows(A, csf.leaf_fids, rows)
+            contrib = down * csf.vals.astype(A.dtype, copy=False)[:, None]
         else:
-            _scatter_add_rows(A, csf.levels[lvl].fids, down * up)
+            contrib = down * up
+        A[plan.scatter_rows] += np.add.reduceat(
+            contrib[plan.scatter_order], plan.scatter_starts, axis=0
+        )
         return A
 
 

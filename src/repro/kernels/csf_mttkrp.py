@@ -17,11 +17,13 @@ is the case with one block and one strip.
 
 The leaf level (leaves into their parents, the fiber sums of lines 5-7
 of Algorithm 1) is one compiled CSR product over the tree's own
-``fptr``/``leaf_fids``/``vals`` (:func:`repro.kernels.base.fiber_sums`);
-it needs no scratch beyond its ``nodes x R`` result, so ``scratch_elems``
-no longer changes anything here (it is kept so every kernel takes the
-same constructor argument).  The internal levels are not CSR products
-and stay NumPy gathers and ``reduceat`` calls.
+``fptr``/``leaf_fids``/``vals`` (:func:`repro.kernels.base.fiber_sums`).
+Each internal level is scaled by its factor rows (a NumPy gather) and
+summed into its parents by a compiled segment sum
+(:func:`repro.kernels.base.segment_sums_into`).  Neither needs scratch
+beyond its ``nodes x R`` result, so ``scratch_elems`` no longer changes
+anything here (it is kept so every kernel takes the same constructor
+argument).
 
 The output mode is the tree's *root* mode; to compute MTTKRP for another
 mode, build a CSF with that mode first in ``mode_order``.
@@ -49,6 +51,9 @@ from repro.kernels.base import (
     register_kernel,
     reject_unknown_params,
     seal_fibers,
+    seal_pointers,
+    segment_sums_into,
+    unit_csr,
 )
 from repro.tensor.coo import COOTensor
 from repro.tensor.csf import CSFTensor
@@ -58,13 +63,18 @@ from repro.util.errors import ConfigError
 BLOCKED_PARAMS = ("grid", "block_counts", "rank_blocking", "n_rank_blocks")
 
 
-def seal_leaves(csf: CSFTensor, where: str) -> None:
+def seal_tree(csf: CSFTensor, where: str) -> None:
     """:func:`~repro.kernels.base.seal_fibers` over a tree's leaf level,
-    the CSR matrix :func:`~repro.kernels.base.fiber_sums` reads."""
+    the CSR matrix :func:`~repro.kernels.base.fiber_sums` reads, and
+    :func:`~repro.kernels.base.seal_pointers` over the pointers of the
+    levels above it, which :func:`~repro.kernels.base.segment_sums_into`
+    reads."""
     leaf_mode = csf.mode_order[-1]
     seal_fibers(
         csf.levels[-1].fptr, csf.leaf_fids, csf.vals, csf.shape[leaf_mode], where
     )
+    for parent, child in zip(csf.levels, csf.levels[1:]):
+        seal_pointers(parent.fptr, child.n_nodes, where)
 
 
 class CSFPlan(Plan):
@@ -92,7 +102,7 @@ class CSFPlan(Plan):
         self.blocks = blocks
         self.rank_blocking = rank_blocking
         for block, csf in blocks:
-            seal_leaves(csf, f"block {block.coords}, mode {self.inner_mode}")
+            seal_tree(csf, f"block {block.coords}, mode {self.inner_mode}")
         self._stats: "list[BlockStats] | None" = None
 
     def block_stats(self) -> list[BlockStats]:
@@ -237,18 +247,33 @@ def execute_csf_into(
         csf.levels[-1].fptr, csf.leaf_fids, csf.vals,
         factors[leaf_mode], csf.shape[leaf_mode],
     )
-
     # Walk internal levels bottom-up: scale by the level's factor rows,
-    # then reduce children into parents.
+    # then sum children into parents (compiled segment sums; the last
+    # internal level is the widest, so one unit CSR serves every level).
+    unit = unit_csr(acc.shape[0], acc.dtype)
     for lvl_idx in range(len(csf.levels) - 1, 0, -1):
-        lvl = csf.levels[lvl_idx]
-        acc = acc * factors[csf.mode_order[lvl_idx]][lvl.fids]
-        parent = csf.levels[lvl_idx - 1]
-        acc = np.add.reduceat(acc, parent.fptr[:-1], axis=0)
+        acc = up_level(csf, lvl_idx, acc, factors, unit)
 
     # Root: fids are unique within this tree; accumulate (blocks of a
     # blocked plan may share root rows).
     A[csf.levels[0].fids] += acc
+
+
+def up_level(
+    csf: CSFTensor,
+    lvl_idx: int,
+    acc: np.ndarray,
+    factors: Sequence[np.ndarray],
+    unit: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """One step of the bottom-up pass: scale level ``lvl_idx``'s node
+    sums ``acc`` (a fresh array, scaled in place) by the level's factor
+    rows, and return their sums per parent node."""
+    acc *= factors[csf.mode_order[lvl_idx]][csf.levels[lvl_idx].fids]
+    parent = csf.levels[lvl_idx - 1]
+    up = np.zeros((parent.n_nodes, acc.shape[1]), dtype=acc.dtype)
+    segment_sums_into(parent.fptr, acc, up, unit)
+    return up
 
 
 register_kernel(CSFKernel())

@@ -18,16 +18,20 @@ column views of the factors.  SPLATT is the case with one block and one
 strip.  One kernel therefore serves all four registry names; a name only
 fixes which of the grid and strip parameters ``prepare`` takes.
 
-Lines 5-7 run as compiled code: they are the CSR product ``S @ B`` with
-``S = (vals, jidx, fiber_ptr)`` (:func:`repro.kernels.base.fiber_sums`),
-which reads the plan's own arrays, so no ``nnz x R`` product is ever
-materialized.  The fiber sums come in cache-sized *chunks* of whole
-output rows, counted in fibers (``fibers x R <= scratch_elems``); each
-chunk is scaled by its ``C`` rows, reduced row-wise with
-``np.add.reduceat`` and accumulated into ``A``.  A fiber's sum is taken in
-nonzero order whatever the chunking, and a row never spans two chunks
-(a row larger than the budget is one chunk), so the output is bitwise the
-same for any scratch budget.
+Lines 5-7 and 9 run as compiled code, two CSR products per chunk
+(:mod:`repro.kernels.base`).  Lines 5-7 are ``S @ B`` with ``S = (vals,
+jidx, fiber_ptr)`` (:func:`~repro.kernels.base.fiber_sums`), which reads
+the plan's own arrays, so no ``nnz x R`` product is ever materialized.
+Line 8 scales each fiber sum by its ``C`` row (a NumPy gather), and line
+9 adds the fibers into their rows of ``A`` as a unit-value CSR product
+over ``row_ptr`` (:func:`~repro.kernels.base.segment_sums_into`),
+straight into ``A``, with no temporary and no scatter.  Both compiled
+calls release the GIL.  The fiber sums come in cache-sized *chunks* of
+whole output rows, counted in fibers (``fibers x R <= scratch_elems``).
+A fiber's sum is taken in nonzero order, and each row of ``A`` adds its
+blocks in order and each block's fibers in order, whatever the chunking;
+a row never spans two chunks (a row larger than the budget is one
+chunk), so the output is bitwise the same for any scratch budget.
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ from repro.kernels.base import (
     register_kernel,
     reject_unknown_params,
     seal_fibers,
+    seal_pointers,
+    segment_sums_into,
+    unit_csr,
 )
 from repro.tensor.coo import COOTensor
 from repro.tensor.splatt import SplattTensor
@@ -73,50 +80,48 @@ def row_of_fiber(splatt: SplattTensor) -> np.ndarray:
 
 
 def row_chunks(row_ptr: np.ndarray, max_fibers: int) -> list[int]:
-    """Fiber boundaries of consecutive runs of whole output rows, each run
+    """Row boundaries of consecutive runs of whole output rows, each run
     holding at most ``max_fibers`` fibers (a heavier row is a run of its
-    own; empty rows never start a run)."""
+    own); the last run ends at the last row that owns a fiber."""
     n_fibers = int(row_ptr[-1])
     bounds = [0]
-    while bounds[-1] < n_fibers:
-        f0 = bounds[-1]
-        cut = int(row_ptr[np.searchsorted(row_ptr, f0 + max_fibers, "right") - 1])
-        if cut <= f0:
-            cut = int(row_ptr[np.searchsorted(row_ptr, f0, "right")])
-        bounds.append(cut)
+    while row_ptr[bounds[-1]] < n_fibers:
+        f0 = int(row_ptr[bounds[-1]])
+        r1 = int(np.searchsorted(row_ptr, f0 + max_fibers, "right")) - 1
+        if row_ptr[r1] <= f0:
+            r1 = int(np.searchsorted(row_ptr, f0, "right"))
+        bounds.append(r1)
     return bounds
 
 
 def execute_splatt_into(
     splatt: SplattTensor,
-    fiber_rows: np.ndarray,
     B: np.ndarray,
     C: np.ndarray,
     A: np.ndarray,
     scratch_elems: int = DEFAULT_SCRATCH_ELEMS,
 ) -> None:
     """Run Algorithm 1 for one SPLATT-compressed (sub-)tensor, accumulating
-    into ``A``.  ``B`` and ``C`` are indexed by the sub-tensor's local
-    coordinates; callers pass row views for a block and column views for
-    a rank strip.
-
-    ``fiber_rows`` is the per-fiber row of ``A`` (:func:`row_of_fiber`),
-    precomputed by the plan so repeated executions don't pay for it.
+    into ``A``.  ``A``, ``B`` and ``C`` are indexed by the sub-tensor's
+    local coordinates; callers pass row views for a block and column
+    views for a rank strip.
     """
     if splatt.n_fibers == 0:
         return
-    chunks = row_chunks(splatt.row_ptr, max(1, scratch_elems // max(B.shape[1], 1)))
+    row_ptr = splatt.row_ptr
+    rows = row_chunks(row_ptr, max(1, scratch_elems // max(B.shape[1], 1)))
+    fibers = row_ptr[rows].tolist()
+    unit = unit_csr(max(f1 - f0 for f0, f1 in zip(fibers, fibers[1:])), B.dtype)
     # Lines 5-7: the compiled per-fiber sums of val * B[j], one chunk of
     # whole rows at a time.
-    for f0, f1, fiber_acc in fiber_sums(
-        splatt.fiber_ptr, splatt.jidx, splatt.vals, B, splatt.inner_extent, chunks
-    ):
-        # Lines 8-9: scale by the fiber's C row, reduce fibers into rows.
+    chunks = fiber_sums(
+        splatt.fiber_ptr, splatt.jidx, splatt.vals, B, splatt.inner_extent, fibers
+    )
+    for r0, r1, (f0, f1, fiber_acc) in zip(rows, rows[1:], chunks):
+        # Line 8: scale each fiber by its C row.  Line 9: add the chunk's
+        # fibers into their rows of A, compiled and in place.
         fiber_acc *= C[splatt.fiber_kidx[f0:f1]]
-        rows = fiber_rows[f0:f1]
-        boundaries = np.flatnonzero(np.diff(rows)) + 1
-        starts = np.concatenate(([0], boundaries))
-        A[rows[starts]] += np.add.reduceat(fiber_acc, starts, axis=0)
+        segment_sums_into(row_ptr[r0 : r1 + 1] - f0, fiber_acc, A[r0:r1], unit)
 
 
 class SplattPlan(Plan):
@@ -139,22 +144,16 @@ class SplattPlan(Plan):
         self.rank_blocking = rank_blocking
         for block in blocked.blocks:
             sp = block.splatt
-            seal_fibers(
-                sp.fiber_ptr, sp.jidx, sp.vals, sp.inner_extent,
-                f"block {block.coords}, mode {self.inner_mode}",
-            )
+            where = f"block {block.coords}, mode {self.inner_mode}"
+            seal_fibers(sp.fiber_ptr, sp.jidx, sp.vals, sp.inner_extent, where)
+            seal_pointers(sp.row_ptr, sp.n_fibers, where)
         rows = [
             row_of_fiber(block.splatt) + block.bounds[self.mode][0]
             for block in blocked.blocks
         ]
-        #: Global output row of every fiber, block after block, and each
-        #: block's share of it (views).
+        #: Global output row of every fiber, block after block.
         self.fiber_rows = (
             np.concatenate(rows) if rows else np.empty(0, dtype=INDEX_DTYPE)
-        )
-        self.block_rows = np.split(
-            self.fiber_rows,
-            np.cumsum([r.shape[0] for r in rows], dtype=INDEX_DTYPE)[:-1],
         )
         self._stats: list[BlockStats] | None = None
 
@@ -259,15 +258,15 @@ class SplattKernel(Kernel):
         C = factors[plan.fiber_mode]
         A = alloc_output(out, plan.shape[plan.mode], rank, factor_dtype(factors))
         for lo, hi in plan.strips(rank):
-            for block, fiber_rows in zip(plan.blocked.blocks, plan.block_rows):
+            for block in plan.blocked.blocks:
                 in_lo, in_hi = block.bounds[plan.inner_mode]
                 fb_lo, fb_hi = block.bounds[plan.fiber_mode]
+                out_lo, out_hi = block.bounds[plan.mode]
                 execute_splatt_into(
                     block.splatt,
-                    fiber_rows,
                     B[in_lo:in_hi, lo:hi],
                     C[fb_lo:fb_hi, lo:hi],
-                    A[:, lo:hi],
+                    A[out_lo:out_hi, lo:hi],
                     self.scratch_elems,
                 )
         return A

@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.sanitize import SanitizeReport, sanitized_execute
 from repro.kernels import get_kernel, reference_mttkrp
+from repro.kernels import splatt_mttkrp
 from repro.kernels.splatt_mttkrp import SplattKernel
 from repro.tensor.coo import COOTensor
 
@@ -151,6 +152,53 @@ class TestSeededMutants:
         plan = kernel.prepare(tensor, 0)
         report = sanitized_execute(kernel, plan, factors)
         assert "SZ503" not in {d.rule for d in report.diagnostics}
+
+
+SPLATT_PRESETS = [
+    ("splatt", {}),
+    ("mb", {"block_counts": (2, 2, 2)}),
+    ("rankb", {"n_rank_blocks": 2}),
+    ("mb+rankb", {"block_counts": (2, 2, 1), "n_rank_blocks": 2}),
+]
+
+
+class TestCompiledWrites:
+    """Lines 8-9 write ``A`` from compiled code, past ``__setitem__``;
+    ``segment_sums_into``'s witness is what SZ501 observes."""
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    @pytest.mark.parametrize("kernel_name,params", SPLATT_PRESETS)
+    def test_written_rows_are_the_rows_owning_a_fiber(self, kernel_name, params, mode):
+        tensor, factors = make_problem(9, shape=(40, 30, 20), nnz=60)
+        kernel = get_kernel(kernel_name)
+        plan = kernel.prepare(tensor, mode, **params)
+        report = sanitized_execute(kernel, plan, factors)
+        owners = np.unique(plan.fiber_rows).size
+        assert 0 < owners < tensor.shape[mode]
+        assert report.written_rows == owners
+        assert report.ok
+
+    @pytest.mark.parametrize("kernel_name,params", SPLATT_PRESETS)
+    def test_sanitized_output_is_the_plain_output(self, kernel_name, params):
+        tensor, factors = make_problem(10)
+        kernel = get_kernel(kernel_name)
+        plan = kernel.prepare(tensor, 1, **params)
+        report = sanitized_execute(kernel, plan, factors)
+        np.testing.assert_array_equal(report.output, kernel.execute(plan, factors))
+
+    def test_target_shifted_by_one_row_is_sz501(self, monkeypatch):
+        real = splatt_mttkrp.segment_sums_into
+
+        def shifted(ptr, X, Y, unit):
+            # Row r's segment lands in row r + 1 (the last row's is lost).
+            real(ptr[:-1], X[: ptr[-2]], Y[1:], unit)
+
+        monkeypatch.setattr(splatt_mttkrp, "segment_sums_into", shifted)
+        tensor, factors = make_problem(11, shape=(40, 30, 20), nnz=60)
+        kernel = get_kernel("splatt")
+        plan = kernel.prepare(tensor, 0)
+        report = sanitized_execute(kernel, plan, factors)
+        assert "SZ501" in {d.rule for d in report.diagnostics}
 
 
 class TestReportShape:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocking import BlockGrid
 from repro.util import ConfigError, ShapeError
@@ -123,3 +125,32 @@ class TestBlockOfBounds:
         idx = np.array([[0], [4], [5], [9]], dtype=np.int64)
         flat = g.block_of(idx)
         np.testing.assert_array_equal(flat, [0, 0, 1, 1])
+
+
+@st.composite
+def grids_and_coords(draw):
+    """A uniform or explicit-boundary grid of 1-4 modes and in-range
+    coordinates for it."""
+    shape = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    boundaries = []
+    for extent in shape:
+        cuts = draw(st.sets(st.integers(1, extent - 1), max_size=6)) if extent > 1 else set()
+        boundaries.append([0, *sorted(cuts), extent])
+    if draw(st.booleans()):
+        grid = BlockGrid.from_boundaries(shape, boundaries)
+    else:
+        grid = BlockGrid(shape, [len(b) - 1 for b in boundaries])
+    n = draw(st.integers(0, 30))
+    cols = [draw(st.lists(st.integers(0, e - 1), min_size=n, max_size=n)) for e in shape]
+    return grid, np.array(cols, dtype=np.int64).T.reshape(n, len(shape))
+
+
+@given(grids_and_coords())
+@settings(max_examples=200, deadline=None)
+def test_block_of_matches_binary_search(problem):
+    grid, idx = problem
+    want = np.zeros(idx.shape[0], dtype=np.int64)
+    for m, bounds in enumerate(grid.boundaries):
+        coord = np.searchsorted(bounds[1:], idx[:, m], side="right")
+        want = want * (bounds.shape[0] - 1) + coord
+    np.testing.assert_array_equal(grid.block_of(idx), want)

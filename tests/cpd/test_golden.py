@@ -101,40 +101,40 @@ GOLDEN: dict[str, str] = {
     "cp_als-coo-f32-t2": "d79d9adcdce65bc0950f7cfd7ab4ab71128328faa0d1c7f3418f2c84f9d820c2",
     "cp_als-coo-f64-t1": "7b838efe371ac814635bb15fac6abde8fb86493dde04be79efbf61cea15e74a0",
     "cp_als-coo-f64-t2": "7b838efe371ac814635bb15fac6abde8fb86493dde04be79efbf61cea15e74a0",
-    "cp_als-csf-any-f32-t1": "a6e23f1e8cb2c52fd362c6c98fa412d712c6dbf6fc9810e55aaf9e2cfd377a12",
-    "cp_als-csf-any-f32-t2": "a6e23f1e8cb2c52fd362c6c98fa412d712c6dbf6fc9810e55aaf9e2cfd377a12",
-    "cp_als-csf-any-f64-t1": "1b29dd522d7226ad42c03eba27cc3e66efe2d176409f84b7b77419ad5e2c2b3f",
-    "cp_als-csf-any-f64-t2": "1b29dd522d7226ad42c03eba27cc3e66efe2d176409f84b7b77419ad5e2c2b3f",
-    "cp_als-csf-blocked-f32-t1": "93fe825f3683eb7999fa5160007cb6f65c9cead191bfebdf35020924c9dd1e8e",
-    "cp_als-csf-blocked-f32-t2": "93fe825f3683eb7999fa5160007cb6f65c9cead191bfebdf35020924c9dd1e8e",
-    "cp_als-csf-blocked-f64-t1": "7cfe2d25c799cc5d3e15761f60d6985ea9a9cab9516585ee954fcf3f41475f06",
-    "cp_als-csf-blocked-f64-t2": "7cfe2d25c799cc5d3e15761f60d6985ea9a9cab9516585ee954fcf3f41475f06",
-    "cp_als-csf-f32-t1": "75d8cb6307317bbcf9a2cc10774316c964b8b854636ca155b71f9dcd84c5fad4",
-    "cp_als-csf-f32-t2": "75d8cb6307317bbcf9a2cc10774316c964b8b854636ca155b71f9dcd84c5fad4",
-    "cp_als-csf-f64-t1": "2a65a1ff1efac1066e35066cd5c68f98ccb108a50f319bce75607d2d791dddcc",
-    "cp_als-csf-f64-t2": "2a65a1ff1efac1066e35066cd5c68f98ccb108a50f319bce75607d2d791dddcc",
-    "cp_als-mb+rankb-f32-t1": "c636646ebacefdbe4e0aff7de597953e498d76ec1eb6148425ad70184376ef46",
-    "cp_als-mb+rankb-f32-t2": "c636646ebacefdbe4e0aff7de597953e498d76ec1eb6148425ad70184376ef46",
-    "cp_als-mb+rankb-f64-t1": "bd86fd78e8c8570f99f3964392a2c1a885ae7fe0550db51c5f5d4f96830fd05b",
-    "cp_als-mb+rankb-f64-t2": "bd86fd78e8c8570f99f3964392a2c1a885ae7fe0550db51c5f5d4f96830fd05b",
-    "cp_als-mb-f32-t1": "c636646ebacefdbe4e0aff7de597953e498d76ec1eb6148425ad70184376ef46",
-    "cp_als-mb-f32-t2": "c636646ebacefdbe4e0aff7de597953e498d76ec1eb6148425ad70184376ef46",
-    "cp_als-mb-f64-t1": "bd86fd78e8c8570f99f3964392a2c1a885ae7fe0550db51c5f5d4f96830fd05b",
-    "cp_als-mb-f64-t2": "bd86fd78e8c8570f99f3964392a2c1a885ae7fe0550db51c5f5d4f96830fd05b",
-    "cp_als-rankb-f32-t1": "b5820ffe3afad247aca887b4184c681b61a2fa31f55309d063c6c842d0c53d07",
-    "cp_als-rankb-f32-t2": "b5820ffe3afad247aca887b4184c681b61a2fa31f55309d063c6c842d0c53d07",
-    "cp_als-rankb-f64-t1": "b40b1cea8da1c1f40389c6ec671c0512474f406ee8e994fab19a9ebdca20bbc2",
-    "cp_als-rankb-f64-t2": "b40b1cea8da1c1f40389c6ec671c0512474f406ee8e994fab19a9ebdca20bbc2",
-    "cp_als-splatt-f32-t1": "b5820ffe3afad247aca887b4184c681b61a2fa31f55309d063c6c842d0c53d07",
-    "cp_als-splatt-f32-t2": "b5820ffe3afad247aca887b4184c681b61a2fa31f55309d063c6c842d0c53d07",
-    "cp_als-splatt-f64-t1": "b40b1cea8da1c1f40389c6ec671c0512474f406ee8e994fab19a9ebdca20bbc2",
-    "cp_als-splatt-f64-t2": "b40b1cea8da1c1f40389c6ec671c0512474f406ee8e994fab19a9ebdca20bbc2",
+    "cp_als-csf-any-f32-t1": "947bdd702766094eb2a8c9510c89f53151cccbc5f1b6c7954b872a826c1cf244",
+    "cp_als-csf-any-f32-t2": "947bdd702766094eb2a8c9510c89f53151cccbc5f1b6c7954b872a826c1cf244",
+    "cp_als-csf-any-f64-t1": "f985421e0d1037d884e30d6d319d4543db0c24f0abcc88300a289fcce326e520",
+    "cp_als-csf-any-f64-t2": "f985421e0d1037d884e30d6d319d4543db0c24f0abcc88300a289fcce326e520",
+    "cp_als-csf-blocked-f32-t1": "9212029f6d0fe2194708a48a7bf2c7696db693c59e6604b19780aa333c63f972",
+    "cp_als-csf-blocked-f32-t2": "9212029f6d0fe2194708a48a7bf2c7696db693c59e6604b19780aa333c63f972",
+    "cp_als-csf-blocked-f64-t1": "10d43435893b999bb9b24ebe94d44130026f075204bfe2b65cccbf61b9218b78",
+    "cp_als-csf-blocked-f64-t2": "10d43435893b999bb9b24ebe94d44130026f075204bfe2b65cccbf61b9218b78",
+    "cp_als-csf-f32-t1": "7a17ab0fd1e5ac17197ec73598d50f7cbedd770447aef34bbc5c3adf9b4429f3",
+    "cp_als-csf-f32-t2": "7a17ab0fd1e5ac17197ec73598d50f7cbedd770447aef34bbc5c3adf9b4429f3",
+    "cp_als-csf-f64-t1": "511fb517c39142000df95e5265b0d5da3cc82c1cb7a414d829ef8f743dbb507d",
+    "cp_als-csf-f64-t2": "511fb517c39142000df95e5265b0d5da3cc82c1cb7a414d829ef8f743dbb507d",
+    "cp_als-mb+rankb-f32-t1": "a2119560100a7bf767530bf193a9926530f53edc736eee6b15b594fc9d211819",
+    "cp_als-mb+rankb-f32-t2": "a2119560100a7bf767530bf193a9926530f53edc736eee6b15b594fc9d211819",
+    "cp_als-mb+rankb-f64-t1": "9bab9777c164c2cafde4e410d935e2c38e9f7f9cc559137e5add66b4c9fad5a5",
+    "cp_als-mb+rankb-f64-t2": "9bab9777c164c2cafde4e410d935e2c38e9f7f9cc559137e5add66b4c9fad5a5",
+    "cp_als-mb-f32-t1": "a2119560100a7bf767530bf193a9926530f53edc736eee6b15b594fc9d211819",
+    "cp_als-mb-f32-t2": "a2119560100a7bf767530bf193a9926530f53edc736eee6b15b594fc9d211819",
+    "cp_als-mb-f64-t1": "9bab9777c164c2cafde4e410d935e2c38e9f7f9cc559137e5add66b4c9fad5a5",
+    "cp_als-mb-f64-t2": "9bab9777c164c2cafde4e410d935e2c38e9f7f9cc559137e5add66b4c9fad5a5",
+    "cp_als-rankb-f32-t1": "5aeeafdbe000577e84feb80a9f0977f95dcfb58b4580776e845d55874b132be8",
+    "cp_als-rankb-f32-t2": "5aeeafdbe000577e84feb80a9f0977f95dcfb58b4580776e845d55874b132be8",
+    "cp_als-rankb-f64-t1": "51a2ac2f93088d85f4a65ef29462e7d18ef7bfbf8af047635d8fbcb35cec3aac",
+    "cp_als-rankb-f64-t2": "51a2ac2f93088d85f4a65ef29462e7d18ef7bfbf8af047635d8fbcb35cec3aac",
+    "cp_als-splatt-f32-t1": "5aeeafdbe000577e84feb80a9f0977f95dcfb58b4580776e845d55874b132be8",
+    "cp_als-splatt-f32-t2": "5aeeafdbe000577e84feb80a9f0977f95dcfb58b4580776e845d55874b132be8",
+    "cp_als-splatt-f64-t1": "51a2ac2f93088d85f4a65ef29462e7d18ef7bfbf8af047635d8fbcb35cec3aac",
+    "cp_als-splatt-f64-t2": "51a2ac2f93088d85f4a65ef29462e7d18ef7bfbf8af047635d8fbcb35cec3aac",
     "dimtree-f32": "d4041c51b607ae9dc01a10825b536686b3a8d355565b37273ee8fbeaab398886",
     "dimtree-f64": "e5d5dc760c4e239ee20cb588854b3dd352c19de7412a0303b3fa11d153f58b5a",
-    "dist-process-f32": "b46507bf4949f6918d8d9c682cf14db40913376e7efa0375e995e863d030d1bf",
-    "dist-process-f64": "ff1ae968156541612b52e89d4de48cdd555078905876d9dbf9327436e904c049",
-    "dist-sim-f32": "b46507bf4949f6918d8d9c682cf14db40913376e7efa0375e995e863d030d1bf",
-    "dist-sim-f64": "ff1ae968156541612b52e89d4de48cdd555078905876d9dbf9327436e904c049",
+    "dist-process-f32": "c70c6e0b63f8999e09ac302fca753e0b952c5682ab9fea2a31fe88ede6a4f499",
+    "dist-process-f64": "abfd1738da430a35d05acc0011da0823ce4703c475579ed4e6db1c33ccd08f6f",
+    "dist-sim-f32": "c70c6e0b63f8999e09ac302fca753e0b952c5682ab9fea2a31fe88ede6a4f499",
+    "dist-sim-f64": "abfd1738da430a35d05acc0011da0823ce4703c475579ed4e6db1c33ccd08f6f",
 }
 
 

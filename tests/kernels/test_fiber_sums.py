@@ -1,11 +1,11 @@
-"""The compiled fiber reduction: its loader, its plan-build seal, and its
-O(1) guards.
+"""The compiled fiber and segment sums: their loader, their plan-build
+seal, and their O(1) guards.
 
-``fiber_sums`` hands plan arrays to scipy's ``csr_matvecs``, which does
-no bounds checks, so these tests pin the three things that keep it from
-reading outside ``X``: every plan checks its leaf indices and pointers
-when it is built, then freezes them; the helper checks the operand's
-extent and dtype on every call.
+``fiber_sums`` and ``segment_sums_into`` hand plan arrays to scipy's
+``csr_matvecs``, which does no bounds checks, so these tests pin the
+three things that keep it inside its operands: every plan checks its
+leaf indices and pointers when it is built, then freezes them; the
+helpers check shapes and dtypes on every call.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ import repro.kernels.base as base
 from repro.blocking import BlockGrid, partition_coo
 from repro.blocking.partition import partition_coo_nd
 from repro.kernels import get_kernel
-from repro.kernels.base import fiber_sums
+from repro.kernels.base import fiber_sums, segment_sums_into, unit_csr
 from repro.kernels.csf_mttkrp import CSFPlan
-from repro.kernels.splatt_mttkrp import SplattPlan
-from repro.tensor import poisson_tensor
+from repro.kernels.splatt_mttkrp import SplattPlan, execute_splatt_into
+from repro.tensor import COOTensor, SplattTensor, poisson_tensor
 from repro.util.errors import ShapeError
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -73,6 +73,83 @@ def test_operand_extent_and_dtype_are_checked():
         list(fiber_sums(ptr, idx, vals, np.ones((4, 3)), 5))
     with pytest.raises(ShapeError, match="float32 or float64"):
         list(fiber_sums(ptr, idx, vals, np.ones((5, 3), dtype=np.int64), 5))
+
+
+def naive_segment_sums(ptr, X, Y):
+    want = Y.copy()
+    for r in range(ptr.shape[0] - 1):
+        for f in range(ptr[r], ptr[r + 1]):
+            want[r] = want[r] + X[f]
+    return want
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_segment_sums_match_naive_loop_with_empty_rows(dtype):
+    rng = np.random.default_rng(2)
+    ptr = np.array([0, 0, 3, 3, 4, 9, 9])  # rows 0, 2 and 5 are empty
+    X = rng.standard_normal((9, 5)).astype(dtype)
+    Y = rng.standard_normal((6, 5)).astype(dtype)
+    want = naive_segment_sums(ptr, X, Y)
+    segment_sums_into(ptr, X, Y, unit_csr(12, dtype))
+    assert Y.dtype == dtype
+    np.testing.assert_array_equal(Y, want)
+
+
+def test_segment_sums_into_a_strided_view():
+    rng = np.random.default_rng(3)
+    ptr = np.array([0, 2, 2, 5])
+    X = rng.standard_normal((5, 3)).astype(np.float32)
+    wide = rng.standard_normal((3, 8)).astype(np.float32)
+    want = wide.copy()
+    want[:, 2:5] = naive_segment_sums(ptr, X, wide[:, 2:5])
+    segment_sums_into(ptr, X, wide[:, 2:5], unit_csr(5, np.float32))
+    np.testing.assert_array_equal(wide, want)
+
+
+def test_segment_sums_check_their_operands():
+    ptr, X = np.array([0, 2, 4]), np.ones((4, 3))
+    unit = unit_csr(4, np.float64)
+    for bad_ptr, Y, unit_ in [
+        (np.array([0, 2, 5]), np.zeros((2, 3)), unit),  # ends past X
+        (np.array([1, 2, 4]), np.zeros((2, 3)), unit),  # does not start at 0
+        (ptr, np.zeros((3, 3)), unit),  # one row too many
+        (ptr, np.zeros((2, 3), dtype=np.float32), unit),  # dtype
+        (ptr, np.zeros((2, 3)), unit_csr(3, np.float64)),  # unit too short
+    ]:
+        with pytest.raises(ShapeError, match="segment sums"):
+            segment_sums_into(bad_ptr, X, Y, unit_)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_heavy_row_over_budget_gives_the_same_bits(dtype):
+    # Row 1 owns 30 fibers, more than any budget below allows in a chunk:
+    # it becomes a chunk of its own, and every budget yields the same bits.
+    rng = np.random.default_rng(4)
+    shape = (4, 7, 40)
+    idx = np.unique(
+        np.concatenate([
+            np.stack([np.ones(60, int), rng.integers(0, 7, 60), np.arange(60) % 30], 1),
+            np.stack([rng.choice([0, 3], 40), rng.integers(0, 7, 40),
+                      rng.integers(0, 40, 40)], 1),
+        ]),
+        axis=0,
+    )
+    coo = COOTensor(shape, idx, rng.standard_normal(idx.shape[0]).astype(dtype))
+    sp = SplattTensor.from_coo(coo, 0, inner_mode=1)
+    assert sp.fibers_per_row()[1] == 30
+    B = rng.standard_normal((7, 6)).astype(dtype)
+    C = rng.standard_normal((40, 6)).astype(dtype)
+    outs = []
+    for budget in (1, 6 * 4, 6 * 25, 1 << 20):
+        A = np.zeros((4, 6), dtype=dtype)
+        execute_splatt_into(sp, B, C, A, scratch_elems=budget)
+        outs.append(A)
+    for A in outs[1:]:
+        np.testing.assert_array_equal(A, outs[0])
+    dense = np.zeros(shape)
+    np.add.at(dense, tuple(coo.indices.T), coo.values)
+    want = np.einsum("ijk,jr,kr->ir", dense, B.astype(float), C.astype(float))
+    np.testing.assert_allclose(outs[0], want, rtol=1e-4 if dtype == np.float32 else 1e-12)
 
 
 def test_tampered_splatt_index_raises_at_plan_build(tensor):
@@ -143,7 +220,7 @@ def test_no_scipy_import_and_scipy_sparse_still_works():
         import sys
         import numpy as np
         import repro, repro.kernels, repro.cpd, repro.exec, repro.dist
-        from repro.kernels.base import fiber_sums
+        from repro.kernels.base import fiber_sums, segment_sums_into, unit_csr
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         assert not loaded, loaded
         import scipy.sparse

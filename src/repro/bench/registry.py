@@ -530,31 +530,6 @@ register_benchmark(
 # ----------------------------------------------------------------------
 # Ablations
 # ----------------------------------------------------------------------
-def _check_dimtree(rows: list, params: Mapping[str, Any]) -> None:
-    for row in rows:
-        assert row["flop_ratio"] > 1.0
-        assert row["pairs"] < row["nnz"]
-
-
-register_benchmark(
-    Benchmark(
-        name="ablation_dimtree",
-        fn=suites.experiment_ablation_dimtree,
-        tags=frozenset({"cpd", "ablation"}),
-        description="Dimension-tree memoization vs three independent MTTKRPs",
-        quick={"nnz": 60_000, "n_iters": 2},
-        check=_check_dimtree,
-        metrics=lambda rows: {
-            f"flop_ratio_{r['dataset']}": r["flop_ratio"] for r in rows
-        },
-        render=lambda rows: render_rows(
-            rows, title="Ablation: dimension-tree memoization (R=64)"
-        ),
-        artifact="ablation_dimtree",
-    )
-)
-
-
 def _check_heuristic(rows: list, params: Mapping[str, Any]) -> None:
     for row in rows:
         assert row["gap_%"] < 25.0

@@ -570,59 +570,6 @@ def experiment_dist_strong_scaling_real(
 # ----------------------------------------------------------------------
 # Ablations
 # ----------------------------------------------------------------------
-def experiment_ablation_dimtree(
-    datasets: Sequence[str] = ("poisson2", "poisson3"),
-    nnz: int = 300_000,
-    rank: int = 64,
-    n_iters: int = 3,
-) -> list[dict]:
-    from repro.cpd import cp_als, cp_als_dimtree, init_factors
-    from repro.cpd.dimtree import DimTreePlan
-    from repro.tensor import SplattTensor, load_dataset
-    from repro.util import format_bytes
-
-    rows = []
-    for name in datasets:
-        tensor = load_dataset(name, nnz=nnz)
-        plan = DimTreePlan(tensor)
-        standard_flops = 0.0
-        for mode in range(3):
-            s = SplattTensor.from_coo(tensor, output_mode=mode)
-            standard_flops += 2.0 * rank * (s.nnz + s.n_fibers)
-        memo_flops = plan.flops_per_sweep(rank)
-
-        init = init_factors(tensor, rank, seed=1)
-        t = Timer()
-        with t:
-            standard = cp_als(
-                tensor, rank, n_iters=n_iters, tol=0.0,
-                init=[f.copy() for f in init],
-            )
-        t_standard = t.elapsed / n_iters
-        with t:
-            memoized = cp_als_dimtree(
-                tensor, rank, n_iters=n_iters, tol=0.0,
-                init=[f.copy() for f in init],
-            )
-        t_memo = t.elapsed / n_iters
-        np.testing.assert_allclose(memoized.fits, standard.fits, rtol=1e-9)
-
-        rows.append(
-            {
-                "dataset": name,
-                "nnz": tensor.nnz,
-                "pairs": plan.n_pairs,
-                "flops_standard": f"{standard_flops:.3g}",
-                "flops_memoized": f"{memo_flops:.3g}",
-                "flop_ratio": round(standard_flops / memo_flops, 2),
-                "memo_storage": format_bytes(plan.memo_bytes(rank)),
-                "sweep_ms_standard": round(t_standard * 1e3, 1),
-                "sweep_ms_memoized": round(t_memo * 1e3, 1),
-            }
-        )
-    return rows
-
-
 def experiment_ablation_heuristic(
     datasets: Sequence[str] = ("poisson2", "nell2"),
     rank: int = 256,

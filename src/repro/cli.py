@@ -209,20 +209,15 @@ def cmd_cpd(args: argparse.Namespace) -> int:
             f"{res.n_iters} iterations (converged={res.converged})"
         )
     else:
-        from repro.cpd import cp_als, cp_als_dimtree
+        from repro.cpd import cp_als
 
-        if args.method == "dimtree":
-            res = cp_als_dimtree(
-                tensor, args.rank, n_iters=args.iters, seed=args.seed
-            )
-        else:
-            res = cp_als(
-                tensor,
-                args.rank,
-                n_iters=args.iters,
-                kernel=args.kernel,
-                seed=args.seed,
-            )
+        res = cp_als(
+            tensor,
+            args.rank,
+            n_iters=args.iters,
+            kernel=args.kernel,
+            seed=args.seed,
+        )
         print(
             f"CP-ALS ({args.method}): fit {res.final_fit:.4f} after "
             f"{res.n_iters} iterations (converged={res.converged})"
@@ -254,16 +249,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
             res = cp_apr(tensor, args.rank, n_iters=args.iters, seed=args.seed)
             outcome = (
                 f"CP-APR: log-likelihood {res.final_log_likelihood:.6g} "
-                f"after {res.n_iters} iterations"
-            )
-        elif args.method == "dimtree":
-            from repro.cpd import cp_als_dimtree
-
-            res = cp_als_dimtree(
-                tensor, args.rank, n_iters=args.iters, seed=args.seed
-            )
-            outcome = (
-                f"CP-ALS (dimtree): fit {res.final_fit:.4f} "
                 f"after {res.n_iters} iterations"
             )
         else:
@@ -997,9 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tensor_args(p)
     p.add_argument("--rank", type=int, default=8)
     p.add_argument("--iters", type=int, default=25)
-    p.add_argument(
-        "--method", choices=("als", "dimtree", "apr"), default="als"
-    )
+    p.add_argument("--method", choices=("als", "apr"), default="als")
     p.add_argument("--kernel", default="splatt")
     p.set_defaults(func=cmd_cpd)
 
@@ -1307,9 +1290,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tensor_args(p)
     p.add_argument("--rank", type=int, default=8)
     p.add_argument("--iters", type=int, default=5)
-    p.add_argument(
-        "--method", choices=("als", "dimtree", "apr"), default="als"
-    )
+    p.add_argument("--method", choices=("als", "apr"), default="als")
     p.add_argument("--kernel", default="splatt", help="kernel for --method als")
     p.add_argument(
         "--threads",

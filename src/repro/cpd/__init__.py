@@ -14,7 +14,6 @@ from repro.cpd.init import init_factors
 from repro.cpd.core import ALSResult, check_init_factors
 from repro.cpd.als import cp_als
 from repro.cpd.apr import APRResult, cp_apr, poisson_log_likelihood
-from repro.cpd.dimtree import DimTreePlan, cp_als_dimtree
 
 __all__ = [
     "KruskalTensor",
@@ -25,6 +24,4 @@ __all__ = [
     "APRResult",
     "cp_apr",
     "poisson_log_likelihood",
-    "DimTreePlan",
-    "cp_als_dimtree",
 ]

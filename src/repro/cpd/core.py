@@ -1,9 +1,9 @@
 """The CP-ALS update core shared by every ALS driver.
 
-:func:`repro.cpd.als.cp_als`, :func:`repro.cpd.dimtree.cp_als_dimtree`
-and :func:`repro.dist.als.distributed_cp_als` differ only in how they
-compute each mode's MTTKRP (kernel/executor dispatch, the dimension-tree
-memo, sharded ranks).  Everything around it lives here, in three steps:
+:func:`repro.cpd.als.cp_als` and :func:`repro.dist.als.distributed_cp_als`
+differ only in how they compute each mode's MTTKRP (kernel/executor
+dispatch, sharded ranks).  Everything around it lives here, in three
+steps:
 
 * **start** (:class:`ALSState`): initialise the factors (or copy and
   check explicit ones), validate ``n_iters``/``tol``, and build the Gram

@@ -18,9 +18,14 @@ any level.  For a target level ``l`` the kernel runs two passes:
 The contribution of node ``n`` with coordinate ``fid(n)`` is then
 ``down(n) * up(n)``, scatter-added into the output (coordinates repeat
 across subtrees, unlike the root level): the plan sorts the target
-level's nodes by coordinate once, and each execute sums the runs of
-that order with ``np.add.reduceat``.  With ``l = 0`` this reduces to
-the root-mode kernel; the test suite checks every placement against the
+level's nodes by coordinate once.  At an internal level each execute
+sums the runs of that order with ``np.add.reduceat``.  At the leaf level
+``up`` is the leaf's value, so the plan turns the order into one CSR
+matrix (output rows x last internal nodes, the leaf values in row order)
+and each execute is one compiled product of it with ``down`` at the last
+internal level (:func:`repro.kernels.base.fiber_sums`), before ``down``
+would be repeated out to the leaves.  With ``l = 0`` this reduces to the
+root-mode kernel; the test suite checks every placement against the
 dense reference.
 
 This kernel trades a little arithmetic for a 3x (order-``N``x) cut in
@@ -35,7 +40,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.kernels.base import (
-    DEFAULT_SCRATCH_ELEMS,
     BlockStats,
     Kernel,
     Plan,
@@ -45,11 +49,13 @@ from repro.kernels.base import (
     fiber_sums,
     register_kernel,
     reject_unknown_params,
+    seal_fibers,
     unit_csr,
 )
 from repro.kernels.csf_mttkrp import seal_tree, up_level
 from repro.tensor.coo import COOTensor
 from repro.tensor.csf import CSFTensor
+from repro.util.validation import INDEX_DTYPE
 
 
 class CSFAnyPlan(Plan):
@@ -65,7 +71,8 @@ class CSFAnyPlan(Plan):
         self.target_level = csf.mode_order.index(mode)
         self.inner_mode = csf.mode_order[-1]
         self.fiber_mode = csf.mode_order[-2]
-        seal_tree(csf, f"block {(0,) * csf.order}, mode {self.inner_mode}")
+        where = f"block {(0,) * csf.order}, mode {self.inner_mode}"
+        seal_tree(csf, where)
         if self.target_level > 0:
             # Below the root, output coordinates repeat across subtrees.
             ids = self._target_ids()
@@ -77,6 +84,20 @@ class CSFAnyPlan(Plan):
             self.scatter_rows = sorted_ids[self.scatter_starts]
             for array in (self.scatter_order, self.scatter_starts, self.scatter_rows):
                 array.flags.writeable = False
+        if self.target_level == csf.order - 1:
+            # Leaf target: row ``r`` of ``(leaf_ptr, leaf_parents,
+            # leaf_vals)`` holds output row ``scatter_rows[r]``'s leaves,
+            # each as its value at its parent's column.
+            last = csf.levels[-1]
+            parents = np.repeat(
+                np.arange(last.n_nodes, dtype=INDEX_DTYPE), np.diff(last.fptr)
+            )
+            self.leaf_ptr = np.append(self.scatter_starts, csf.nnz).astype(INDEX_DTYPE)
+            self.leaf_parents = parents[self.scatter_order]
+            self.leaf_vals = csf.vals[self.scatter_order]
+            seal_fibers(
+                self.leaf_ptr, self.leaf_parents, self.leaf_vals, last.n_nodes, where
+            )
         self._stats: "list[BlockStats] | None" = None
 
     def _target_ids(self) -> np.ndarray:
@@ -113,9 +134,6 @@ class CSFAnyKernel(Kernel):
     """Any-mode MTTKRP over one shared CSF tree."""
 
     name = "csf-any"
-
-    def __init__(self, scratch_elems: int = DEFAULT_SCRATCH_ELEMS) -> None:
-        self.scratch_elems = int(scratch_elems)
 
     def prepare(
         self,
@@ -165,7 +183,7 @@ class CSFAnyKernel(Kernel):
 
         # ---- up pass: subtree sums below the target level --------------
         if lvl == order - 1:
-            up = None  # leaves carry raw values; handled in the combine
+            up = None  # the leaf CSR's values; handled in the combine
         else:
             # Leaves -> last internal level: the compiled CSR product;
             # then the root-mode kernel's levels, stopped at ``lvl``.
@@ -187,23 +205,26 @@ class CSFAnyKernel(Kernel):
                 child_counts = np.diff(csf.levels[m - 1].fptr)
                 down = np.repeat(down, child_counts, axis=0)
                 down = down * factors[csf.mode_order[m]][csf.levels[m].fids]
-            # One final propagation from level lvl-1 to the target level
-            # (its factor is the output and is not multiplied in).
-            target_counts = np.diff(csf.levels[lvl - 1].fptr)
-            down = np.repeat(down, target_counts, axis=0)
 
         # ---- combine ----------------------------------------------------
         if lvl == 0:
             A[csf.levels[0].fids] += up
             return A
         if lvl == order - 1:
-            # Values may be stored float64; the cast keeps float32 factor
-            # runs float32 end-to-end (no-op view for float64).
-            contrib = down * csf.vals.astype(A.dtype, copy=False)[:, None]
-        else:
-            contrib = down * up
+            # ``down`` is still at the last internal level: one compiled
+            # product sums ``val * down(parent)`` per output row.
+            [(_, _, rows)] = fiber_sums(
+                plan.leaf_ptr, plan.leaf_parents, plan.leaf_vals,
+                down, csf.levels[-1].n_nodes,
+            )
+            A[plan.scatter_rows] += rows
+            return A
+        # One final propagation from level lvl-1 to the target level
+        # (its factor is the output and is not multiplied in).
+        target_counts = np.diff(csf.levels[lvl - 1].fptr)
+        down = np.repeat(down, target_counts, axis=0)
         A[plan.scatter_rows] += np.add.reduceat(
-            contrib[plan.scatter_order], plan.scatter_starts, axis=0
+            (down * up)[plan.scatter_order], plan.scatter_starts, axis=0
         )
         return A
 

@@ -21,9 +21,7 @@ of Algorithm 1) is one compiled CSR product over the tree's own
 Each internal level is scaled by its factor rows (a NumPy gather) and
 summed into its parents by a compiled segment sum
 (:func:`repro.kernels.base.segment_sums_into`).  Neither needs scratch
-beyond its ``nodes x R`` result, so ``scratch_elems`` no longer changes
-anything here (it is kept so every kernel takes the same constructor
-argument).
+beyond its ``nodes x R`` result, so this kernel takes no scratch budget.
 
 The output mode is the tree's *root* mode; to compute MTTKRP for another
 mode, build a CSF with that mode first in ``mode_order``.
@@ -39,7 +37,6 @@ from repro.blocking.grid import BlockGrid, resolve_grid
 from repro.blocking.partition import NDBlock, partition_coo_nd
 from repro.blocking.rank import RankBlocking, resolve_rank_blocking
 from repro.kernels.base import (
-    DEFAULT_SCRATCH_ELEMS,
     BlockStats,
     Kernel,
     Plan,
@@ -153,17 +150,10 @@ class CSFKernel(Kernel):
 
     name = "csf"
 
-    def __init__(
-        self,
-        name: "str | None" = None,
-        *,
-        blocked: bool = False,
-        scratch_elems: int = DEFAULT_SCRATCH_ELEMS,
-    ) -> None:
+    def __init__(self, name: "str | None" = None, *, blocked: bool = False) -> None:
         if name is not None:
             self.name = name
         self.blocked = blocked
-        self.scratch_elems = int(scratch_elems)
 
     def prepare(self, tensor: COOTensor, mode: int, **params: object) -> CSFPlan:
         """Build the CSF trees with ``mode`` at the root.

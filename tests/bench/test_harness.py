@@ -43,8 +43,8 @@ def make_bench(**over):
 class TestRegistry:
     def test_all_twenty_one_registered(self):
         names = [b.name for b in iter_benchmarks()]
-        assert len(names) == 21
-        assert len(set(names)) == 21
+        assert len(names) == 20
+        assert len(set(names)) == 20
         for expected in (
             "fig2_roofline",
             "table1_ppa",
@@ -58,7 +58,6 @@ class TestRegistry:
             "sensitivity",
             "csf_higher_order",
             "decomposition_comparison",
-            "ablation_dimtree",
             "ablation_heuristic",
             "ablation_model",
             "ablation_regblock",
@@ -83,10 +82,10 @@ class TestRegistry:
             "dist_strong_scaling_real",
         }
         assert [b.name for b in iter_benchmarks("fig2")] == ["fig2_roofline"]
-        # "ablation" matches the four ablation_* names plus the
+        # "ablation" matches the three ablation_* names plus the
         # ablation-tagged sensitivity sweep.
         many = iter_benchmarks("fig2,ablation")
-        assert len(many) == 6
+        assert len(many) == 5
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ConfigError):

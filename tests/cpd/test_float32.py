@@ -2,7 +2,7 @@
 
 The kernels have honored the float32 precision contract since the static
 analyzer's KC-rule era; these tests pin the *driver* layers — cp_als,
-cp_apr, cp_als_dimtree, init_factors, KruskalTensor — which used to
+cp_apr, init_factors, KruskalTensor — which used to
 allocate float64 weights/grams and silently upcast (or trip the kernels'
 mixed-precision ConfigError) on float32 input.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cpd import KruskalTensor, cp_als, cp_als_dimtree, cp_apr, init_factors
+from repro.cpd import KruskalTensor, cp_als, cp_apr, init_factors
 from repro.tensor import poisson_tensor
 from repro.tensor.coo import COOTensor
 
@@ -106,12 +106,6 @@ class TestFloat32EndToEnd:
         fit32 = cp_als(t32, 6, n_iters=6, seed=0).final_fit
         fit64 = cp_als(t64, 6, n_iters=6, seed=0).final_fit
         assert fit32 == pytest.approx(fit64, abs=5e-3)
-
-    def test_cp_als_dimtree_float32(self, t32):
-        res = cp_als_dimtree(t32, 8, n_iters=5, seed=0)
-        assert_model_float32(res.model)
-        assert np.isfinite(res.final_fit)
-        assert res.final_fit > 0.0
 
     def test_cp_apr_float32(self, t32):
         res = cp_apr(t32, 8, n_iters=5, seed=0)

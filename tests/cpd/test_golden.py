@@ -20,7 +20,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.cpd import cp_als, cp_als_dimtree
+from repro.cpd import cp_als
 from repro.tensor import poisson_tensor
 from repro.tensor.coo import COOTensor
 
@@ -63,12 +63,6 @@ def _run_cp_als(kernel: str, dtype: str, n_threads: int):
     )
 
 
-def _run_dimtree(dtype: str):
-    return cp_als_dimtree(
-        _tensor(DTYPES[dtype]), RANK, n_iters=N_ITERS, tol=0.0, seed=0
-    )
-
-
 def _run_dist(dtype: str, backend: str):
     from repro.dist import ProcessGrid, distributed_cp_als
     from repro.machine import power8_socket
@@ -88,7 +82,6 @@ def _cases() -> "dict[str, tuple]":
                     _run_cp_als, kernel, dtype, n_threads,
                 )
     for dtype in DTYPES:
-        cases[f"dimtree-{dtype}"] = (_run_dimtree, dtype)
         for backend in ("sim", "process"):
             cases[f"dist-{backend}-{dtype}"] = (_run_dist, dtype, backend)
     return cases
@@ -101,10 +94,10 @@ GOLDEN: dict[str, str] = {
     "cp_als-coo-f32-t2": "d79d9adcdce65bc0950f7cfd7ab4ab71128328faa0d1c7f3418f2c84f9d820c2",
     "cp_als-coo-f64-t1": "7b838efe371ac814635bb15fac6abde8fb86493dde04be79efbf61cea15e74a0",
     "cp_als-coo-f64-t2": "7b838efe371ac814635bb15fac6abde8fb86493dde04be79efbf61cea15e74a0",
-    "cp_als-csf-any-f32-t1": "947bdd702766094eb2a8c9510c89f53151cccbc5f1b6c7954b872a826c1cf244",
-    "cp_als-csf-any-f32-t2": "947bdd702766094eb2a8c9510c89f53151cccbc5f1b6c7954b872a826c1cf244",
-    "cp_als-csf-any-f64-t1": "f985421e0d1037d884e30d6d319d4543db0c24f0abcc88300a289fcce326e520",
-    "cp_als-csf-any-f64-t2": "f985421e0d1037d884e30d6d319d4543db0c24f0abcc88300a289fcce326e520",
+    "cp_als-csf-any-f32-t1": "d4903487e2dd396fc8e7118f3e92a981776ca1fe8fe10b489743e47c2e2d77c2",
+    "cp_als-csf-any-f32-t2": "d4903487e2dd396fc8e7118f3e92a981776ca1fe8fe10b489743e47c2e2d77c2",
+    "cp_als-csf-any-f64-t1": "4794973a8a896ce51646961ab90de77e258531491b436ef1680fc7727e76773c",
+    "cp_als-csf-any-f64-t2": "4794973a8a896ce51646961ab90de77e258531491b436ef1680fc7727e76773c",
     "cp_als-csf-blocked-f32-t1": "9212029f6d0fe2194708a48a7bf2c7696db693c59e6604b19780aa333c63f972",
     "cp_als-csf-blocked-f32-t2": "9212029f6d0fe2194708a48a7bf2c7696db693c59e6604b19780aa333c63f972",
     "cp_als-csf-blocked-f64-t1": "10d43435893b999bb9b24ebe94d44130026f075204bfe2b65cccbf61b9218b78",
@@ -129,8 +122,6 @@ GOLDEN: dict[str, str] = {
     "cp_als-splatt-f32-t2": "5aeeafdbe000577e84feb80a9f0977f95dcfb58b4580776e845d55874b132be8",
     "cp_als-splatt-f64-t1": "51a2ac2f93088d85f4a65ef29462e7d18ef7bfbf8af047635d8fbcb35cec3aac",
     "cp_als-splatt-f64-t2": "51a2ac2f93088d85f4a65ef29462e7d18ef7bfbf8af047635d8fbcb35cec3aac",
-    "dimtree-f32": "d4041c51b607ae9dc01a10825b536686b3a8d355565b37273ee8fbeaab398886",
-    "dimtree-f64": "e5d5dc760c4e239ee20cb588854b3dd352c19de7412a0303b3fa11d153f58b5a",
     "dist-process-f32": "c70c6e0b63f8999e09ac302fca753e0b952c5682ab9fea2a31fe88ede6a4f499",
     "dist-process-f64": "abfd1738da430a35d05acc0011da0823ce4703c475579ed4e6db1c33ccd08f6f",
     "dist-sim-f32": "c70c6e0b63f8999e09ac302fca753e0b952c5682ab9fea2a31fe88ede6a4f499",

@@ -1,5 +1,5 @@
-"""Boundary validation shared by the three ALS drivers (cp_als,
-cp_als_dimtree, distributed_cp_als): malformed initial factors and bad
+"""Boundary validation shared by the two ALS drivers (cp_als,
+distributed_cp_als): malformed initial factors and bad
 iteration settings must raise ConfigError up front, naming the offending
 mode — not fail with an opaque broadcast or index error deep inside the
 first MTTKRP."""
@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cpd import check_init_factors, cp_als, cp_als_dimtree
+from repro.cpd import check_init_factors, cp_als
 from repro.dist import ProcessGrid, distributed_cp_als
 from repro.machine import power8_socket
 from repro.tensor import COOTensor, poisson_tensor
@@ -22,7 +22,7 @@ def _dist_als(tensor, rank, **kwargs):
     )
 
 
-DRIVERS = {"cp_als": cp_als, "dimtree": cp_als_dimtree, "dist": _dist_als}
+DRIVERS = {"cp_als": cp_als, "dist": _dist_als}
 
 
 @pytest.fixture(scope="module")
@@ -71,12 +71,6 @@ class TestDriversValidateInit:
         with pytest.raises(ConfigError, match="mode 1"):
             cp_als(tensor, 4, n_iters=2, init=init)
 
-    def test_cp_als_dimtree_rejects_bad_shape(self, tensor):
-        init = _good_init(tensor.shape, 4)
-        init[2] = np.zeros((tensor.shape[2], 7))
-        with pytest.raises(ConfigError, match="mode 2"):
-            cp_als_dimtree(tensor, 4, n_iters=2, init=init)
-
     def test_cp_als_accepts_good_explicit_init(self, tensor):
         init = _good_init(tensor.shape, 4)
         res = cp_als(tensor, 4, n_iters=2, init=init)
@@ -87,11 +81,8 @@ class TestDriversValidateInit:
     def test_drivers_agree_from_shared_init(self, tensor):
         init = _good_init(tensor.shape, 4)
         ref = cp_als(tensor, 4, n_iters=3, init=[f.copy() for f in init])
-        for name in ("dimtree", "dist"):
-            res = DRIVERS[name](
-                tensor, 4, n_iters=3, init=[f.copy() for f in init]
-            )
-            np.testing.assert_allclose(res.fits, ref.fits, rtol=1e-8)
+        res = _dist_als(tensor, 4, n_iters=3, init=[f.copy() for f in init])
+        np.testing.assert_allclose(res.fits, ref.fits, rtol=1e-8)
 
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))

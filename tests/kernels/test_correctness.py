@@ -207,16 +207,6 @@ class TestChunking:
             [small_tensor, _skewed_tensor()],
         )
 
-    def test_csf_chunked(self, small_tensor):
-        from repro.kernels.csf_mttkrp import CSFKernel
-
-        _assert_budget_independent(
-            lambda budget: CSFKernel(scratch_elems=budget),
-            {},
-            CHUNK_BUDGETS,
-            [small_tensor, _skewed_tensor()],
-        )
-
 
 class TestHigherOrder:
     @pytest.mark.parametrize("mode", [0, 1, 2, 3])

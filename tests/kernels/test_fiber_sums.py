@@ -198,6 +198,14 @@ def test_built_plan_arrays_are_read_only(tensor, name, params):
             arrays[0].levels[-1].fptr[0] = 0
 
 
+def test_csf_any_leaf_target_csr_is_read_only(tensor):
+    plan = get_kernel("csf-any").prepare(tensor, 1, mode_order=(0, 2, 1))
+    assert plan.target_level == 2
+    for field in ("leaf_ptr", "leaf_parents", "leaf_vals"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(plan, field)[0] = 0
+
+
 def test_missing_extension_names_the_scipy_version(monkeypatch):
     monkeypatch.setattr(base, "_sparsetools_path", lambda: None)
     with pytest.raises(ImportError, match=r"scipy \d+\.\d+"):

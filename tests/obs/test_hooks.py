@@ -208,15 +208,6 @@ class TestCPDHooks:
         assert len(tracer.spans_named("apr.iteration")) == res.n_iters
         assert any(p.name == "apr.log_likelihood" for p in tracer.metrics)
 
-    def test_cp_als_dimtree_spans(self, tensor):
-        from repro.cpd import cp_als_dimtree
-
-        tracer = Tracer()
-        with use_tracer(tracer):
-            res = cp_als_dimtree(tensor, RANK, n_iters=2, seed=0)
-        assert len(tracer.spans_named("als.iteration")) == res.n_iters
-        assert len(tracer.spans_named("mttkrp")) == 3 * res.n_iters
-
     @pytest.mark.parallel_exec
     def test_cp_als_threaded_trace_has_worker_spans(self, tensor):
         from repro.cpd import cp_als

@@ -105,7 +105,7 @@ class TestPPA:
 
 
 class TestCPD:
-    @pytest.mark.parametrize("method", ["als", "dimtree", "apr"])
+    @pytest.mark.parametrize("method", ["als", "apr"])
     def test_methods(self, method, capsys):
         assert (
             main(
@@ -127,6 +127,17 @@ class TestCPD:
         )
         out = capsys.readouterr().out
         assert "iterations" in out
+
+    @pytest.mark.parametrize("command", ["cpd", "trace"])
+    def test_removed_method_is_a_usage_error(self, command, capsys):
+        # The memoized ALS driver is gone; its --method value must fail
+        # like any invalid choice (argparse usage line, exit 2).
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--method", "dimtree"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "invalid choice: 'dimtree'" in err
 
 
 class TestScaling:

@@ -7,7 +7,7 @@ analysis → tuning → blocked decomposition → distributed consistency.
 import numpy as np
 import pytest
 
-from repro.cpd import cp_als, cp_als_dimtree, init_factors
+from repro.cpd import cp_als, init_factors
 from repro.dist import ProcessGrid, distributed_cp_als
 from repro.kernels import get_kernel
 from repro.machine import power8_socket
@@ -77,14 +77,11 @@ class TestTuneThenDecompose:
 
 class TestSharedVsDistributedVsMemoized:
     def test_three_drivers_agree(self, workload):
-        """Shared-memory, distributed, and dimension-tree ALS walk the
-        same trajectory from the same start."""
+        """Shared-memory and distributed ALS walk the same trajectory
+        from the same start."""
         tensor, machine = workload
         init = init_factors(tensor, 4, seed=11)
         shared = cp_als(
-            tensor, 4, n_iters=3, tol=0.0, init=[f.copy() for f in init]
-        )
-        memo = cp_als_dimtree(
             tensor, 4, n_iters=3, tol=0.0, init=[f.copy() for f in init]
         )
         dist = distributed_cp_als(
@@ -96,7 +93,6 @@ class TestSharedVsDistributedVsMemoized:
             tol=0.0,
             init=[f.copy() for f in init],
         )
-        np.testing.assert_allclose(memo.fits, shared.fits, rtol=1e-8)
         np.testing.assert_allclose(dist.fits, shared.fits, rtol=1e-8)
 
 

@@ -8,7 +8,9 @@ import numpy as np
 
 from repro.cpd import cp_als
 from repro.kernels import get_kernel, reference_mttkrp
-from repro.tensor import COOTensor, SplattTensor, poisson_tensor
+from repro.tensor import CSFTensor, poisson_tensor
+from repro.tensor.csf import splatt_order
+from repro.tensor.stats import splatt_footprint
 from repro.util import format_bytes
 
 # ----------------------------------------------------------------------
@@ -19,14 +21,17 @@ tensor = poisson_tensor((60, 80, 70), 20_000, seed=42)
 print(f"tensor: {tensor}  density={tensor.density:.2e}")
 
 # ----------------------------------------------------------------------
-# 2. Compress into the SPLATT fiber format (Figure 1b) and compare
-#    storage against coordinate format (Section III-C).
+# 2. Compress into the SPLATT fiber format (Figure 1b): a CSF tree whose
+#    levels are output rows, fibers and nonzeros.  Compare its storage
+#    against coordinate format (Section III-C).
 # ----------------------------------------------------------------------
-splatt = SplattTensor.from_coo(tensor, output_mode=0)
+splatt = CSFTensor.from_coo(tensor, splatt_order(0))
+n_fibers, splatt_bytes = splatt_footprint(tensor, 0)
+assert n_fibers == splatt.levels[1].n_nodes
 print(
-    f"SPLATT: {splatt.n_fibers} fibers "
-    f"({splatt.nnz / splatt.n_fibers:.2f} nonzeros each), "
-    f"storage {format_bytes(splatt.memory_bytes())} vs "
+    f"SPLATT: {n_fibers} fibers "
+    f"({splatt.nnz / n_fibers:.2f} nonzeros each), "
+    f"storage {format_bytes(splatt_bytes)} vs "
     f"COO {format_bytes(tensor.memory_bytes())}"
 )
 

@@ -3,9 +3,9 @@ Tensor Computation" (Choi, Liu, Smith, Simon — IPDPS 2018).
 
 Subpackages
 -----------
-:mod:`repro.tensor`    sparse formats (COO, SPLATT, CSF), generators, data sets
-:mod:`repro.kernels`   MTTKRP kernels: coo, splatt (Alg. 1), csf, mb,
-                       rankb (Alg. 2), mb+rankb
+:mod:`repro.tensor`    sparse formats (COO, CSF), generators, data sets
+:mod:`repro.kernels`   MTTKRP kernels: coo, splatt (Alg. 1), mb,
+                       rankb (Alg. 2), mb+rankb, csf, csf-blocked, csf-any
 :mod:`repro.blocking`  block grids, rank strips, the Section V-C heuristic
 :mod:`repro.machine`   POWER8 machine model, cache simulator, traffic model
 :mod:`repro.perf`      roofline (Eq. 1-3), time model, pressure-point analysis
@@ -16,7 +16,7 @@ Subpackages
 The most common entry points are re-exported here.
 """
 
-from repro.tensor import COOTensor, CSFTensor, SplattTensor, load_dataset
+from repro.tensor import COOTensor, CSFTensor, load_dataset
 from repro.kernels import get_kernel
 from repro.blocking import BlockGrid, RankBlocking, select_blocking
 from repro.machine import power8, power8_socket
@@ -28,7 +28,6 @@ __version__ = "1.0.0"
 __all__ = [
     "COOTensor",
     "CSFTensor",
-    "SplattTensor",
     "load_dataset",
     "get_kernel",
     "BlockGrid",

@@ -59,7 +59,6 @@ from repro.analysis.races import (
     detect_conflicts,
     verify_fold_covers_conflicts,
     verify_safe,
-    write_sets_for_blocked,
     write_sets_for_boundaries,
     write_sets_for_coo_chunks,
     write_sets_for_decomposition,
@@ -83,7 +82,6 @@ __all__ = [
     "detect_conflicts",
     "verify_fold_covers_conflicts",
     "verify_safe",
-    "write_sets_for_blocked",
     "write_sets_for_boundaries",
     "write_sets_for_coo_chunks",
     "write_sets_for_decomposition",

@@ -591,9 +591,9 @@ def verify_plan(
         return verify_decomposition(obj, rank, file=file, line=line)
     if isinstance(obj, Plan):
         out: list[Diagnostic] = []
-        blocked = getattr(obj, "blocked", None)
-        if blocked is not None:
-            out += verify_grid(blocked.grid, file=file, line=line)
+        grid = getattr(obj, "grid", None)
+        if grid is not None:
+            out += verify_grid(grid, file=file, line=line)
         rb = getattr(obj, "rank_blocking", None)
         if rb is not None:
             if rank is not None:

@@ -259,20 +259,6 @@ def write_sets_for_grid(
     return tasks
 
 
-def write_sets_for_blocked(blocked) -> list[TaskWriteSet]:
-    """Write-sets of a :class:`~repro.blocking.partition.BlockedTensor`'s
-    non-empty blocks (one task per block, the MB execution order)."""
-    mode = blocked.output_mode
-    return [
-        TaskWriteSet(
-            task=f"block{b.coords}",
-            start=int(b.bounds[mode][0]),
-            stop=int(b.bounds[mode][1]),
-        )
-        for b in blocked.blocks
-    ]
-
-
 def write_sets_for_boundaries(
     boundaries: "np.ndarray | Sequence[int]", label: str = "thread"
 ) -> list[TaskWriteSet]:

@@ -256,29 +256,13 @@ def _mask_from_intervals(
 
 
 def _plan_value_arrays(plan) -> list[np.ndarray]:
-    """Best-effort discovery of the nonzero-value arrays a plan carries,
-    for the finite-inputs precondition of SZ503/SZ504."""
-    out: list[np.ndarray] = []
-
-    def chase(obj, chain: str) -> None:
-        for attr in chain.split("."):
-            obj = getattr(obj, attr, None)
-            if obj is None:
-                return
-        if isinstance(obj, np.ndarray):
-            out.append(obj)
-
-    for chain in ("csf.vals", "vals"):
-        chase(plan, chain)
-    blocked = getattr(plan, "blocked", None)
-    if blocked is not None:
-        for block in blocked.blocks:
-            chase(block, "splatt.vals")
-    blocks = getattr(plan, "blocks", None)
-    if isinstance(blocks, list):
-        for entry in blocks:
-            if isinstance(entry, tuple) and len(entry) == 2:
-                chase(entry[1], "vals")
+    """The nonzero-value arrays a plan carries (a tree plan's per block,
+    a COO plan's own), for the finite-inputs precondition of
+    SZ503/SZ504."""
+    out = [block.tree.vals for block in getattr(plan, "blocks", ())]
+    vals = getattr(plan, "vals", None)
+    if isinstance(vals, np.ndarray):
+        out.append(vals)
     return out
 
 

@@ -19,7 +19,7 @@ from repro.perf.model import ConfigPlanner, predict_time
 from repro.perf.ppa import run_ppa
 from repro.perf.roofline import FIG2_ALPHAS, FIG2_RANKS, arithmetic_intensity
 from repro.tensor.datasets import DATASETS, load_dataset
-from repro.tensor.splatt import SplattTensor
+from repro.tensor.stats import splatt_footprint
 
 #: The rank axis of Figure 6 (the paper sweeps 16..1024).
 FIG6_RANKS: tuple[int, ...] = (16, 32, 64, 128, 256, 512, 1024)
@@ -79,7 +79,7 @@ def experiment_table2(seed: int = 0) -> list[dict]:
     rows = []
     for name, info in DATASETS.items():
         tensor = info.build(seed=seed)
-        splatt = SplattTensor.from_coo(tensor, 0)
+        n_fibers, splatt_bytes = splatt_footprint(tensor)
         dims = "x".join(str(d) for d in info.paper_dims)
         sdims = "x".join(str(d) for d in info.standin_dims)
         rows.append(
@@ -92,8 +92,8 @@ def experiment_table2(seed: int = 0) -> list[dict]:
                 "standin_nnz": tensor.nnz,
                 "standin_sparsity": f"{tensor.density:.1e}",
                 "coo_MiB": round(tensor.memory_bytes() / 2**20, 2),
-                "splatt_MiB": round(splatt.memory_bytes() / 2**20, 2),
-                "fibers_per_nnz": round(splatt.n_fibers / max(splatt.nnz, 1), 3),
+                "splatt_MiB": round(splatt_bytes / 2**20, 2),
+                "fibers_per_nnz": round(n_fibers / max(tensor.nnz, 1), 3),
             }
         )
     return rows

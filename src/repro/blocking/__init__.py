@@ -5,8 +5,9 @@ and the Section V-C block-size selection heuristic.
   index space into blocks (uniform or explicit boundaries; the distributed
   medium-grained decomposition reuses the explicit form).
 * :func:`~repro.blocking.partition.partition_coo` — reorganize a COO tensor
-  so each block's nonzeros are contiguous (the cheap rearrangement the
-  paper contrasts with graph partitioning, Section V-A).
+  so each block's nonzeros are contiguous, one CSF tree per block (the
+  cheap rearrangement the paper contrasts with graph partitioning,
+  Section V-A).
 * :class:`~repro.blocking.rank.RankBlocking` — rank strips and register
   blocks (Section V-B).
 * :func:`~repro.blocking.heuristic.select_blocking` — the greedy block-size
@@ -14,13 +15,13 @@ and the Section V-C block-size selection heuristic.
 """
 
 from repro.blocking.grid import BlockGrid
-from repro.blocking.partition import BlockedTensor, partition_coo
+from repro.blocking.partition import TensorBlock, partition_coo
 from repro.blocking.rank import RankBlocking, REGISTER_BLOCK_COLS
 from repro.blocking.heuristic import BlockingChoice, select_blocking
 
 __all__ = [
     "BlockGrid",
-    "BlockedTensor",
+    "TensorBlock",
     "partition_coo",
     "RankBlocking",
     "REGISTER_BLOCK_COLS",

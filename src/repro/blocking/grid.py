@@ -93,11 +93,14 @@ class BlockGrid:
         """Total number of blocks (product of per-mode counts)."""
         return int(np.prod(self.block_counts))
 
-    def block_of(self, indices: np.ndarray) -> np.ndarray:
+    def block_of(
+        self, indices: np.ndarray, modes: "Sequence[int] | None" = None
+    ) -> np.ndarray:
         """Map coordinates to flat block ids.
 
         ``indices`` has shape ``(n, order)``; the result is ``(n,)`` flat
-        ids in C order over the per-mode block coordinates.
+        ids in C order over the per-mode block coordinates, taken in the
+        order of ``modes`` (default: mode 0 first).
 
         Each mode maps coordinates through a table of block ids, one entry
         per index of the mode.  Out-of-range coordinates raise
@@ -111,7 +114,8 @@ class BlockGrid:
                 f"indices must be (n, {self.order}), got {indices.shape}"
             )
         flat = np.zeros(indices.shape[0], dtype=INDEX_DTYPE)
-        for m, bounds in enumerate(self.boundaries):
+        for m in range(self.order) if modes is None else modes:
+            bounds = self.boundaries[m]
             col = indices[:, m]
             if col.size and (col.min() < 0 or col.max() >= self.shape[m]):
                 bad = int(((col < 0) | (col >= self.shape[m])).sum())

@@ -1,5 +1,5 @@
-"""MTTKRP kernels: reference, COO, the SPLATT family (Alg. 1 and its
-blocked presets), and CSF.
+"""MTTKRP kernels: reference, COO, the CSF tree kernel (Alg. 1, its
+blocked presets and their N-mode extension), and any-mode CSF.
 
 Every kernel follows a two-phase API (mirroring how real tensor libraries
 amortize setup over the 10-1000s of CPD iterations, Section III-B):
@@ -26,7 +26,6 @@ from repro.kernels.base import (
 )
 from repro.kernels.reference import reference_mttkrp
 from repro.kernels.coo_mttkrp import COOKernel
-from repro.kernels.splatt_mttkrp import SplattKernel
 from repro.kernels.csf_mttkrp import CSFKernel
 from repro.kernels.csf_any import CSFAnyKernel
 from repro.kernels.counters import OperationCounts, splatt_op_counts, coo_op_counts
@@ -41,7 +40,6 @@ __all__ = [
     "factor_dtype",
     "reference_mttkrp",
     "COOKernel",
-    "SplattKernel",
     "CSFKernel",
     "CSFAnyKernel",
     "OperationCounts",

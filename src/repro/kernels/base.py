@@ -1,7 +1,8 @@
 """Kernel and Plan abstractions shared by every MTTKRP implementation.
 
-A :class:`Kernel` is a *strategy* registered under a name (COO; SPLATT and
-its MB/RankB/MB+RankB presets; CSF and its blocked preset); a
+A :class:`Kernel` is a *strategy* registered under a name (COO; the CSF
+tree kernel's SPLATT, MB, RankB, MB+RankB, CSF and blocked-CSF presets;
+any-mode CSF); a
 :class:`Plan` is that strategy's prepared representation of one tensor
 for one output mode.  Preparation (sorting, fiber compression, block
 reorganization) happens once and is reused across the many MTTKRP calls of
@@ -17,9 +18,10 @@ is all the analytic cache model needs (DESIGN.md §3).
 Two helpers run the one compiled loop, scipy's ``csr_matvecs``, which
 releases the GIL.  :func:`fiber_sums` runs lines 5-7 of Algorithm 1
 (``s += val * B[j]`` over each fiber), the CSR product ``S @ B`` with
-``S = (vals, jidx, fiber_ptr)``.  :func:`segment_sums_into` runs line 9
-(fibers added into their output rows) and the tree kernels' other
-segmented sums, a unit-value CSR product that accumulates in place.
+``S = (vals, leaf_fids, fptr)`` of a CSF tree's leaf level.
+:func:`segment_sums_into` runs line 9 (fibers added into their output
+rows) and the tree kernels' other segmented sums, a unit-value CSR
+product that accumulates in place.
 The extension is loaded by file path, so ``scipy/__init__.py`` and
 ``scipy.sparse`` are never imported (:func:`load_csr_matvecs`).
 """
@@ -297,18 +299,25 @@ class BlockStats:
                 raise ConfigError("fiber_counts must sum to n_fibers")
 
     @classmethod
-    def from_splatt(cls, splatt, coords: tuple[int, ...]) -> "BlockStats":
+    def from_tree(
+        cls, tree, coords: tuple[int, ...], distinct_out: "int | None" = None
+    ) -> "BlockStats":
         """Build the full summary (including popularity histograms) from a
-        SPLATT-compressed (sub-)tensor."""
-        inner_hist = np.bincount(splatt.jidx, minlength=0)
+        CSF (sub-)tree: its leaves are the inner stream and its last
+        internal level the fibers.  ``distinct_out`` defaults to the
+        root's node count, the output rows of a root-mode kernel."""
+        inner_hist = np.bincount(tree.leaf_fids)
         inner_counts = inner_hist[inner_hist > 0]
-        fiber_hist = np.bincount(splatt.fiber_kidx, minlength=0)
+        last = tree.levels[-1]
+        fiber_hist = np.bincount(last.fids)
         fiber_counts = fiber_hist[fiber_hist > 0]
         return cls(
             coords=coords,
-            nnz=splatt.nnz,
-            n_fibers=splatt.n_fibers,
-            distinct_out=int((splatt.fibers_per_row() > 0).sum()),
+            nnz=tree.nnz,
+            n_fibers=last.n_nodes,
+            distinct_out=(
+                tree.levels[0].n_nodes if distinct_out is None else distinct_out
+            ),
             distinct_inner=int(inner_counts.shape[0]),
             distinct_fiber=int(fiber_counts.shape[0]),
             inner_counts=inner_counts,

@@ -18,13 +18,14 @@ any level.  For a target level ``l`` the kernel runs two passes:
 The contribution of node ``n`` with coordinate ``fid(n)`` is then
 ``down(n) * up(n)``, scatter-added into the output (coordinates repeat
 across subtrees, unlike the root level): the plan sorts the target
-level's nodes by coordinate once.  At an internal level each execute
-sums the runs of that order with ``np.add.reduceat``.  At the leaf level
-``up`` is the leaf's value, so the plan turns the order into one CSR
-matrix (output rows x last internal nodes, the leaf values in row order)
-and each execute is one compiled product of it with ``down`` at the last
-internal level (:func:`repro.kernels.base.fiber_sums`), before ``down``
-would be repeated out to the leaves.  With ``l = 0`` this reduces to the
+level's nodes by coordinate once and turns that order into a CSR matrix
+with one row per output row that owns a node, and each execute sums
+with one compiled product of it (:func:`repro.kernels.base.fiber_sums`).
+At an internal level the matrix has unit values and multiplies ``down *
+up``.  At the leaf level ``up`` is the leaf's value, so the matrix
+(output rows x last internal nodes, the leaf values in row order)
+multiplies ``down`` at the last internal level, before ``down`` would be
+repeated out to the leaves.  With ``l = 0`` this reduces to the
 root-mode kernel; the test suite checks every placement against the
 dense reference.
 
@@ -39,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.blocking.partition import TensorBlock
 from repro.kernels.base import (
     BlockStats,
     Kernel,
@@ -52,10 +54,10 @@ from repro.kernels.base import (
     seal_fibers,
     unit_csr,
 )
-from repro.kernels.csf_mttkrp import seal_tree, up_level
+from repro.kernels.csf_mttkrp import reduce_levels, seal_tree
 from repro.tensor.coo import COOTensor
 from repro.tensor.csf import CSFTensor
-from repro.util.validation import INDEX_DTYPE
+from repro.util.validation import INDEX_DTYPE, VALUE_DTYPE
 
 
 class CSFAnyPlan(Plan):
@@ -67,36 +69,44 @@ class CSFAnyPlan(Plan):
         self.csf = csf
         self.shape = csf.shape
         self.mode = mode
+        coords = (0,) * csf.order
+        #: The tree as the one block of a tree plan.
+        self.blocks = [TensorBlock(coords, tuple((0, n) for n in csf.shape), csf)]
         #: Tree level at which the output mode sits.
         self.target_level = csf.mode_order.index(mode)
         self.inner_mode = csf.mode_order[-1]
         self.fiber_mode = csf.mode_order[-2]
-        where = f"block {(0,) * csf.order}, mode {self.inner_mode}"
+        where = f"block {coords}, mode {self.inner_mode}"
         seal_tree(csf, where)
         if self.target_level > 0:
             # Below the root, output coordinates repeat across subtrees.
             ids = self._target_ids()
-            #: Stable order of the target level's nodes by output row, the
-            #: start of each row's run in that order, and the run's row.
-            self.scatter_order = np.argsort(ids, kind="stable")
-            sorted_ids = ids[self.scatter_order]
-            self.scatter_starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
-            self.scatter_rows = sorted_ids[self.scatter_starts]
-            for array in (self.scatter_order, self.scatter_starts, self.scatter_rows):
-                array.flags.writeable = False
-        if self.target_level == csf.order - 1:
-            # Leaf target: row ``r`` of ``(leaf_ptr, leaf_parents,
-            # leaf_vals)`` holds output row ``scatter_rows[r]``'s leaves,
-            # each as its value at its parent's column.
-            last = csf.levels[-1]
-            parents = np.repeat(
-                np.arange(last.n_nodes, dtype=INDEX_DTYPE), np.diff(last.fptr)
-            )
-            self.leaf_ptr = np.append(self.scatter_starts, csf.nnz).astype(INDEX_DTYPE)
-            self.leaf_parents = parents[self.scatter_order]
-            self.leaf_vals = csf.vals[self.scatter_order]
+            # Stable order of the target level's nodes by output row, and
+            # the start of each row's run in that order.
+            order = np.argsort(ids, kind="stable")
+            sorted_ids = ids[order]
+            starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+            #: Row ``r`` of ``(scatter_ptr, scatter_cols, scatter_vals)``
+            #: sums output row ``scatter_rows[r]``'s target nodes: at an
+            #: internal level each node with a unit value, at the leaf
+            #: level each leaf as its value at its parent's column.
+            self.scatter_rows = sorted_ids[starts]
+            self.scatter_rows.flags.writeable = False
+            self.scatter_ptr = np.append(starts, ids.shape[0]).astype(INDEX_DTYPE)
+            if self.target_level < csf.order - 1:
+                self.scatter_cols = order
+                self.scatter_vals = np.ones(ids.shape[0], dtype=VALUE_DTYPE)
+                n_cols = ids.shape[0]
+            else:
+                last = csf.levels[-1]
+                parents = np.repeat(
+                    np.arange(last.n_nodes, dtype=INDEX_DTYPE), np.diff(last.fptr)
+                )
+                self.scatter_cols = parents[order]
+                self.scatter_vals = csf.vals[order]
+                n_cols = last.n_nodes
             seal_fibers(
-                self.leaf_ptr, self.leaf_parents, self.leaf_vals, last.n_nodes, where
+                self.scatter_ptr, self.scatter_cols, self.scatter_vals, n_cols, where
             )
         self._stats: "list[BlockStats] | None" = None
 
@@ -109,22 +119,11 @@ class CSFAnyPlan(Plan):
     def block_stats(self) -> list[BlockStats]:
         if self._stats is None:
             csf = self.csf
-            last = csf.levels[-1]
-            inner_hist = np.bincount(csf.leaf_fids) if csf.nnz else np.empty(0, int)
-            fiber_hist = np.bincount(last.fids) if last.n_nodes else np.empty(0, int)
-            inner_counts = inner_hist[inner_hist > 0]
-            fiber_counts = fiber_hist[fiber_hist > 0]
-            out_level = self._target_ids()
             self._stats = [
-                BlockStats(
-                    coords=tuple(0 for _ in csf.shape),
-                    nnz=csf.nnz,
-                    n_fibers=last.n_nodes,
-                    distinct_out=int(np.unique(out_level).size) if csf.nnz else 0,
-                    distinct_inner=int(inner_counts.shape[0]),
-                    distinct_fiber=int(fiber_counts.shape[0]),
-                    inner_counts=inner_counts,
-                    fiber_counts=fiber_counts,
+                BlockStats.from_tree(
+                    csf,
+                    self.blocks[0].coords,
+                    int(np.unique(self._target_ids()).size),
                 )
             ]
         return self._stats
@@ -192,9 +191,9 @@ class CSFAnyKernel(Kernel):
                 csf.levels[-1].fptr, csf.leaf_fids, csf.vals,
                 factors[leaf_mode], csf.shape[leaf_mode],
             )
+            spans = [(0, level.n_nodes) for level in csf.levels]
             unit = unit_csr(up.shape[0], up.dtype)
-            for m in range(order - 2, lvl, -1):
-                up = up_level(csf, m, up, factors, unit)
+            up = reduce_levels(csf, up, factors, lvl, spans, unit)
 
         # ---- down pass: ancestor products above the target level -------
         if lvl == 0:
@@ -210,22 +209,19 @@ class CSFAnyKernel(Kernel):
         if lvl == 0:
             A[csf.levels[0].fids] += up
             return A
-        if lvl == order - 1:
-            # ``down`` is still at the last internal level: one compiled
-            # product sums ``val * down(parent)`` per output row.
-            [(_, _, rows)] = fiber_sums(
-                plan.leaf_ptr, plan.leaf_parents, plan.leaf_vals,
-                down, csf.levels[-1].n_nodes,
-            )
-            A[plan.scatter_rows] += rows
-            return A
-        # One final propagation from level lvl-1 to the target level
-        # (its factor is the output and is not multiplied in).
-        target_counts = np.diff(csf.levels[lvl - 1].fptr)
-        down = np.repeat(down, target_counts, axis=0)
-        A[plan.scatter_rows] += np.add.reduceat(
-            (down * up)[plan.scatter_order], plan.scatter_starts, axis=0
+        if lvl < order - 1:
+            # One final propagation from level lvl-1 to the target level
+            # (its factor is the output and is not multiplied in).
+            target_counts = np.diff(csf.levels[lvl - 1].fptr)
+            down = np.repeat(down, target_counts, axis=0) * up
+        # One compiled product sums ``down * up`` (at the leaf level
+        # ``val * down(parent)``, ``down`` still at the last internal
+        # level) per output row.
+        [(_, _, rows)] = fiber_sums(
+            plan.scatter_ptr, plan.scatter_cols, plan.scatter_vals,
+            down, down.shape[0],
         )
+        A[plan.scatter_rows] += rows
         return A
 
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.base import Plan
-from repro.kernels.splatt_mttkrp import SplattPlan
+from repro.kernels.csf_mttkrp import CSFPlan
 from repro.machine.spec import MachineSpec
-from repro.tensor.splatt import SplattTensor
+from repro.tensor.csf import CSFTensor
 from repro.util.errors import ConfigError
 from repro.util.validation import check_rank
 
@@ -42,26 +42,28 @@ STRUCTURES = {
 _REGION_LINES = 1 << 40
 
 
-def _phase_blocks(plan: Plan) -> "list[tuple[SplattTensor, tuple[int, int, int]]]":
-    """(splatt, (out_off, inner_off, fiber_off)) per block of a
-    SPLATT-family plan."""
-    if not isinstance(plan, SplattPlan):
-        raise ConfigError(f"cannot trace plan type {type(plan).__name__}")
+def _phase_blocks(plan: Plan) -> "list[tuple[CSFTensor, tuple[int, int, int]]]":
+    """(tree, (out_off, inner_off, fiber_off)) per block of a 3-mode
+    tree plan."""
+    if not isinstance(plan, CSFPlan) or len(plan.shape) != 3:
+        raise ConfigError(
+            f"cannot trace a {len(plan.shape)}-mode {type(plan).__name__}"
+        )
     return [
         (
-            block.splatt,
+            block.tree,
             (
                 block.bounds[plan.mode][0],
                 block.bounds[plan.inner_mode][0],
                 block.bounds[plan.fiber_mode][0],
             ),
         )
-        for block in plan.blocked.blocks
+        for block in plan.blocks
     ]
 
 
 def _phase_trace(
-    splatt: SplattTensor,
+    tree: CSFTensor,
     offsets: tuple[int, int, int],
     row_lines: int,
     line_bytes: int,
@@ -69,8 +71,9 @@ def _phase_trace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trace of one (strip, block) phase.  See module docstring for the
     access order being reproduced."""
-    nnz = splatt.nnz
-    n_fib = splatt.n_fibers
+    rows, fibers = tree.levels
+    nnz = tree.nnz
+    n_fib = fibers.n_nodes
     if nnz == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     out_off, inner_off, fiber_off = offsets
@@ -86,7 +89,7 @@ def _phase_trace(
     nz_tag[:, 0] = STRUCTURES["val"]
     nz_mat[:, 1] = bases["jidx"] + positions * 8 // line_bytes
     nz_tag[:, 1] = STRUCTURES["jidx"]
-    b_rows = splatt.jidx + inner_off
+    b_rows = tree.leaf_fids + inner_off
     nz_mat[:, 2:] = (
         bases["B"] + b_rows[:, None] * row_lines + np.arange(row_lines)[None, :]
     )
@@ -98,16 +101,13 @@ def _phase_trace(
     fib_positions = np.arange(n_fib, dtype=np.int64)
     fib_mat[:, 0] = bases["fiber"] + fib_positions * 16 // line_bytes
     fib_tag[:, 0] = STRUCTURES["fiber"]
-    c_rows = splatt.fiber_kidx + fiber_off
+    c_rows = fibers.fids + fiber_off
     fib_mat[:, 1 : 1 + row_lines] = (
         bases["C"] + c_rows[:, None] * row_lines + np.arange(row_lines)[None, :]
     )
     fib_tag[:, 1 : 1 + row_lines] = STRUCTURES["C"]
-    fiber_len = np.diff(splatt.fiber_ptr)
-    a_rows = (
-        np.repeat(np.arange(splatt.n_rows, dtype=np.int64), splatt.fibers_per_row())
-        + out_off
-    )
+    fiber_len = np.diff(fibers.fptr)
+    a_rows = np.repeat(rows.fids, np.diff(rows.fptr)) + out_off
     fib_mat[:, 1 + row_lines :] = (
         bases["A"] + a_rows[:, None] * row_lines + np.arange(row_lines)[None, :]
     )
@@ -119,7 +119,7 @@ def _phase_trace(
     tags = np.empty(total, dtype=np.int64)
     fiber_of_nz = np.repeat(fib_positions, fiber_len)
     nz_out = (positions * per_nz + fiber_of_nz * per_fib)[:, None] + np.arange(per_nz)
-    fib_out = (splatt.fiber_ptr[1:] * per_nz + fib_positions * per_fib)[
+    fib_out = (fibers.fptr[1:] * per_nz + fib_positions * per_fib)[
         :, None
     ] + np.arange(per_fib)
     trace[nz_out.ravel()] = nz_mat.ravel()
@@ -159,9 +159,9 @@ def mttkrp_trace(
         strip_bases = dict(bases)
         for f in ("B", "C", "A"):
             strip_bases[f] = bases[f] + strip_idx * (_REGION_LINES // 64)
-        for splatt, offsets in blocks:
+        for tree, offsets in blocks:
             trace, tags = _phase_trace(
-                splatt, offsets, row_lines, line_bytes, strip_bases
+                tree, offsets, row_lines, line_bytes, strip_bases
             )
             pieces.append(trace)
             tag_pieces.append(tags)

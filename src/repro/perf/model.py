@@ -38,7 +38,7 @@ from repro.tensor.coo import COOTensor
 from repro.util.validation import check_rank
 
 if TYPE_CHECKING:
-    from repro.kernels.splatt_mttkrp import SplattPlan
+    from repro.kernels.csf_mttkrp import CSFPlan
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ class ConfigPlanner:
     def __init__(self, tensor: COOTensor, mode: int) -> None:
         self.tensor = tensor
         self.mode = mode
-        self._plans: "dict[tuple[int, ...] | None, SplattPlan]" = {}
+        self._plans: "dict[tuple[int, ...] | None, CSFPlan]" = {}
 
     def plan_for(
         self,

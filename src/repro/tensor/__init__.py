@@ -5,12 +5,11 @@ Formats
 :class:`~repro.tensor.coo.COOTensor`
     N-mode coordinate format (Figure 1a of the paper); every nonzero stored
     with its full coordinate tuple.
-:class:`~repro.tensor.splatt.SplattTensor`
-    The 3-mode SPLATT format (Figure 1b): nonzeros grouped into fibers with
-    CSR-like two-level pointers.
 :class:`~repro.tensor.csf.CSFTensor`
-    The general N-mode compressed sparse fiber format, the higher-order
-    generalization of the SPLATT layout.
+    The N-mode compressed sparse fiber format.  A 3-mode tree in the
+    SPLATT orientation (:func:`~repro.tensor.csf.splatt_order`) is the
+    SPLATT format of Figure 1b: nonzeros grouped into fibers with
+    CSR-like two-level pointers.
 
 Generation / data
 -----------------
@@ -21,7 +20,6 @@ is the registry of scaled stand-ins for Table II.
 """
 
 from repro.tensor.coo import COOTensor
-from repro.tensor.splatt import SplattTensor
 from repro.tensor.csf import CSFTensor
 from repro.tensor.dense import (
     dense_mttkrp,
@@ -41,7 +39,6 @@ from repro.tensor.stats import ModeStats, TensorStats, analyze
 
 __all__ = [
     "COOTensor",
-    "SplattTensor",
     "CSFTensor",
     "dense_mttkrp",
     "khatri_rao",

@@ -321,7 +321,10 @@ class COOTensor:
         pairs = self.indices[:, slice_mode] * self.shape[fiber_mode] + self.indices[
             :, fiber_mode
         ]
-        return int(np.unique(pairs).size)
+        # Distinct pairs counted on one in-place sort (np.unique costs
+        # about three times as much).
+        pairs.sort()
+        return int(pairs.size and 1 + np.count_nonzero(pairs[1:] != pairs[:-1]))
 
     # ------------------------------------------------------------------
     # conversion / comparison

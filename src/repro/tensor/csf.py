@@ -7,12 +7,15 @@ level stores the coordinate of every node (``fids``) and a pointer array
 (``fptr``) delimiting its children in the next level; the leaves carry the
 values.
 
-For a 3-mode tensor with ordering ``(output, fiber, inner)`` the CSF tree
-has exactly the SPLATT arrays of :class:`repro.tensor.splatt.SplattTensor`
-(level-0 nodes = slices, level-1 nodes = fibers, leaves = nonzeros), and the
-test suite checks that equivalence.  The paper focuses on the 3-mode SPLATT
-case "but our methodology and result can trivially be extended to
-higher-order data" — this class is that extension.
+For a 3-mode tensor the tree ordered by :func:`splatt_order` is the
+SPLATT layout of the paper's Figure 1b: level-0 nodes are the output
+rows that own a fiber, level-1 nodes are the fibers (``fids`` is the
+paper's ``k_index``, ``fptr`` its ``k_pointer``), and the leaves carry
+``j_index`` and the values.  SPLATT's dense ``i_pointer`` is the root
+level written out per row, which the kernels build once per plan.  The
+paper focuses on the 3-mode case "but our methodology and result can
+trivially be extended to higher-order data" — any other ordering or
+order is that extension.
 """
 
 from __future__ import annotations
@@ -24,7 +27,16 @@ import numpy as np
 
 from repro.tensor.coo import COOTensor, lex_order
 from repro.util.errors import FormatError, ShapeError
-from repro.util.validation import INDEX_DTYPE, check_shape, value_dtype_of
+from repro.util.validation import INDEX_DTYPE, check_mode, check_shape, value_dtype_of
+
+
+def splatt_order(mode: int) -> tuple[int, int, int]:
+    """The SPLATT orientation of a 3-mode tree for output ``mode``:
+    ``(mode, fiber, inner)`` with the per-nonzero inner mode ``(mode+1) %
+    3`` and the fiber-label mode ``(mode+2) % 3``, the paper's mode-1
+    layout."""
+    mode = check_mode(mode, 3)
+    return mode, (mode + 2) % 3, (mode + 1) % 3
 
 
 @dataclass(frozen=True)
@@ -117,31 +129,33 @@ class CSFTensor:
     ) -> "CSFTensor":
         """Compress nonzeros already sorted along ``mode_order``;
         ``cols[l]`` holds the coordinates of mode ``mode_order[l]`` (the
-        per-block step of
-        :func:`repro.blocking.partition.partition_coo_nd`)."""
+        per-block step of :func:`repro.blocking.partition.partition_coo`)."""
         order = len(shape)
         nnz = vals.shape[0]
-        # starts_per_level[l] lists the nonzero positions at which a new
-        # node begins at level l, i.e. where any of the first l+1 sorted
-        # coordinates changed.  By construction starts[l] is a subset of
-        # starts[l+1]: a new node at a level forces a new node below it.
-        prefix_change = np.arange(nnz) == 0
-        starts_per_level: list[np.ndarray] = []
+        # A nonzero starts a node at level l when any of the first l+1
+        # sorted coordinates changed, so a node start at one level is a
+        # node start at every level below it.
+        change = np.arange(nnz) == 0
+        masks: list[np.ndarray] = []
         for lvl in range(order - 1):
-            prefix_change[1:] |= cols[lvl][1:] != cols[lvl][:-1]
-            starts_per_level.append(np.flatnonzero(prefix_change))
+            change = change.copy()
+            change[1:] |= cols[lvl][1:] != cols[lvl][:-1]
+            masks.append(change)
+        starts = [np.flatnonzero(mask) for mask in masks]
 
         levels: list[CSFLevel] = []
         for lvl in range(order - 1):
-            starts = starts_per_level[lvl]
-            fids = cols[lvl][starts]
             if lvl < order - 2:
-                child_starts = starts_per_level[lvl + 1]
-                fptr = np.searchsorted(child_starts, starts)
-                fptr = np.append(fptr, child_starts.shape[0])
+                # Children are counted in one pass over the next level's
+                # node starts: the ones that also start a node here.
+                fptr = np.flatnonzero(masks[lvl][starts[lvl + 1]])
+                fptr = np.append(fptr, starts[lvl + 1].shape[0])
             else:
-                fptr = np.append(starts, nnz)
-            levels.append(CSFLevel(fids=fids, fptr=fptr.astype(INDEX_DTYPE)))
+                fptr = np.append(starts[lvl], nnz)
+            levels.append(CSFLevel(
+                fids=cols[lvl][starts[lvl]],
+                fptr=fptr.astype(INDEX_DTYPE, copy=False),
+            ))
 
         return cls(
             shape,

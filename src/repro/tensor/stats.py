@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.tensor.coo import COOTensor
-from repro.tensor.splatt import SplattTensor
 from repro.util.formatting import format_bytes, format_count, format_table
 from repro.util.validation import check_mode
 
@@ -105,14 +104,21 @@ def _mode_stats(tensor: COOTensor, mode: int) -> ModeStats:
     )
 
 
+def splatt_footprint(tensor: COOTensor, mode: int = 0) -> tuple[int, int]:
+    """Fibers ``F`` and bytes ``16 + 8*I + 16*F + 16*nnz`` (Section III-C)
+    of a 3-mode tensor in the SPLATT layout for output ``mode``, whose
+    fibers are labeled by mode ``(mode + 2) % 3``."""
+    mode = check_mode(mode, 3)
+    n_fibers = tensor.fiber_count(mode, (mode + 2) % 3)
+    return n_fibers, 16 + 8 * tensor.shape[mode] + 16 * n_fibers + 16 * tensor.nnz
+
+
 def analyze(tensor: COOTensor) -> TensorStats:
     """Compute the structural report for any-order tensors."""
     splatt_bytes = n_fibers = avg_len = None
     if tensor.order == 3 and tensor.nnz:
-        splatt = SplattTensor.from_coo(tensor, output_mode=0)
-        splatt_bytes = splatt.memory_bytes()
-        n_fibers = splatt.n_fibers
-        avg_len = splatt.nnz / max(splatt.n_fibers, 1)
+        n_fibers, splatt_bytes = splatt_footprint(tensor)
+        avg_len = tensor.nnz / max(n_fibers, 1)
     return TensorStats(
         shape=tensor.shape,
         nnz=tensor.nnz,

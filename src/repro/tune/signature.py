@@ -71,8 +71,8 @@ class TensorSignature:
         Fiber statistics are computed directly from the COO coordinates
         (distinct ``(output, fiber)`` pairs under the SPLATT orientation)
         — no compressed tensor is built, so fingerprinting costs one
-        ``unique`` pass instead of a full SPLATT compression.  The numbers
-        are identical: ``SplattTensor.from_coo(t, output_mode=m)`` counts
+        sort of the pairs instead of a full SPLATT compression.  The numbers
+        are identical: the ``splatt`` plan's tree for mode ``m`` counts
         the same pairs and the same inner-mode histogram.
         """
         mode = check_mode(mode, tensor.order)

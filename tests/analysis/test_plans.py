@@ -245,6 +245,17 @@ class TestVerifyPlanDispatch:
         )
         assert verify_plan(plan, rank=32) == []
 
+    @pytest.mark.parametrize("kernel_name", ["mb", "csf-blocked"])
+    def test_tree_plan_grid_is_verified(self, kernel_name):
+        """Every blocked tree plan carries its grid, and the dispatcher
+        checks it: a plan whose grid has a gap is PL401."""
+        t = small_tensor(10)
+        plan = get_kernel(kernel_name).prepare(t, 0, block_counts=(2, 2, 1))
+        assert verify_plan(plan) == []
+        b = plan.grid.boundaries
+        plan.grid.boundaries = (np.array([0, 15, 29]), *b[1:])
+        assert rules(verify_plan(plan)) == ["PL401"]
+
 
 class TestScanSource:
     def test_valid_literals_clean(self):

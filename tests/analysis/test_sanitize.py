@@ -7,8 +7,8 @@ import pytest
 
 from repro.analysis.sanitize import SanitizeReport, sanitized_execute
 from repro.kernels import get_kernel, reference_mttkrp
-from repro.kernels import splatt_mttkrp
-from repro.kernels.splatt_mttkrp import SplattKernel
+from repro.kernels import csf_mttkrp
+from repro.kernels.csf_mttkrp import CSFKernel
 from repro.tensor.coo import COOTensor
 
 RANK = 16
@@ -84,7 +84,7 @@ class TestCleanRuns:
         assert not [d for d in report.diagnostics if d.rule == "SZ506"]
 
 
-class LeakyKernel(SplattKernel):
+class LeakyKernel(CSFKernel):
     """Mutant: writes an output row outside its declared write-set."""
 
     name = "leaky"
@@ -95,7 +95,7 @@ class LeakyKernel(SplattKernel):
         return A
 
 
-class WrapKernel(SplattKernel):
+class WrapKernel(CSFKernel):
     """Mutant: gathers with a negative (silently wrapping) index."""
 
     name = "wrap"
@@ -106,14 +106,14 @@ class WrapKernel(SplattKernel):
         return super().execute(plan, factors, out=out)
 
 
-class NanKernel(SplattKernel):
+class NanKernel(CSFKernel):
     """Mutant: lets a NaN emerge from finite inputs."""
 
     name = "nan"
 
     def execute(self, plan, factors, out=None):
         A = super().execute(plan, factors, out=out)
-        A[np.asarray(plan.fiber_rows)[0]] = np.nan
+        A[plan.write_set()[0][0]] = np.nan
         return A
 
 
@@ -173,7 +173,7 @@ class TestCompiledWrites:
         kernel = get_kernel(kernel_name)
         plan = kernel.prepare(tensor, mode, **params)
         report = sanitized_execute(kernel, plan, factors)
-        owners = np.unique(plan.fiber_rows).size
+        owners = np.unique(tensor.indices[:, mode]).size
         assert 0 < owners < tensor.shape[mode]
         assert report.written_rows == owners
         assert report.ok
@@ -187,13 +187,13 @@ class TestCompiledWrites:
         np.testing.assert_array_equal(report.output, kernel.execute(plan, factors))
 
     def test_target_shifted_by_one_row_is_sz501(self, monkeypatch):
-        real = splatt_mttkrp.segment_sums_into
+        real = csf_mttkrp.segment_sums_into
 
         def shifted(ptr, X, Y, unit):
             # Row r's segment lands in row r + 1 (the last row's is lost).
             real(ptr[:-1], X[: ptr[-2]], Y[1:], unit)
 
-        monkeypatch.setattr(splatt_mttkrp, "segment_sums_into", shifted)
+        monkeypatch.setattr(csf_mttkrp, "segment_sums_into", shifted)
         tensor, factors = make_problem(11, shape=(40, 30, 20), nnz=60)
         kernel = get_kernel("splatt")
         plan = kernel.prepare(tensor, 0)

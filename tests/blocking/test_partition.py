@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.blocking import BlockGrid, partition_coo
-from repro.tensor import uniform_random_tensor
+from repro.tensor import COOTensor, CSFTensor, uniform_random_tensor
+from repro.tensor.csf import splatt_order
 from repro.util import ShapeError
+
+MODE0 = splatt_order(0)  # (0, 2, 1): output 0, fiber 2, inner 1
 
 
 @pytest.fixture
@@ -13,23 +16,26 @@ def tensor():
     return uniform_random_tensor((40, 60, 50), 3000, seed=61)
 
 
+def n_fibers(blocks):
+    return sum(b.tree.levels[-1].n_nodes for b in blocks)
+
+
 class TestPartition:
     def test_nnz_conserved(self, tensor):
         grid = BlockGrid(tensor.shape, (2, 3, 4))
-        blocked = partition_coo(tensor, grid, 0)
-        assert blocked.nnz == tensor.nnz
+        blocks = partition_coo(tensor, grid, MODE0)
+        assert sum(b.tree.nnz for b in blocks) == tensor.nnz
 
     def test_values_conserved(self, tensor):
         grid = BlockGrid(tensor.shape, (4, 4, 4))
-        blocked = partition_coo(tensor, grid, 0)
-        total = sum(b.splatt.vals.sum() for b in blocked.blocks)
+        blocks = partition_coo(tensor, grid, MODE0)
+        total = sum(b.tree.vals.sum() for b in blocks)
         assert total == pytest.approx(tensor.values.sum())
 
     def test_local_indices_within_block_shape(self, tensor):
         grid = BlockGrid(tensor.shape, (2, 5, 3))
-        blocked = partition_coo(tensor, grid, 0)
-        for block in blocked.blocks:
-            local = block.splatt.to_coo()
+        for block in partition_coo(tensor, grid, MODE0):
+            local = block.tree.to_coo()
             for m, (lo, hi) in enumerate(block.bounds):
                 assert local.shape[m] == hi - lo
                 if local.nnz:
@@ -38,13 +44,10 @@ class TestPartition:
     def test_reassembled_tensor_matches(self, tensor):
         """Shifting every block's local coords by its bounds recovers the
         original tensor exactly — blocks cover and do not overlap."""
-        from repro.tensor import COOTensor
-
         grid = BlockGrid(tensor.shape, (3, 3, 3))
-        blocked = partition_coo(tensor, grid, 0)
         parts_idx, parts_val = [], []
-        for block in blocked.blocks:
-            local = block.splatt.to_coo()
+        for block in partition_coo(tensor, grid, MODE0):
+            local = block.tree.to_coo()
             offs = np.array([lo for lo, _ in block.bounds])
             parts_idx.append(local.indices + offs)
             parts_val.append(local.values)
@@ -55,44 +58,39 @@ class TestPartition:
 
     def test_inner_blocking_splits_fibers(self, tensor):
         """Blocking along the inner mode cannot reduce the fiber count."""
-        from repro.tensor import SplattTensor
-
-        base = SplattTensor.from_coo(tensor, 0).n_fibers
+        base = CSFTensor.from_coo(tensor, MODE0).levels[-1].n_nodes
         grid = BlockGrid(tensor.shape, (1, 6, 1))
-        blocked = partition_coo(tensor, grid, 0)
-        assert blocked.n_fibers >= base
+        assert n_fibers(partition_coo(tensor, grid, MODE0)) >= base
 
     def test_fiber_mode_blocking_preserves_fiber_count(self, tensor):
         """Blocking along the fiber-label mode only regroups fibers."""
-        from repro.tensor import SplattTensor
-
-        base = SplattTensor.from_coo(tensor, 0).n_fibers
+        base = CSFTensor.from_coo(tensor, MODE0).levels[-1].n_nodes
         grid = BlockGrid(tensor.shape, (1, 1, 5))
-        blocked = partition_coo(tensor, grid, 0)
-        assert blocked.n_fibers == base
+        assert n_fibers(partition_coo(tensor, grid, MODE0)) == base
 
     def test_loop_order_output_outermost(self, tensor):
+        """Output blocks outermost, then the fiber mode, then the inner
+        mode: the MB loop order."""
         grid = BlockGrid(tensor.shape, (3, 2, 2))
-        blocked = partition_coo(tensor, grid, 0)
-        out_coords = [b.coords[0] for b in blocked.blocks]
-        assert out_coords == sorted(out_coords)
+        coords = [b.coords for b in partition_coo(tensor, grid, MODE0)]
+        assert coords == sorted(coords, key=lambda c: (c[0], c[2], c[1]))
 
     def test_trivial_grid_single_block(self, tensor):
         grid = BlockGrid(tensor.shape, (1, 1, 1))
-        blocked = partition_coo(tensor, grid, 0)
-        assert len(blocked) == 1
-        assert blocked.blocks[0].splatt.nnz == tensor.nnz
+        blocks = partition_coo(tensor, grid, MODE0)
+        assert len(blocks) == 1
+        assert blocks[0].tree.nnz == tensor.nnz
 
     def test_shape_mismatch_rejected(self, tensor):
         grid = BlockGrid((10, 10, 10), (2, 2, 2))
         with pytest.raises(ShapeError):
-            partition_coo(tensor, grid, 0)
+            partition_coo(tensor, grid, MODE0)
 
     def test_orientation_respected(self, tensor):
         grid = BlockGrid(tensor.shape, (2, 2, 2))
-        blocked = partition_coo(tensor, grid, output_mode=1, inner_mode=2)
-        assert blocked.output_mode == 1
-        assert blocked.inner_mode == 2
-        assert blocked.fiber_mode == 0
-        for block in blocked.blocks:
-            assert block.splatt.output_mode == 1
+        blocks = partition_coo(tensor, grid, (1, 0, 2))
+        for block in blocks:
+            assert block.tree.mode_order == (1, 0, 2)
+            assert block.tree.root_mode == 1
+        coords = [b.coords for b in blocks]
+        assert coords == sorted(coords, key=lambda c: (c[1], c[0], c[2]))

@@ -38,9 +38,10 @@ class TestTensorLayer:
         assert t32.deduplicate().values.dtype == np.float32
 
     def test_compressed_formats_preserve_float32(self, t32):
-        from repro.tensor import CSFTensor, SplattTensor
+        from repro.tensor import CSFTensor
+        from repro.tensor.csf import splatt_order
 
-        assert SplattTensor.from_coo(t32, output_mode=0).vals.dtype == np.float32
+        assert CSFTensor.from_coo(t32, splatt_order(0)).vals.dtype == np.float32
         assert CSFTensor.from_coo(t32).vals.dtype == np.float32
 
     def test_float16_still_coerced_to_float64(self):

@@ -94,14 +94,14 @@ GOLDEN: dict[str, str] = {
     "cp_als-coo-f32-t2": "d79d9adcdce65bc0950f7cfd7ab4ab71128328faa0d1c7f3418f2c84f9d820c2",
     "cp_als-coo-f64-t1": "7b838efe371ac814635bb15fac6abde8fb86493dde04be79efbf61cea15e74a0",
     "cp_als-coo-f64-t2": "7b838efe371ac814635bb15fac6abde8fb86493dde04be79efbf61cea15e74a0",
-    "cp_als-csf-any-f32-t1": "d4903487e2dd396fc8e7118f3e92a981776ca1fe8fe10b489743e47c2e2d77c2",
-    "cp_als-csf-any-f32-t2": "d4903487e2dd396fc8e7118f3e92a981776ca1fe8fe10b489743e47c2e2d77c2",
-    "cp_als-csf-any-f64-t1": "4794973a8a896ce51646961ab90de77e258531491b436ef1680fc7727e76773c",
-    "cp_als-csf-any-f64-t2": "4794973a8a896ce51646961ab90de77e258531491b436ef1680fc7727e76773c",
-    "cp_als-csf-blocked-f32-t1": "9212029f6d0fe2194708a48a7bf2c7696db693c59e6604b19780aa333c63f972",
-    "cp_als-csf-blocked-f32-t2": "9212029f6d0fe2194708a48a7bf2c7696db693c59e6604b19780aa333c63f972",
-    "cp_als-csf-blocked-f64-t1": "10d43435893b999bb9b24ebe94d44130026f075204bfe2b65cccbf61b9218b78",
-    "cp_als-csf-blocked-f64-t2": "10d43435893b999bb9b24ebe94d44130026f075204bfe2b65cccbf61b9218b78",
+    "cp_als-csf-any-f32-t1": "b17ec9048a57de3f2cd524c91120973767a2656bf1127021a7aba339b602e257",
+    "cp_als-csf-any-f32-t2": "b17ec9048a57de3f2cd524c91120973767a2656bf1127021a7aba339b602e257",
+    "cp_als-csf-any-f64-t1": "679632ee3b0a2fdaf25d602c72b48d77ae1bafa9712f1f9a009b1b0fdbcd323d",
+    "cp_als-csf-any-f64-t2": "679632ee3b0a2fdaf25d602c72b48d77ae1bafa9712f1f9a009b1b0fdbcd323d",
+    "cp_als-csf-blocked-f32-t1": "aac40cb1b2ee6b765ce4f9602698748242d0c28d56a6f75d891a9a905316d28b",
+    "cp_als-csf-blocked-f32-t2": "aac40cb1b2ee6b765ce4f9602698748242d0c28d56a6f75d891a9a905316d28b",
+    "cp_als-csf-blocked-f64-t1": "cd170bc58661fe5b04e7806d03f999ff3a204526b1610d1efac90a6805e69fa0",
+    "cp_als-csf-blocked-f64-t2": "cd170bc58661fe5b04e7806d03f999ff3a204526b1610d1efac90a6805e69fa0",
     "cp_als-csf-f32-t1": "7a17ab0fd1e5ac17197ec73598d50f7cbedd770447aef34bbc5c3adf9b4429f3",
     "cp_als-csf-f32-t2": "7a17ab0fd1e5ac17197ec73598d50f7cbedd770447aef34bbc5c3adf9b4429f3",
     "cp_als-csf-f64-t1": "511fb517c39142000df95e5265b0d5da3cc82c1cb7a414d829ef8f743dbb507d",

@@ -154,7 +154,7 @@ def _assert_budget_independent(make_kernel, params, budgets, tensors):
             t = COOTensor(base.shape, base.indices, base.values.astype(dtype))
             rng = np.random.default_rng(7)
             factors = [rng.random((n, 7)).astype(dtype) for n in t.shape]
-            for mode in range(3):
+            for mode in range(t.order):
                 want = make_kernel(1 << 30).mttkrp(t, factors, mode, **params)
                 np.testing.assert_allclose(
                     want,
@@ -177,7 +177,7 @@ class TestChunking:
 
     @pytest.mark.parametrize("scratch", CHUNK_BUDGETS)
     def test_splatt_chunked(self, small_tensor, scratch):
-        from repro.kernels.splatt_mttkrp import SplattKernel
+        from repro.kernels.csf_mttkrp import CSFKernel
 
         presets = {
             "splatt": ({}, {}),
@@ -191,11 +191,41 @@ class TestChunking:
         tensors = [small_tensor, _skewed_tensor()]
         for name, (flags, params) in presets.items():
             _assert_budget_independent(
-                lambda budget: SplattKernel(name, scratch_elems=budget, **flags),
+                lambda budget: CSFKernel(name, scratch_elems=budget, **flags),
                 params,
                 [scratch],
                 tensors,
             )
+
+    @pytest.mark.parametrize("scratch", CHUNK_BUDGETS)
+    def test_csf_chunked(self, small_tensor, scratch):
+        """The N-mode presets chunk whole root rows too: every internal
+        level of a chunk is a contiguous node range."""
+        from repro.kernels.csf_mttkrp import CSFKernel
+
+        tensors = [
+            small_tensor,
+            _skewed_tensor(),
+            uniform_random_tensor((7, 8, 9, 10), 400, seed=45),
+            uniform_random_tensor((4, 5, 6, 3, 5), 300, seed=46),
+        ]
+        for t in tensors:
+            presets = {
+                "csf": ({}, {}),
+                "csf-blocked": (
+                    {"grid": True},
+                    {"block_counts": (2,) * t.order, "n_rank_blocks": 2},
+                ),
+            }
+            for name, (flags, params) in presets.items():
+                _assert_budget_independent(
+                    lambda budget: CSFKernel(
+                        name, any_order=True, scratch_elems=budget, **flags
+                    ),
+                    params,
+                    [scratch],
+                    [t],
+                )
 
     def test_coo_chunked(self, small_tensor):
         from repro.kernels.coo_mttkrp import COOKernel

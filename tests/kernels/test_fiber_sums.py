@@ -22,12 +22,11 @@ import pytest
 
 import repro.kernels.base as base
 from repro.blocking import BlockGrid, partition_coo
-from repro.blocking.partition import partition_coo_nd
 from repro.kernels import get_kernel
 from repro.kernels.base import fiber_sums, segment_sums_into, unit_csr
-from repro.kernels.csf_mttkrp import CSFPlan
-from repro.kernels.splatt_mttkrp import SplattPlan, execute_splatt_into
-from repro.tensor import COOTensor, SplattTensor, poisson_tensor
+from repro.kernels.csf_mttkrp import CSFPlan, execute_block_into, row_pointers
+from repro.tensor import COOTensor, CSFTensor, poisson_tensor
+from repro.tensor.csf import splatt_order
 from repro.util.errors import ShapeError
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -135,14 +134,15 @@ def test_heavy_row_over_budget_gives_the_same_bits(dtype):
         axis=0,
     )
     coo = COOTensor(shape, idx, rng.standard_normal(idx.shape[0]).astype(dtype))
-    sp = SplattTensor.from_coo(coo, 0, inner_mode=1)
-    assert sp.fibers_per_row()[1] == 30
+    tree = CSFTensor.from_coo(coo, splatt_order(0))
+    row_ptrs = row_pointers(tree)
+    assert np.diff(row_ptrs[0])[1] == 30
     B = rng.standard_normal((7, 6)).astype(dtype)
     C = rng.standard_normal((40, 6)).astype(dtype)
     outs = []
     for budget in (1, 6 * 4, 6 * 25, 1 << 20):
         A = np.zeros((4, 6), dtype=dtype)
-        execute_splatt_into(sp, B, C, A, scratch_elems=budget)
+        execute_block_into(tree, row_ptrs, [None, B, C], A, scratch_elems=budget)
         outs.append(A)
     for A in outs[1:]:
         np.testing.assert_array_equal(A, outs[0])
@@ -153,27 +153,30 @@ def test_heavy_row_over_budget_gives_the_same_bits(dtype):
 
 
 def test_tampered_splatt_index_raises_at_plan_build(tensor):
-    blocked = partition_coo(tensor, BlockGrid(tensor.shape, (2, 2, 1)), 0)
-    block = blocked.blocks[-1]
-    block.splatt.jidx[0] = block.splatt.inner_extent
+    grid = BlockGrid(tensor.shape, (2, 2, 1))
+    blocks = partition_coo(tensor, grid, splatt_order(0))
+    block = blocks[-1]
+    block.tree.leaf_fids[0] = block.tree.shape[1]
     with pytest.raises(ShapeError, match=re.escape(f"block {block.coords}, mode 1")):
-        SplattPlan("mb", blocked)
+        CSFPlan("mb", 0, splatt_order(0), grid, blocks)
 
 
 def test_tampered_splatt_pointer_raises_at_plan_build(tensor):
-    blocked = partition_coo(tensor, BlockGrid(tensor.shape, (1, 1, 1)), 0)
-    blocked.blocks[0].splatt.fiber_ptr[1] = blocked.blocks[0].splatt.nnz + 5
+    grid = BlockGrid(tensor.shape, (1, 1, 1))
+    blocks = partition_coo(tensor, grid, splatt_order(0))
+    tree = blocks[0].tree
+    tree.levels[-1].fptr[1] = tree.nnz + 5
     with pytest.raises(ShapeError, match="monotone"):
-        SplattPlan("splatt", blocked)
+        CSFPlan("splatt", 0, splatt_order(0), grid, blocks)
 
 
 def test_tampered_csf_leaf_raises_at_plan_build(tensor):
     grid = BlockGrid(tensor.shape, (2, 1, 2))
-    blocks = partition_coo_nd(tensor, grid, (0, 2, 1))
-    block, csf = blocks[0]
-    csf.leaf_fids[-1] = -1
+    blocks = partition_coo(tensor, grid, (0, 2, 1))
+    block = blocks[0]
+    block.tree.leaf_fids[-1] = -1
     with pytest.raises(ShapeError, match=re.escape(f"block {block.coords}, mode 1")):
-        CSFPlan("csf-blocked", tensor.shape, 0, (0, 2, 1), blocks)
+        CSFPlan("csf-blocked", 0, (0, 2, 1), grid, blocks)
 
 
 @pytest.mark.parametrize(
@@ -183,27 +186,23 @@ def test_tampered_csf_leaf_raises_at_plan_build(tensor):
 )
 def test_built_plan_arrays_are_read_only(tensor, name, params):
     plan = get_kernel(name).prepare(tensor, 0, **params)
-    if hasattr(plan, "blocked"):
-        arrays = [b.splatt for b in plan.blocked.blocks]
-        fields = ("jidx", "fiber_ptr", "vals")
-    else:
-        arrays = [csf for _, csf in plan.blocks] if hasattr(plan, "blocks") else [plan.csf]
-        fields = ("leaf_fids", "vals")
-    for owner in arrays:
-        for field in fields:
+    for block in plan.blocks:
+        tree = block.tree
+        for array in (tree.leaf_fids, tree.vals, *(lvl.fptr for lvl in tree.levels)):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(owner, field)[0] = 0
-    if not hasattr(plan, "blocked"):
+                array[0] = 0
+    for row_ptrs in getattr(plan, "row_ptrs", ()):
         with pytest.raises(ValueError, match="read-only"):
-            arrays[0].levels[-1].fptr[0] = 0
+            row_ptrs[0][0] = 0
 
 
 def test_csf_any_leaf_target_csr_is_read_only(tensor):
-    plan = get_kernel("csf-any").prepare(tensor, 1, mode_order=(0, 2, 1))
-    assert plan.target_level == 2
-    for field in ("leaf_ptr", "leaf_parents", "leaf_vals"):
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(plan, field)[0] = 0
+    for mode, level in ((1, 2), (2, 1)):
+        plan = get_kernel("csf-any").prepare(tensor, mode, mode_order=(0, 2, 1))
+        assert plan.target_level == level
+        for field in ("scatter_ptr", "scatter_cols", "scatter_vals", "scatter_rows"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(plan, field)[0] = 0
 
 
 def test_missing_extension_names_the_scipy_version(monkeypatch):

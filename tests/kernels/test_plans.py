@@ -94,7 +94,7 @@ class TestBlockStats:
 
     def test_blocked_distincts_bounded_by_block_extent(self, medium_tensor):
         plan = get_kernel("mb").prepare(medium_tensor, 0, block_counts=(1, 8, 1))
-        for b, block in zip(plan.block_stats(), plan.blocked.blocks):
+        for b, block in zip(plan.block_stats(), plan.blocks):
             extent = block.bounds[plan.inner_mode]
             assert b.distinct_inner <= extent[1] - extent[0]
 

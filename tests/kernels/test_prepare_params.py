@@ -63,3 +63,13 @@ def test_foreign_kernels_knob_rejected(small_tensor) -> None:
             get_kernel(kernel_name).prepare(
                 small_tensor, 0, block_counts=(2, 2, 2)
             )
+
+
+@pytest.mark.parametrize("kernel_name", ["mb", "mb+rankb"])
+def test_inner_mode_is_not_a_knob(kernel_name, small_tensor) -> None:
+    """The SPLATT presets fix their orientation; ``mode_order`` is the one
+    spelling of a tree's orientation, and only the csf presets take it."""
+    with pytest.raises(ConfigError, match="unknown prepare parameter.*inner_mode"):
+        get_kernel(kernel_name).prepare(
+            small_tensor, 0, inner_mode=2, **VALID_PARAMS[kernel_name]
+        )

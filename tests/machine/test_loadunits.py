@@ -24,15 +24,15 @@ class TestBaselineCounts:
         rank = 64
         vec = rank // m.vector_doubles
         est = estimate_loads(base, rank, m)
-        s = base.splatt
-        assert est.stream_loads == 2 * s.nnz + 2 * s.n_fibers
+        s = base.blocks[0].tree
+        assert est.stream_loads == 2 * s.nnz + 2 * s.levels[-1].n_nodes
         assert est.b_loads == s.nnz * vec
         assert est.acc_loads == s.nnz * vec
         assert est.acc_stores == s.nnz * vec
-        assert est.c_loads == s.n_fibers * vec
-        assert est.a_loads == s.n_fibers * vec
-        assert est.a_stores == s.n_fibers * vec
-        assert est.loop_ops == s.nnz + s.n_fibers
+        assert est.c_loads == s.levels[-1].n_nodes * vec
+        assert est.a_loads == s.levels[-1].n_nodes * vec
+        assert est.a_stores == s.levels[-1].n_nodes * vec
+        assert est.loop_ops == s.nnz + s.levels[-1].n_nodes
 
     def test_totals_consistent(self, plan_pair):
         _, base, _ = plan_pair
@@ -59,8 +59,8 @@ class TestRegisterBlocking:
         rank = 64  # 4 register blocks of 16
         base_est = estimate_loads(base, rank, m)
         rb_est = estimate_loads(rb, rank, m)
-        s = base.splatt
-        assert rb_est.stream_loads == 4 * 2 * s.nnz + 2 * s.n_fibers
+        s = base.blocks[0].tree
+        assert rb_est.stream_loads == 4 * 2 * s.nnz + 2 * s.levels[-1].n_nodes
 
     def test_net_reduction(self, plan_pair):
         """Register blocking must reduce total micro-ops (the whole point)."""

@@ -48,20 +48,20 @@ class TestTraceGeneration:
         m = small_machine()
         rank = 32  # rowlines = ceil(32*8/128) = 2
         lines, tags = mttkrp_trace(plan, rank, m)
-        s = plan.splatt
-        expected = s.nnz * (2 + 2) + s.n_fibers * (1 + 4)
+        s = plan.blocks[0].tree
+        expected = s.nnz * (2 + 2) + s.levels[-1].n_nodes * (1 + 4)
         assert lines.shape == tags.shape == (expected,)
 
     def test_structure_mix(self, tensor):
         plan = get_kernel("splatt").prepare(tensor, 0)
         lines, tags = mttkrp_trace(plan, 16, small_machine())
-        s = plan.splatt
+        s = plan.blocks[0].tree
         counts = {k: int((tags == sid).sum()) for k, sid in STRUCTURES.items()}
         assert counts["val"] == s.nnz
         assert counts["jidx"] == s.nnz
         assert counts["B"] == s.nnz  # one line per row at rank 16
-        assert counts["fiber"] == s.n_fibers
-        assert counts["C"] == counts["A"] == s.n_fibers
+        assert counts["fiber"] == s.levels[-1].n_nodes
+        assert counts["C"] == counts["A"] == s.levels[-1].n_nodes
 
     def test_regions_disjoint(self, tensor):
         plan = get_kernel("splatt").prepare(tensor, 0)
@@ -148,8 +148,8 @@ class TestTrafficModel:
     def test_stream_bytes_exact(self, tensor):
         plan = get_kernel("splatt").prepare(tensor, 0)
         est = estimate_traffic(plan, 32, small_machine())
-        s = plan.splatt
-        assert est.stream_read_bytes == 16 * s.nnz + 16 * s.n_fibers
+        s = plan.blocks[0].tree
+        assert est.stream_read_bytes == 16 * s.nnz + 16 * s.levels[-1].n_nodes
 
     def test_everything_fits_only_compulsory(self, tensor):
         """With a huge cache, misses are exactly the distinct rows."""

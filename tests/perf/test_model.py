@@ -59,8 +59,8 @@ class TestTimeBreakdown:
 
     def test_flops_equation2(self, tensor):
         plan = get_kernel("splatt").prepare(tensor, 0)
-        s = plan.splatt
-        assert mttkrp_flops(plan, 32) == pytest.approx(2 * 32 * (s.nnz + s.n_fibers))
+        s = plan.blocks[0].tree
+        assert mttkrp_flops(plan, 32) == pytest.approx(2 * 32 * (s.nnz + s.levels[-1].n_nodes))
 
     def test_blocked_plan_charges_split_fibers(self, tensor):
         base = get_kernel("splatt").prepare(tensor, 0)

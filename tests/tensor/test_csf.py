@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.tensor import COOTensor, CSFTensor, SplattTensor, uniform_random_tensor
+from repro.tensor import COOTensor, CSFTensor, uniform_random_tensor
+from repro.tensor.csf import splatt_order
 from repro.util import FormatError, ShapeError
 
 
@@ -35,14 +36,20 @@ class TestSplattEquivalence:
 
     def test_arrays_match(self):
         t = uniform_random_tensor((8, 10, 12), 200, seed=13)
-        s = SplattTensor.from_coo(t, output_mode=0)  # inner=1, fiber=2
-        c = CSFTensor.from_coo(t, mode_order=(0, 2, 1))
+        c = CSFTensor.from_coo(t, mode_order=splatt_order(0))  # inner=1, fiber=2
+        # SPLATT's arrays, built per fiber: nonzeros sorted by (i, k, j),
+        # one fiber per distinct (i, k).
+        perm = np.lexsort((t.indices[:, 1], t.indices[:, 2], t.indices[:, 0]))
+        i, j, k = t.indices[perm].T
+        fibers = sorted(set(zip(i.tolist(), k.tolist())))
+        lengths = [int(np.sum((i == fi) & (k == fk))) for fi, fk in fibers]
         # Level-1 nodes are the fibers.
-        assert c.levels[1].n_nodes == s.n_fibers
-        np.testing.assert_array_equal(c.levels[1].fids, s.fiber_kidx)
-        np.testing.assert_array_equal(c.levels[1].fptr, s.fiber_ptr)
-        np.testing.assert_array_equal(c.leaf_fids, s.jidx)
-        np.testing.assert_array_equal(c.vals, s.vals)
+        assert c.levels[1].n_nodes == len(fibers)
+        np.testing.assert_array_equal(c.levels[0].fids, np.unique(i))
+        np.testing.assert_array_equal(c.levels[1].fids, [fk for _, fk in fibers])
+        np.testing.assert_array_equal(c.levels[1].fptr, np.cumsum([0, *lengths]))
+        np.testing.assert_array_equal(c.leaf_fids, j)
+        np.testing.assert_array_equal(c.vals, t.values[perm])
 
     def test_node_counts_monotone(self):
         t = uniform_random_tensor((8, 10, 12), 300, seed=14)

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import BlockGrid, partition_coo
-from repro.blocking.partition import partition_coo_nd
-from repro.tensor import COOTensor, CSFTensor, SplattTensor
+from repro.kernels.csf_mttkrp import row_pointers
+from repro.tensor import COOTensor, CSFTensor
 from repro.tensor.coo import lex_order
+from repro.tensor.csf import splatt_order
+from repro.tensor.stats import splatt_footprint
 
 
 @st.composite
@@ -69,11 +71,14 @@ def test_splatt_roundtrip_any_mode(t, mode):
     if t.order != 3:
         t3_shape = (t.shape + (3, 3))[:3]
         return  # composite gives mixed orders; only 3-mode is valid here
-    s = SplattTensor.from_coo(t, output_mode=mode)
+    s = CSFTensor.from_coo(t, splatt_order(mode))
     s.check_invariants()
     assert s.to_coo().equal(t)
-    # The paper's memory formula is exact.
-    assert s.memory_bytes() == 16 + 8 * s.n_rows + 16 * s.n_fibers + 16 * s.nnz
+    # The paper's memory formula counts the tree's fibers.
+    n_fibers = s.levels[1].n_nodes
+    assert splatt_footprint(t, mode) == (
+        n_fibers, 16 + 8 * t.shape[mode] + 16 * n_fibers + 16 * t.nnz
+    )
 
 
 @given(coo_tensors(max_order=3))
@@ -141,16 +146,26 @@ def _splatt_reference(shape, out, inner, idx, vals):
     }
 
 
-def _assert_splatt_equal(splatt, ref):
+def _assert_splatt_equal(tree, ref):
+    """A tree in the SPLATT orientation holds SPLATT's arrays."""
+    got = {
+        "row_ptr": row_pointers(tree)[0],
+        "fiber_kidx": tree.levels[1].fids,
+        "fiber_ptr": tree.levels[1].fptr,
+        "jidx": tree.leaf_fids,
+        "vals": tree.vals,
+    }
     for name, expected in ref.items():
-        np.testing.assert_array_equal(getattr(splatt, name), expected, err_msg=name)
+        np.testing.assert_array_equal(got[name], expected, err_msg=name)
 
 
 @st.composite
-def partition_cases(draw):
-    """A 3-mode tensor with duplicate coordinates likely, a uniform or
-    explicit-boundary grid over it, and an orientation."""
-    shape = tuple(draw(st.integers(1, 7)) for _ in range(3))
+def partition_cases(draw, orders=(2, 4)):
+    """A tensor of ``orders[0]`` to ``orders[1]`` modes with duplicate
+    coordinates likely, a uniform or explicit-boundary grid over it, and
+    a mode order."""
+    order = draw(st.integers(*orders))
+    shape = tuple(draw(st.integers(1, 7)) for _ in range(order))
     nnz = draw(st.integers(0, 60))
     idx = np.array(
         [
@@ -158,7 +173,7 @@ def partition_cases(draw):
             for e in shape
         ],
         dtype=np.int64,
-    ).T.reshape(nnz, 3)
+    ).T.reshape(nnz, order)
     vals = np.arange(1, nnz + 1, dtype=np.float64)
     tensor = COOTensor(shape, idx, vals)
     if draw(st.booleans()):
@@ -173,43 +188,8 @@ def partition_cases(draw):
                 for e in shape
             ],
         )
-    out = draw(st.integers(0, 2))
-    inner = draw(st.sampled_from([m for m in range(3) if m != out]))
-    return tensor, grid, out, inner
-
-
-@given(partition_cases())
-@settings(max_examples=150, deadline=None)
-def test_partition_coo_matches_per_block_lexsort(case):
-    tensor, grid, out, inner = case
-    fiber = 3 - out - inner
-    blocked = partition_coo(tensor, grid, out, inner)
-    # Reference: every block in (output, fiber, inner) loop order,
-    # filtered, re-based to local coordinates, lexsorted and compressed.
-    loop_order = sorted(
-        itertools.product(*(range(n) for n in grid.block_counts)),
-        key=lambda c: (c[out], c[fiber], c[inner]),
-    )
-    expected = []
-    for coords in loop_order:
-        bounds = grid.block_bounds(coords)
-        mask = np.ones(tensor.nnz, dtype=bool)
-        for m, (lo, hi) in enumerate(bounds):
-            mask &= (tensor.indices[:, m] >= lo) & (tensor.indices[:, m] < hi)
-        if grid.n_blocks > 1 and not mask.any():
-            continue
-        lows = np.array([lo for lo, _ in bounds])
-        block_shape = tuple(hi - lo for lo, hi in bounds)
-        ref = _splatt_reference(
-            block_shape, out, inner, tensor.indices[mask] - lows, tensor.values[mask]
-        )
-        expected.append((coords, bounds, block_shape, ref))
-    assert [b.coords for b in blocked.blocks] == [e[0] for e in expected]
-    for block, (coords, bounds, block_shape, ref) in zip(blocked.blocks, expected):
-        assert block.bounds == bounds
-        assert block.splatt.shape == block_shape
-        _assert_splatt_equal(block.splatt, ref)
-    assert blocked.nnz == tensor.nnz
+    mode_order = tuple(draw(st.permutations(range(order))))
+    return tensor, grid, mode_order
 
 
 def _csf_reference(mode_order, idx, vals):
@@ -232,16 +212,19 @@ def _csf_reference(mode_order, idx, vals):
     return levels, cols[-1], vals[perm]
 
 
-@given(partition_cases(), st.integers(0, 2**32 - 1))
-@settings(max_examples=150, deadline=None)
-def test_partition_coo_nd_matches_per_block_lexsort(case, seed):
-    """One sort serves every block: each block's CSF tree equals a
-    per-block lexsort reference, array for array, in C block order."""
-    tensor, grid, _, _ = case
-    mode_order = tuple(np.random.default_rng(seed).permutation(3))
-    blocks = partition_coo_nd(tensor, grid, mode_order)
+def _check_partition(tensor, grid, mode_order, check_tree):
+    """Partition once and hand every block's tree, with the block's
+    local nonzeros, to ``check_tree``; the blocks must come in the MB
+    loop order (the output block outermost, the rest following the mode
+    order), skip empty blocks of a multi-block grid, and cover every
+    nonzero."""
+    blocks = partition_coo(tensor, grid, mode_order)
+    loop_order = sorted(
+        itertools.product(*(range(n) for n in grid.block_counts)),
+        key=lambda c: [c[m] for m in mode_order],
+    )
     expected = []
-    for coords in itertools.product(*(range(n) for n in grid.block_counts)):
+    for coords in loop_order:
         bounds = grid.block_bounds(coords)
         mask = np.ones(tensor.nnz, dtype=bool)
         for m, (lo, hi) in enumerate(bounds):
@@ -249,22 +232,51 @@ def test_partition_coo_nd_matches_per_block_lexsort(case, seed):
         if grid.n_blocks > 1 and not mask.any():
             continue
         lows = np.array([lo for lo, _ in bounds])
-        ref = _csf_reference(
-            mode_order, tensor.indices[mask] - lows, tensor.values[mask]
+        expected.append(
+            (coords, bounds, tensor.indices[mask] - lows, tensor.values[mask])
         )
-        expected.append((coords, bounds, ref))
-    assert [b.coords for b, _ in blocks] == [e[0] for e in expected]
-    for (block, csf), (coords, bounds, (levels, leaf_fids, vals)) in zip(
-        blocks, expected
-    ):
+    assert [b.coords for b in blocks] == [e[0] for e in expected]
+    for block, (coords, bounds, idx, vals) in zip(blocks, expected):
         assert block.bounds == bounds
-        assert csf.shape == tuple(hi - lo for lo, hi in bounds)
-        assert csf.mode_order == mode_order
-        for level, (fids, fptr) in zip(csf.levels, levels):
+        assert block.tree.shape == tuple(hi - lo for lo, hi in bounds)
+        assert block.tree.mode_order == tuple(mode_order)
+        check_tree(block.tree, idx, vals)
+    assert sum(b.tree.nnz for b in blocks) == tensor.nnz
+
+
+@given(partition_cases(orders=(3, 3)), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_partition_coo_matches_per_block_lexsort(case, out):
+    """In the SPLATT orientation each block holds SPLATT's arrays, equal
+    to a per-block lexsort by (output, fiber, inner)."""
+    tensor, grid, _ = case
+    order = splatt_order(out)
+
+    def check_tree(tree, idx, vals):
+        _assert_splatt_equal(
+            tree, _splatt_reference(tree.shape, out, order[2], idx, vals)
+        )
+
+    _check_partition(tensor, grid, order, check_tree)
+
+
+@given(partition_cases())
+@settings(max_examples=150, deadline=None)
+def test_partition_coo_nd_matches_per_block_lexsort(case):
+    """One sort serves every block, for 2- to 4-mode tensors and every
+    mode order: each block's CSF tree equals a per-block lexsort
+    reference, array for array."""
+    tensor, grid, mode_order = case
+
+    def check_tree(tree, idx, vals):
+        levels, leaf_fids, ref_vals = _csf_reference(mode_order, idx, vals)
+        for level, (fids, fptr) in zip(tree.levels, levels):
             np.testing.assert_array_equal(level.fids, fids)
             np.testing.assert_array_equal(level.fptr, fptr)
-        np.testing.assert_array_equal(csf.leaf_fids, leaf_fids)
-        np.testing.assert_array_equal(csf.vals, vals)
+        np.testing.assert_array_equal(tree.leaf_fids, leaf_fids)
+        np.testing.assert_array_equal(tree.vals, ref_vals)
+
+    _check_partition(tensor, grid, mode_order, check_tree)
 
 
 # ----------------------------------------------------------------------
@@ -322,6 +334,6 @@ def test_lex_order_overflow_guard_matches_lexsort():
 def test_splatt_overflow_guard_matches_lexsort():
     t = _amazon_corner_tensor()
     for out in (1, 2):
-        splatt = SplattTensor.from_coo(t, output_mode=out)
+        tree = CSFTensor.from_coo(t, splatt_order(out))
         ref = _splatt_reference(t.shape, out, (out + 1) % 3, t.indices, t.values)
-        _assert_splatt_equal(splatt, ref)
+        _assert_splatt_equal(tree, ref)

@@ -1,10 +1,7 @@
 """Static analysis for the kernel zoo and its parallel schedules.
 
-Five passes behind one diagnostic model (``repro check``):
+Four passes behind one diagnostic model (``repro check``):
 
-* :mod:`repro.analysis.contract` — AST kernel-contract checker: every
-  registered kernel conforms to the :class:`~repro.kernels.base.Kernel` /
-  :class:`~repro.kernels.base.Plan` ABCs (rules KC101-KC111);
 * :mod:`repro.analysis.races` — symbolic blocked-schedule race detector:
   proves parallel tasks write disjoint mode-n output rows, or reports the
   conflicting pairs and whether privatized accumulators fix them (rules
@@ -22,9 +19,14 @@ Five passes behind one diagnostic model (``repro check``):
 * :mod:`repro.analysis.sanitize` — instrumented kernel execution: checks
   observed writes against the plan's declared write-set, gather bounds,
   NaN/Inf emergence, dtype drift, and the traffic-model footprint
-  (rules SZ501-SZ506; ``repro sanitize``);
+  (rules SZ501-SZ506; ``repro sanitize``).
 
-Unused ``# repro: noqa`` suppressions are reported as DG001.  Findings
+The kernel contract itself (``check_factors``, ``alloc_output``, the
+``execute`` signature, registry names) is enforced at runtime by
+:meth:`~repro.kernels.base.Kernel.execute` and
+:func:`~repro.kernels.base.register_kernel`.  A scanned file that does
+not parse is reported as DG002; unused ``# repro: noqa`` suppressions as
+DG001.  Findings
 render as text, JSON, or SARIF 2.1.0 (:mod:`repro.analysis.sarif`).
 
 Rule catalog with rationale and suppression: ``docs/static-analysis.md``.

@@ -1,7 +1,7 @@
 """Unified diagnostic model for the static-analysis passes.
 
-Every pass (:mod:`repro.analysis.contract`, :mod:`repro.analysis.races`,
-:mod:`repro.analysis.hotpath`) reports findings as :class:`Diagnostic`
+Every pass (:mod:`repro.analysis.races`, :mod:`repro.analysis.hotpath`,
+:mod:`repro.analysis.plans`, :mod:`repro.analysis.sanitize`) reports findings as :class:`Diagnostic`
 records — rule id, severity, location, message, fix hint — so the CLI can
 render one consistent text or JSON stream and CI can consume it.
 
@@ -48,18 +48,6 @@ class Rule:
 RULES: dict[str, Rule] = {
     r.id: r
     for r in [
-        # --- kernel contract (KC1xx) ---------------------------------
-        Rule("KC101", Severity.ERROR, "duplicate kernel registry name"),
-        Rule("KC102", Severity.ERROR, "kernel class without a class-level name"),
-        Rule("KC103", Severity.ERROR, "prepare() signature breaks the Kernel ABC"),
-        Rule("KC104", Severity.ERROR, "execute() signature breaks the Kernel ABC"),
-        Rule("KC105", Severity.ERROR, "execute() does not allocate via alloc_output"),
-        Rule("KC106", Severity.ERROR, "execute() does not validate via check_factors"),
-        Rule("KC107", Severity.ERROR, "Plan subclass missing block_stats()"),
-        Rule("KC108", Severity.ERROR, "Plan subclass missing kernel_name"),
-        Rule("KC109", Severity.ERROR, "register_kernel() called with a class, not an instance"),
-        Rule("KC110", Severity.ERROR, "Plan.nnz/n_fibers overridden without @property"),
-        Rule("KC111", Severity.ERROR, "Kernel subclass missing prepare()/execute()"),
         # --- blocked-schedule races (RS2xx) ---------------------------
         Rule("RS201", Severity.ERROR, "parallel tasks write overlapping output rows"),
         Rule("RS202", Severity.ERROR, "block-parallel schedule over a grid with one output-mode block"),
@@ -86,6 +74,7 @@ RULES: dict[str, Rule] = {
         Rule("SZ506", Severity.WARNING, "observed factor-row footprint diverges from the traffic model"),
         # --- suppression hygiene (DG0xx) ------------------------------
         Rule("DG001", Severity.WARNING, "unused `# repro: noqa` suppression"),
+        Rule("DG002", Severity.ERROR, "file does not parse"),
     ]
 }
 
@@ -151,7 +140,7 @@ def resolve_rules(spec: "str | list[str] | None") -> "set[str] | None":
 
 
 #: Inline suppression marker: ``# repro: noqa`` (all rules) or
-#: ``# repro: noqa[KC105,HP302]`` (listed rules only).
+#: ``# repro: noqa[PL401,HP302]`` (listed rules only).
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<rules>[\w,\s]+)\])?")
 
 
@@ -226,12 +215,11 @@ def filter_rules(
 
 #: Rule-family prefix -> human label, in catalog order (``--statistics``).
 RULE_FAMILIES: dict[str, str] = {
-    "KC": "kernel contract",
     "RS": "schedule races",
     "HP": "hot-path lint",
     "PL": "plan verifier",
     "SZ": "execution sanitizer",
-    "DG": "suppression hygiene",
+    "DG": "parse errors and suppression hygiene",
 }
 
 #: Families whose rules are produced at runtime, never by a file-based
@@ -321,7 +309,7 @@ def unused_suppression_diagnostics(
 
 
 def family_of(rule: str) -> str:
-    """The family prefix of a rule id (``"KC105"`` -> ``"KC"``)."""
+    """The family prefix of a rule id (``"HP302"`` -> ``"HP"``)."""
     alpha = rule.rstrip("0123456789")
     return alpha if alpha in RULE_FAMILIES else rule
 

@@ -232,7 +232,7 @@ def scan_source(
     try:
         if tree is None:
             tree = ast.parse(source, filename=file)
-    except SyntaxError:  # contract pass reports the parse failure
+    except SyntaxError:  # the runner reports the parse failure (DG002)
         return diags
     _check_loops(tree, file, diags)
     _check_allocations(tree, file, diags)

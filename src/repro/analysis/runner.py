@@ -2,10 +2,8 @@
 
 ``repro check`` calls :func:`run_check`:
 
-* the **contract pass** (:mod:`repro.analysis.contract`) scans every
-  Python file — it only speaks up for ``Kernel``/``Plan`` subclasses and
-  ``register_kernel`` sites, so scanning broadly is free and catches
-  kernels living outside ``kernels/``;
+* every Python file is parsed once; one that does not parse is a DG002
+  error and no pass runs on it;
 * the **hot-path pass** (:mod:`repro.analysis.hotpath`) is restricted to
   files under a directory named ``kernels`` (the hot path by
   construction; coarse-grained orchestration loops elsewhere are not
@@ -29,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis import contract, hotpath
+from repro.analysis import hotpath
 from repro.analysis.diagnostics import (
     Diagnostic,
     Severity,
@@ -104,23 +102,27 @@ class ParseCache:
     """One shared AST per source file for every pass in a check run.
 
     The runner parses each file once here and hands the tree to every
-    pass (contract, hotpath, plans).  ``parse_count`` is the number of actual ``ast.parse`` calls — the
-    cache-sharing test asserts it equals the number of distinct files.
+    pass (hotpath, plans).  ``parse_count`` is the number of actual
+    ``ast.parse`` calls — the cache-sharing test asserts it equals the
+    number of distinct files.
     """
 
     def __init__(self) -> None:
         self._trees: dict[str, "ast.Module | None"] = {}
+        #: The parse failure of each file whose tree is ``None``.
+        self.errors: dict[str, SyntaxError] = {}
         self.parse_count: int = 0
 
     def tree(self, file: str, source: str) -> "ast.Module | None":
-        """The parsed module, or ``None`` for unparseable source (the
-        contract pass still reports KC111 from its own parse attempt)."""
+        """The parsed module, or ``None`` for unparseable source (its
+        :class:`SyntaxError` is kept in :attr:`errors`)."""
         if file not in self._trees:
             self.parse_count += 1
             try:
                 self._trees[file] = ast.parse(source, filename=file)
-            except SyntaxError:
+            except SyntaxError as exc:
                 self._trees[file] = None
+                self.errors[file] = exc
         return self._trees[file]
 
 
@@ -154,7 +156,8 @@ def run_check(
     ignore: "set[str] | None" = None,
     plans: bool = False,
 ) -> CheckResult:
-    """Run the contract and hot-path passes over ``paths``.
+    """Parse every Python file under ``paths`` (DG002 for one that does
+    not parse) and run the hot-path pass over it.
 
     ``select`` / ``ignore`` are resolved rule-id sets
     (:func:`repro.analysis.diagnostics.resolve_rules`).  ``plans=True``
@@ -175,7 +178,6 @@ def run_check(
     )
     cache = ParseCache()
     diags: list[Diagnostic] = []
-    registrations: list[contract.RegisteredKernel] = []
     sources: dict[str, str] = {}
     #: Per-file diagnostics *before* suppression (DG001's evidence).
     raw_by_file: dict[str, list[Diagnostic]] = {}
@@ -189,29 +191,32 @@ def run_check(
             continue
         sources[rel] = source
         tree = cache.tree(rel, source)
-        scan = contract.scan_source(source, rel, tree)
-        file_diags = list(scan.diagnostics)
-        registrations.extend(scan.registrations)
-        if is_hot_path(f):
-            hot_files.add(rel)
-            file_diags.extend(hotpath.scan_source(source, rel, tree))
-        if plans:
-            file_diags.extend(plans_mod.scan_source(source, rel, tree))
+        file_diags: list[Diagnostic] = []
+        if tree is None:
+            exc = cache.errors[rel]
+            file_diags.append(
+                Diagnostic(
+                    "DG002",
+                    rel,
+                    exc.lineno or 1,
+                    0,
+                    f"file does not parse: {exc.msg}",
+                    hint="fix the syntax error",
+                )
+            )
+        else:
+            if is_hot_path(f):
+                hot_files.add(rel)
+                file_diags.extend(hotpath.scan_source(source, rel, tree))
+            if plans:
+                file_diags.extend(plans_mod.scan_source(source, rel, tree))
         raw_by_file[rel] = file_diags
 
-    # Duplicate-name findings join their file's raw list so both their
-    # suppressions and DG001 usage accounting see them.
-    for d in contract.duplicate_name_diagnostics(registrations):
-        raw_by_file.setdefault(d.file, []).append(d)
-
     for rel, file_diags in raw_by_file.items():
-        source = sources.get(rel)
-        if source is None:  # pragma: no cover - defensive
-            diags.extend(file_diags)
-            continue
+        source = sources[rel]
         suppressions = suppressions_for_source(source)
         diags.extend(apply_suppressions(file_diags, suppressions))
-        active = {"KC", "DG"}
+        active = {"DG"}
         if rel in hot_files:
             active.add("HP")
         if plans:

@@ -767,10 +767,9 @@ def experiment_tracer_overhead(
     Three configurations of the same prepared plan:
 
     ``raw``
-        The uninstrumented ``execute`` body (reached through
-        ``__wrapped__`` on the :func:`functools.wraps`-preserving
-        instrumentation wrapper) — what the kernel cost before repro.obs
-        existed.
+        ``Kernel.execute`` without its tracer test: ``check_factors``,
+        ``alloc_output`` and the kernel's ``run`` — what the kernel cost
+        before repro.obs existed.
     ``disabled``
         The instrumented entry point with the default ``NullTracer``
         active — the price every untraced caller pays.  The contract is
@@ -785,6 +784,7 @@ def experiment_tracer_overhead(
     one configuration systematically.
     """
     from repro.kernels import get_kernel
+    from repro.kernels.base import alloc_output, check_factors, factor_dtype
     from repro.obs.tracer import NULL_TRACER, Tracer, use_tracer
     from repro.tensor import poisson_tensor
 
@@ -794,7 +794,12 @@ def experiment_tracer_overhead(
     kern = get_kernel("splatt")
     plan = kern.prepare(tensor, 0)
     out = np.zeros((tensor.shape[0], rank))
-    raw_execute = type(kern).execute.__wrapped__
+
+    def raw_execute(kern, plan, factors, out):
+        checked, r = check_factors(factors, plan.shape, plan.mode)
+        A = alloc_output(out, plan.shape[plan.mode], r, factor_dtype(checked))
+        kern.run(plan, checked, A)
+        return A
 
     # Each leg pins its own tracer, so an ambient one (``repro bench run
     # --trace``) cannot contaminate the raw/disabled measurements.

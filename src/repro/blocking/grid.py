@@ -172,3 +172,15 @@ def resolve_grid(
     if block_counts is not None:
         return BlockGrid(shape, block_counts)
     return grid
+
+
+def clamp_block_counts(
+    block_counts: "Sequence[int] | None", shape: Sequence[int]
+) -> "tuple[int, ...] | None":
+    """Per-mode block counts cut to ``[1, shape[m]]`` for a (sub-)tensor
+    that may be thinner than the grid was chosen for: :class:`BlockGrid`
+    raises :class:`ConfigError` on a count larger than its mode.
+    ``None`` (no grid) passes through."""
+    if block_counts is None:
+        return None
+    return tuple(max(1, min(int(c), int(s))) for c, s in zip(block_counts, shape))

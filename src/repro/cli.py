@@ -9,7 +9,7 @@ Commands
 ``cpd``       CP-ALS / CP-APR decomposition with any kernel
 ``scaling``   the Table III distributed strong-scaling experiment
 ``datasets``  list the Table II registry
-``check``     static analysis: kernel contracts, schedule races, hot-path
+``check``     static analysis: parse errors, schedule races, hot-path
               lint, and (``--plans``) plan-soundness verification
               (see docs/static-analysis.md)
 ``sanitize``  instrumented kernel execution: write-set containment, gather
@@ -996,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="static analysis: kernel contracts, schedule races, hot-path lint",
+        help="static analysis: parse errors, schedule races, hot-path lint",
     )
     p.add_argument(
         "paths",
@@ -1006,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text"
     )
-    p.add_argument("--select", help="only these rule ids/prefixes (e.g. KC,HP301)")
+    p.add_argument("--select", help="only these rule ids/prefixes (e.g. PL,HP301)")
     p.add_argument("--ignore", help="skip these rule ids/prefixes")
     p.add_argument(
         "--plans",
@@ -1017,7 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--statistics",
         action="store_true",
-        help="append a per-rule-family count summary (KC/RS/HP/PL/SZ/DG)",
+        help="append a per-rule-family count summary (RS/HP/PL/SZ/DG)",
     )
     p.add_argument(
         "--race-grid",

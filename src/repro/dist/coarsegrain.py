@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.blocking.grid import clamp_block_counts
 from repro.dist.comm import SimCluster
 from repro.dist.costmodel import NetworkModel, infiniband_edr
 from repro.dist.mediumgrain import greedy_slice_partition
@@ -111,14 +112,7 @@ def coarse_grained_mttkrp(
             local_idx = block.indices.copy()
             local_idx[:, mode] -= lo
             local = COOTensor(tuple(local_shape), local_idx, block.values, validate=False)
-            counts = (
-                None
-                if local_block_counts is None
-                else tuple(
-                    max(1, min(int(c), s))
-                    for c, s in zip(local_block_counts, local.shape)
-                )
-            )
+            counts = clamp_block_counts(local_block_counts, local.shape)
             plan = prepare_plan(local, mode, counts, local_rank_blocking)
             from repro.kernels.base import get_kernel
 

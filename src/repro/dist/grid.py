@@ -106,3 +106,11 @@ class ProcessGrid:
 
     def __repr__(self) -> str:
         return f"ProcessGrid({self.describe()}, {self.n_ranks} ranks)"
+
+
+def owned_ranges(lo: int, hi: int, n_owners: int) -> list[tuple[int, int]]:
+    """Equal split of the row range ``[lo, hi)`` among ``n_owners`` slab
+    members, in ownership order: member ``g`` owns the ``g``-th piece of
+    the folded slab."""
+    bounds = lo + ((hi - lo) * np.arange(n_owners + 1)) // n_owners
+    return [(int(bounds[g]), int(bounds[g + 1])) for g in range(n_owners)]

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.util.errors import DistributionError
 
 __all__ = ["mttkrp_comm_lower_bound", "attained_fraction"]

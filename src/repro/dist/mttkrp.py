@@ -34,8 +34,10 @@ import numpy as np
 from repro.analysis.diagnostics import Severity
 from repro.analysis.plans import verify_decomposition, verify_rank_extension
 from repro.analysis.races import verify_fold_covers_conflicts
+from repro.blocking.grid import clamp_block_counts
 from repro.blocking.rank import RankBlocking
 from repro.dist.comm import SimCluster
+from repro.dist.grid import owned_ranges
 from repro.dist.mediumgrain import MediumGrainDecomposition
 from repro.kernels.base import factor_dtype, get_kernel
 from repro.machine.spec import MachineSpec
@@ -79,21 +81,6 @@ class DistMTTKRPResult:
     def max_compute_time(self) -> float:
         """Slowest rank's local-kernel time."""
         return float(self.compute_times.max()) if self.compute_times.size else 0.0
-
-
-def _owned_ranges(lo: int, hi: int, n_owners: int) -> list[tuple[int, int]]:
-    """Equal split of a row range among slab members (ownership order)."""
-    bounds = lo + ((hi - lo) * np.arange(n_owners + 1)) // n_owners
-    return [(int(bounds[g]), int(bounds[g + 1])) for g in range(n_owners)]
-
-
-def _clamped_counts(
-    counts: "Sequence[int] | None", shape: Sequence[int]
-) -> "tuple[int, ...] | None":
-    """Clamp a global MB grid to a (possibly smaller) local block shape."""
-    if counts is None:
-        return None
-    return tuple(max(1, min(int(c), int(s))) for c, s in zip(counts, shape))
 
 
 def distributed_mttkrp(
@@ -198,7 +185,7 @@ def distributed_mttkrp(
             for chunk in range(grid.dims[axis]):
                 ranks = grid.slab_ranks(axis, chunk, layer)
                 lo, hi = decomp.mode_chunk(m, chunk)
-                pieces = _owned_ranges(lo, hi, len(ranks))
+                pieces = owned_ranges(lo, hi, len(ranks))
                 buffers = [
                     np.ascontiguousarray(factors[m][plo:phi, slo:shi])
                     for plo, phi in pieces
@@ -222,7 +209,7 @@ def distributed_mttkrp(
                 block.tensor.values,
                 validate=False,
             )
-            counts = _clamped_counts(local_block_counts, local_shape)
+            counts = clamp_block_counts(local_block_counts, local_shape)
             plan = prepare_plan(local, mode, counts, local_rank_blocking)
             local_factors: list[np.ndarray] = [None, None, None]
             for m in (inner_mode, fiber_mode):
@@ -250,7 +237,7 @@ def distributed_mttkrp(
             members.sort()
             buffers = [partials[coords] for coords in members]
             scattered = cluster.reduce_scatter(ranks, buffers)
-            owned = _owned_ranges(lo, hi, len(ranks))
+            owned = owned_ranges(lo, hi, len(ranks))
             for (plo, phi), piece in zip(owned, scattered):
                 out[plo:phi, slo:shi] = piece
 
@@ -269,7 +256,7 @@ def distributed_mttkrp(
                     lo, hi = decomp.mode_chunk(mode, chunk)
                     slab = grid.slab_ranks(axis, chunk, 0)
                     pos = slab.index(grid.rank_of(a, b, c, 0))
-                    plo, phi = _owned_ranges(lo, hi, len(slab))[pos]
+                    plo, phi = owned_ranges(lo, hi, len(slab))[pos]
                     buffers = [
                         np.ascontiguousarray(out[plo:phi, s0:s1])
                         for s0, s1 in strips

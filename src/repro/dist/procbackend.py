@@ -27,9 +27,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.blocking.grid import clamp_block_counts
 from repro.blocking.rank import RankBlocking
 from repro.dist.comm import CommLedger
-from repro.dist.grid import ProcessGrid
+from repro.dist.grid import ProcessGrid, owned_ranges
 from repro.dist.shmcomm import ShmCluster
 from repro.kernels.base import factor_dtype, get_kernel
 from repro.obs import current_tracer
@@ -60,21 +61,6 @@ def _decomp_token(decomp: Any) -> int:
         token = next(_decomp_tokens)
         decomp._shm_token = token
     return token
-
-
-def _owned_ranges(lo: int, hi: int, n_owners: int) -> "list[tuple[int, int]]":
-    """Equal split of a row range among slab members (ownership order) —
-    must match :func:`repro.dist.mttkrp._owned_ranges` exactly."""
-    bounds = lo + ((hi - lo) * np.arange(n_owners + 1)) // n_owners
-    return [(int(bounds[g]), int(bounds[g + 1])) for g in range(n_owners)]
-
-
-def _clamped_counts(
-    counts: "Sequence[int] | None", shape: Sequence[int]
-) -> "tuple[int, ...] | None":
-    if counts is None:
-        return None
-    return tuple(max(1, min(int(c), int(s))) for c, s in zip(counts, shape))
 
 
 # ---------------------------------------------------------------------
@@ -132,7 +118,7 @@ def _rank_mttkrp(
     # ---- 2. local kernel on my block -----------------------------------
     t0 = time.perf_counter()
     local = _local_block(comm.layout.base, payload)
-    counts = _clamped_counts(payload["block_counts"], local.shape)
+    counts = clamp_block_counts(payload["block_counts"], local.shape)
     plan = prepare_plan(local, mode, counts, payload["rank_blocking"])
     local_factors: "list[np.ndarray | None]" = [None, None, None]
     for m in (inner_mode, fiber_mode):
@@ -150,7 +136,7 @@ def _rank_mttkrp(
     piece = comm.reduce_scatter(ranks, partial)
     pos = ranks.index(comm.rank)
     lo, hi = payload["out_chunk"]
-    plo, phi = _owned_ranges(lo, hi, len(ranks))[pos]
+    plo, phi = owned_ranges(lo, hi, len(ranks))[pos]
 
     # ---- 4. rank-dimension allgather (4D only) --------------------------
     if payload["rank_groups"] > 1:
@@ -235,7 +221,7 @@ def _mttkrp_payloads(
             chunk = (a, b, c)[axis]
             ranks = grid.slab_ranks(axis, chunk, layer)
             lo, hi = decomp.mode_chunk(m, chunk)
-            plo, phi = _owned_ranges(lo, hi, len(ranks))[ranks.index(g_rank)]
+            plo, phi = owned_ranges(lo, hi, len(ranks))[ranks.index(g_rank)]
             owned[m] = np.ascontiguousarray(factors[m][plo:phi, slo:shi])
         block = decomp.blocks[(a, b, c)]
         key = (cluster.layout.base, token, (a, b, c))

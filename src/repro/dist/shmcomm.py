@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
 

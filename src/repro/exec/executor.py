@@ -62,6 +62,7 @@ from repro.analysis.races import (
     write_sets_for_boundaries,
     write_sets_for_ranges,
 )
+from repro.blocking.grid import clamp_block_counts
 from repro.kernels.base import (
     Kernel,
     Plan,
@@ -330,8 +331,9 @@ class ParallelExecutor:
         overlap, out-of-bounds — rule PL407) and the race detector
         re-checks overlap, both via :class:`ScheduleError`, before any
         sub-plan is built.  ``params`` go to the kernel's ``prepare``
-        for every sub-tensor (block counts are clamped per sub-shape by
-        the kernels themselves).
+        for every sub-tensor, with ``block_counts`` clamped to each
+        sub-tensor's extents first (a :class:`~repro.blocking.grid.BlockGrid`
+        rejects a count larger than its mode).
 
         When a tracer is active the call is recorded as one
         ``exec.prepare`` span.
@@ -390,13 +392,10 @@ class ParallelExecutor:
         for idx, (lo, hi) in enumerate(ranges):
             sub = _extract_rows(tensor, mode, lo, hi)
             sub_params = dict(base_params)
-            counts = sub_params.get("block_counts")
-            if counts is not None:
-                # Clamp per-mode block counts to the sub-tensor's extents
-                # (a worker's row range can be thinner than the grid).
-                sub_params["block_counts"] = tuple(
-                    max(1, min(int(c), s))
-                    for c, s in zip(counts, sub.shape)  # type: ignore[arg-type]
+            if "block_counts" in sub_params:
+                # A worker's row range can be thinner than the grid.
+                sub_params["block_counts"] = clamp_block_counts(
+                    sub_params["block_counts"], sub.shape  # type: ignore[arg-type]
                 )
             plan = (
                 kern.prepare(sub, mode, **sub_params) if sub.nnz > 0 else None

@@ -7,7 +7,9 @@ amortize setup over the 10-1000s of CPD iterations, Section III-B):
 1. :meth:`~repro.kernels.base.Kernel.prepare` compresses/reorganizes the
    COO tensor once into a :class:`~repro.kernels.base.Plan`;
 2. :meth:`~repro.kernels.base.Kernel.execute` runs the MTTKRP for one set
-   of factor matrices.
+   of factor matrices: it checks the factors, allocates the output and
+   records the tracing hook, then calls the kernel's own
+   :meth:`~repro.kernels.base.Kernel.run`.
 
 Plans expose :meth:`~repro.kernels.base.Plan.block_stats`, the structural
 summary (nonzeros, fibers, distinct factor rows touched per block) that the

@@ -28,7 +28,6 @@ The extension is loaded by file path, so ``scipy/__init__.py`` and
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.metadata
 import importlib.util
@@ -383,23 +382,49 @@ class Plan(ABC):
         )
 
 
-def _traced_execute(impl: Callable) -> Callable:
-    """Wrap a kernel's ``execute`` with the observability hook.
+class Kernel(ABC):
+    """An MTTKRP strategy.  Subclasses set :attr:`name` and implement
+    :meth:`prepare` and :meth:`run`; :meth:`execute` is the one entry
+    point and is not overridden."""
 
-    Applied automatically by :meth:`Kernel.__init_subclass__`, so every
-    registered kernel emits one ``mttkrp`` span (with plan metadata) and
-    per-call counters when a tracer is active — the subclasses keep their
-    plain ``execute(self, plan, factors, out=None)`` bodies and the static
-    kernel contract (KC104-KC106) untouched.  With the tracer disabled the
-    wrapper costs one global load and one attribute test per call; it never
-    runs per nonzero.
-    """
+    name: str = "abstract"
 
-    @functools.wraps(impl)
-    def execute(self, plan, factors, out=None):  # type: ignore[no-untyped-def]
+    @abstractmethod
+    def prepare(self, tensor: COOTensor, mode: int, **params: object) -> Plan:
+        """Build this kernel's prepared representation for one output mode."""
+
+    @abstractmethod
+    def run(self, plan: Plan, factors: Sequence[np.ndarray], A: np.ndarray) -> None:
+        """Add the MTTKRP of ``plan`` into the zeroed output ``A``.
+
+        ``factors`` have passed :func:`check_factors` (one shared float
+        dtype, C-contiguous, ``None`` at the output mode) and ``A`` is
+        the ``(I_mode, R)`` buffer :func:`alloc_output` returned, in
+        that dtype.
+        """
+
+    def execute(
+        self,
+        plan: Plan,
+        factors: Sequence[np.ndarray],
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Run the MTTKRP.
+
+        ``factors`` lists one ``(I_m, R)`` matrix per mode; the entry at the
+        output mode may be ``None``.  Returns the ``(I_mode, R)`` result in
+        the factors' dtype (``out`` if given, freshly allocated otherwise).
+
+        With a tracer on, the call records one ``mttkrp`` span (with plan
+        metadata) and the per-call ``kernel.*`` counters; with it off the
+        hook costs one global load and one attribute test per call.
+        """
+        factors, rank = check_factors(factors, plan.shape, plan.mode)
+        A = alloc_output(out, plan.shape[plan.mode], rank, factor_dtype(factors))
         tracer = current_tracer()
         if not tracer.enabled:
-            return impl(self, plan, factors, out=out)
+            self.run(plan, factors, A)
+            return A
         stats = plan.block_stats()
         nnz = sum(b.nnz for b in stats)
         n_fibers = sum(b.n_fibers for b in stats)
@@ -414,9 +439,8 @@ def _traced_execute(impl: Callable) -> Callable:
             nnz=nnz,
             n_fibers=n_fibers,
         ):
-            result = impl(self, plan, factors, out=out)
-        rank = int(result.shape[1])
-        itemsize = int(result.dtype.itemsize)
+            self.run(plan, factors, A)
+        itemsize = int(A.dtype.itemsize)
         tracer.count("kernel.calls", 1)
         tracer.count("kernel.nonzeros", nnz)
         tracer.count("kernel.fibers", n_fibers)
@@ -427,43 +451,7 @@ def _traced_execute(impl: Callable) -> Callable:
             "kernel.factor_bytes",
             (nnz + n_fibers + distinct_out) * rank * itemsize,
         )
-        return result
-
-    execute._obs_instrumented = True  # type: ignore[attr-defined]
-    return execute
-
-
-class Kernel(ABC):
-    """An MTTKRP strategy.  Subclasses set :attr:`name` and implement
-    :meth:`prepare` and :meth:`execute`."""
-
-    name: str = "abstract"
-
-    def __init_subclass__(cls, **kwargs: object) -> None:
-        """Instrument each concrete ``execute`` with the tracing hook
-        exactly once (idempotent under re-import and subclass chains)."""
-        super().__init_subclass__(**kwargs)
-        impl = cls.__dict__.get("execute")
-        if impl is not None and not getattr(impl, "_obs_instrumented", False):
-            cls.execute = _traced_execute(impl)  # type: ignore[method-assign]
-
-    @abstractmethod
-    def prepare(self, tensor: COOTensor, mode: int, **params: object) -> Plan:
-        """Build this kernel's prepared representation for one output mode."""
-
-    @abstractmethod
-    def execute(
-        self,
-        plan: Plan,
-        factors: Sequence[np.ndarray],
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Run the MTTKRP.
-
-        ``factors`` lists one ``(I_m, R)`` matrix per mode; the entry at the
-        output mode may be ``None``.  Returns the ``(I_mode, R)`` result
-        (``out`` if given, freshly allocated otherwise).
-        """
+        return A
 
     def mttkrp(
         self,
@@ -475,35 +463,6 @@ class Kernel(ABC):
         """One-shot convenience: ``prepare`` then ``execute``."""
         plan = self.prepare(tensor, mode, **params)
         return self.execute(plan, factors)
-
-    def execute_parallel(
-        self,
-        tensor: COOTensor,
-        factors: Sequence[np.ndarray],
-        mode: int,
-        *,
-        n_threads: int = 2,
-        backend: str = "thread",
-        out: np.ndarray | None = None,
-        **params: object,
-    ) -> np.ndarray:
-        """Shared-memory parallel MTTKRP via :mod:`repro.exec`.
-
-        Partitions the output mode into nnz-balanced row ranges, prepares
-        one sub-plan per worker, vets the schedule through the race
-        detector, and executes the sub-plans concurrently into disjoint
-        rows of one shared output buffer.  ``params`` are forwarded to
-        :meth:`prepare` for each sub-plan.
-        """
-        # Imported lazily: repro.exec builds on the kernel registry, so a
-        # module-level import would be circular.
-        from repro.exec import ParallelExecutor
-
-        with ParallelExecutor(n_threads=n_threads, backend=backend) as executor:
-            parallel_plan = executor.prepare(
-                tensor, mode, kernel=self.name, **params
-            )
-            return executor.execute(parallel_plan, factors, out=out)
 
     def __repr__(self) -> str:
         return f"<Kernel {self.name}>"
@@ -517,10 +476,9 @@ def reject_unknown_params(
     """Raise :class:`ConfigError` when ``prepare`` received parameters it
     does not understand.
 
-    Every kernel's ``prepare`` keeps the ``**params`` catch-all the
-    kernel contract requires (KC105), binds its named parameters, and
-    hands the leftovers here — a typo'd ``block_count`` fails loudly
-    instead of silently preparing an unblocked plan.
+    Every kernel's ``prepare`` takes ``**params``, binds its named
+    parameters, and hands the leftovers here — a typo'd ``block_count``
+    fails loudly instead of silently preparing an unblocked plan.
     """
     if not params:
         return
@@ -675,7 +633,14 @@ def register_kernel(kernel: Kernel, *, replace: bool = False) -> Kernel:
     re-imported); a *different* kernel claiming an existing name raises
     :class:`RegistrationError` unless ``replace=True`` — silent
     overwrites previously let a misnamed kernel shadow a working one.
+    Anything that is not a :class:`Kernel` instance (a kernel class
+    passed where an instance belongs) raises :class:`RegistrationError`.
     """
+    if not isinstance(kernel, Kernel):
+        raise RegistrationError(
+            f"register_kernel needs a Kernel instance, got {kernel!r} "
+            "(register Cls(), not the class Cls)"
+        )
     name = getattr(kernel, "name", None)
     if not isinstance(name, str) or not name or name == "abstract":
         raise RegistrationError(

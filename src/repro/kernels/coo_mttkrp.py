@@ -26,9 +26,6 @@ from repro.kernels.base import (
     BlockStats,
     Kernel,
     Plan,
-    alloc_output,
-    check_factors,
-    factor_dtype,
     intervals_from_rows,
     register_kernel,
     reject_unknown_params,
@@ -97,19 +94,13 @@ class COOKernel(Kernel):
         reject_unknown_params(self.name, params)
         return COOPlan(tensor, mode)
 
-    def execute(
-        self,
-        plan: COOPlan,
-        factors: Sequence[np.ndarray],
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        factors, rank = check_factors(factors, plan.shape, plan.mode)
+    def run(
+        self, plan: COOPlan, factors: Sequence[np.ndarray], A: np.ndarray
+    ) -> None:
         B = factors[plan.inner_mode]
         C = factors[plan.fiber_mode]
-        A = alloc_output(out, plan.shape[plan.mode], rank, factor_dtype(factors))
         nnz = plan.vals.shape[0]
-        if nnz == 0:
-            return A
+        rank = A.shape[1]
         chunk = max(1, self.scratch_elems // max(rank, 1))
         out_rows = plan.i
         lo = 0
@@ -136,7 +127,6 @@ class COOKernel(Kernel):
             partial = np.add.reduceat(contrib, starts, axis=0)
             A[i[starts]] += partial
             lo = hi
-        return A
 
 
 register_kernel(COOKernel())

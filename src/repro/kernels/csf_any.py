@@ -45,9 +45,6 @@ from repro.kernels.base import (
     BlockStats,
     Kernel,
     Plan,
-    alloc_output,
-    check_factors,
-    factor_dtype,
     fiber_sums,
     register_kernel,
     reject_unknown_params,
@@ -166,17 +163,12 @@ class CSFAnyKernel(Kernel):
         return CSFAnyPlan(base.csf, mode % len(base.shape))
 
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        plan: CSFAnyPlan,
-        factors: Sequence[np.ndarray],
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        factors, rank = check_factors(factors, plan.shape, plan.mode)
+    def run(
+        self, plan: CSFAnyPlan, factors: Sequence[np.ndarray], A: np.ndarray
+    ) -> None:
         csf = plan.csf
-        A = alloc_output(out, plan.shape[plan.mode], rank, factor_dtype(factors))
         if csf.nnz == 0:
-            return A
+            return
         lvl = plan.target_level
         order = csf.order
 
@@ -208,7 +200,7 @@ class CSFAnyKernel(Kernel):
         # ---- combine ----------------------------------------------------
         if lvl == 0:
             A[csf.levels[0].fids] += up
-            return A
+            return
         if lvl < order - 1:
             # One final propagation from level lvl-1 to the target level
             # (its factor is the output and is not multiplied in).
@@ -222,7 +214,6 @@ class CSFAnyKernel(Kernel):
             down, down.shape[0],
         )
         A[plan.scatter_rows] += rows
-        return A
 
 
 register_kernel(CSFAnyKernel())

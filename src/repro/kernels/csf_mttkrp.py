@@ -68,9 +68,6 @@ from repro.kernels.base import (
     BlockStats,
     Kernel,
     Plan,
-    alloc_output,
-    check_factors,
-    factor_dtype,
     fiber_sums,
     intervals_from_rows,
     register_kernel,
@@ -380,16 +377,11 @@ class CSFKernel(Kernel):
             )
         return mode_order
 
-    def execute(
-        self,
-        plan: CSFPlan,
-        factors: Sequence[np.ndarray],
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def run(
+        self, plan: CSFPlan, factors: Sequence[np.ndarray], A: np.ndarray
+    ) -> None:
         mode = plan.mode
-        factors, rank = check_factors(factors, plan.shape, mode)
-        A = alloc_output(out, plan.shape[mode], rank, factor_dtype(factors))
-        for lo, hi in plan.strips(rank):
+        for lo, hi in plan.strips(A.shape[1]):
             for block, row_ptrs in zip(plan.blocks, plan.row_ptrs):
                 local = [
                     None if f is None else f[b_lo:b_hi, lo:hi]
@@ -400,7 +392,6 @@ class CSFKernel(Kernel):
                     block.tree, row_ptrs, local, A[out_lo:out_hi, lo:hi],
                     self.scratch_elems,
                 )
-        return A
 
 
 register_kernel(CSFKernel())

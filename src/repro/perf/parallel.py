@@ -35,6 +35,7 @@ from repro.analysis.races import (
     write_sets_for_boundaries,
     write_sets_for_ranges,
 )
+from repro.blocking.grid import clamp_block_counts
 from repro.blocking.rank import RankBlocking
 from repro.dist.mediumgrain import greedy_slice_partition
 from repro.machine.spec import MachineSpec
@@ -174,11 +175,7 @@ def parallel_predict_time(
         if sub.nnz == 0:
             times.append(0.0)
             continue
-        counts = (
-            None
-            if block_counts is None
-            else tuple(max(1, min(int(c), s)) for c, s in zip(block_counts, sub.shape))
-        )
+        counts = clamp_block_counts(block_counts, sub.shape)
         plan = prepare_plan(sub, mode, counts, rank_blocking)
         times.append(predict_time(plan, rank, thread_machine).total)
     return ParallelTimeEstimate(

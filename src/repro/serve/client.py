@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
-from typing import Any
 
 from repro.serve.protocol import decode_frame, encode_frame
 from repro.serve.server import ServeConfig, ServeHandle, start_in_thread

@@ -43,7 +43,16 @@ class TestExitCodes:
         assert main(["check", str(seeded_kernels), "--ignore", "HP303"]) == 0
 
     def test_select_other_family_is_clean(self, seeded_kernels, capsys):
-        assert main(["check", str(seeded_kernels), "--select", "KC"]) == 0
+        assert main(["check", str(seeded_kernels), "--select", "RS"]) == 0
+
+    def test_syntax_error_exits_one(self, tmp_path, capsys):
+        # A file that does not parse is checked by no pass, so it must
+        # fail the run itself rather than read as clean.
+        (tmp_path / "broken.py").write_text("def f(:\n    pass\n")
+        assert main(["check", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "broken.py:1:" in out
+        assert "DG002 [error] file does not parse" in out
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
         # A typo'd path must not read as "checked clean" in CI.

@@ -152,7 +152,7 @@ class TestDiagnosticModel:
     def test_severity_autofilled_from_catalog(self):
         d = Diagnostic("HP301", "f.py", 3, 0, "msg")
         assert d.severity is Severity.WARNING
-        assert Diagnostic("KC105", "f.py", 1, 0, "msg").severity is Severity.ERROR
+        assert Diagnostic("PL401", "f.py", 1, 0, "msg").severity is Severity.ERROR
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigError, match="unknown diagnostic rule"):
@@ -163,7 +163,7 @@ class TestDiagnosticModel:
         assert d.format() == "f.py:7:4: HP303 [warning] no dtype (hint: pass dtype=)"
 
     def test_resolve_rules_ids_and_prefixes(self):
-        assert resolve_rules("HP301,KC105") == {"HP301", "KC105"}
+        assert resolve_rules("HP301,PL401") == {"HP301", "PL401"}
         assert resolve_rules("hp") == {"HP301", "HP302", "HP303"}
         assert resolve_rules(None) is None
         with pytest.raises(ConfigError, match="unknown rule"):

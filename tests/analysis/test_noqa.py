@@ -13,7 +13,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.runner import iter_python_files
 
-ALL_FAMILIES = {"KC", "HP", "PL", "DG"}
+ALL_FAMILIES = {"HP", "PL", "DG"}
 
 
 def _rules(diags):
@@ -72,7 +72,7 @@ class TestDG001:
         assert d.rule == "DG001" and d.line == 3
 
     def test_bare_noqa_with_any_finding_exempt(self):
-        raw = [self._diag("KC102", 3)]
+        raw = [self._diag("PL401", 3)]
         assert (
             unused_suppression_diagnostics(raw, {3: None}, "k.py", ALL_FAMILIES)
             == []
@@ -81,7 +81,7 @@ class TestDG001:
     def test_inactive_family_exempt(self):
         # noqa[PL401] is not "unused" on a run that skipped --plans.
         out = unused_suppression_diagnostics(
-            [], {2: {"PL401"}}, "k.py", {"KC", "HP", "DG"}
+            [], {2: {"PL401"}}, "k.py", {"HP", "DG"}
         )
         assert out == []
 

@@ -73,3 +73,22 @@ class TestRunnerSharing:
         fresh = time.perf_counter() - start
         assert cached < fresh * 2
         assert cache.parse_count == 1
+
+    def test_unparseable_file_is_one_dg002(self, tmp_path):
+        # No pass runs on it, so it is parsed once and reported once.
+        (tmp_path / "kernels").mkdir()
+        (tmp_path / "kernels" / "bad.py").write_text("x = 1\ndef f(:\n")
+        result = run_check(paths=[tmp_path], plans=True)
+        assert result.parse_count == 1
+        (d,) = result.diagnostics
+        assert (d.rule, d.line, d.severity.value) == ("DG002", 2, "error")
+        assert result.exit_code == 1
+
+
+class TestSelfCheck:
+    def test_repo_is_clean(self):
+        """The self-hosted run CI gates on: zero findings over src/repro."""
+        result = run_check()
+        assert result.files_checked > 50
+        assert sorted(d.rule for d in result.diagnostics) == []
+        assert result.exit_code == 0

@@ -89,10 +89,9 @@ class LeakyKernel(CSFKernel):
 
     name = "leaky"
 
-    def execute(self, plan, factors, out=None):
-        A = super().execute(plan, factors, out=out)
+    def run(self, plan, factors, A):
+        super().run(plan, factors, A)
         A[0] += 1.0  # row 0 is empty in the fixture -> not in write_set()
-        return A
 
 
 class WrapKernel(CSFKernel):
@@ -100,10 +99,10 @@ class WrapKernel(CSFKernel):
 
     name = "wrap"
 
-    def execute(self, plan, factors, out=None):
+    def run(self, plan, factors, A):
         B = factors[plan.inner_mode]
         _ = B[np.array([-1, 2])]
-        return super().execute(plan, factors, out=out)
+        super().run(plan, factors, A)
 
 
 class NanKernel(CSFKernel):
@@ -111,10 +110,9 @@ class NanKernel(CSFKernel):
 
     name = "nan"
 
-    def execute(self, plan, factors, out=None):
-        A = super().execute(plan, factors, out=out)
+    def run(self, plan, factors, A):
+        super().run(plan, factors, A)
         A[plan.write_set()[0][0]] = np.nan
-        return A
 
 
 class TestSeededMutants:

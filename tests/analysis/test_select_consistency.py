@@ -65,16 +65,16 @@ class TestCrossFormatConsistency:
 
     @pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
     def test_select_mixed_rule_list(self, seeded, capsys, fmt):
-        """--select KC101,PL401: only the named rules survive, in every
-        format (KC contributes none here — the file registers no
-        kernels)."""
+        """--select RS201,PL401: only the named rules survive, in every
+        format (RS contributes none here — the race pass runs on
+        schedules, not files)."""
         code, out = _run(
             [
                 "check",
                 str(seeded),
                 "--plans",
                 "--select",
-                "KC101,PL401",
+                "RS201,PL401",
                 "--format",
                 fmt,
             ],

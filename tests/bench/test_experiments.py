@@ -5,9 +5,6 @@ harness machinery itself: row structure, determinism, rendering, and
 persistence.
 """
 
-import numpy as np
-import pytest
-
 from repro.bench import (
     experiment_fig2,
     experiment_fig4,

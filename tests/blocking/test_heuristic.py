@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.blocking import RankBlocking, select_blocking
+from repro.blocking import select_blocking
 from repro.tensor import uniform_random_tensor
 from repro.util.errors import ReproError
 

@@ -1,7 +1,8 @@
 """End-to-end float32 CPD regression tests.
 
-The kernels have honored the float32 precision contract since the static
-analyzer's KC-rule era; these tests pin the *driver* layers — cp_als,
+The kernels honor the float32 precision contract through
+``Kernel.execute``, which allocates every output in the factor dtype;
+these tests pin the *driver* layers — cp_als,
 cp_apr, init_factors, KruskalTensor — which used to
 allocate float64 weights/grams and silently upcast (or trip the kernels'
 mixed-precision ConfigError) on float32 input.

@@ -6,7 +6,6 @@ import pytest
 from repro.blocking import RankBlocking
 from repro.dist import (
     ProcessGrid,
-    SimCluster,
     distributed_mttkrp,
     medium_grain_decompose,
 )

@@ -144,13 +144,6 @@ def test_serial_backend_and_report(problem):
     assert sum(report.thread_nnz) == t.nnz
 
 
-def test_kernel_execute_parallel_entry_point(problem):
-    t, factors = problem
-    kern = get_kernel("csf")
-    got = kern.execute_parallel(t, factors, 1, n_threads=_threads(2))
-    np.testing.assert_array_equal(got, kern.mttkrp(t, factors, 1))
-
-
 def test_out_buffer_reused(problem):
     t, factors = problem
     ex = ParallelExecutor(n_threads=_threads(2))

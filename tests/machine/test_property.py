@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import get_kernel
-from repro.machine import CacheHierarchy, CacheLevel, MachineSpec, estimate_traffic
+from repro.machine import CacheLevel, MachineSpec, estimate_traffic
 from repro.machine.cache import SetAssociativeCache
 from repro.tensor import COOTensor
 

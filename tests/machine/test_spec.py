@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.machine import CacheLevel, MachineSpec, power8, power8_socket
+from repro.machine import CacheLevel, power8, power8_socket
 from repro.util.errors import ReproError
 
 

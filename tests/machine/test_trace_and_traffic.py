@@ -2,7 +2,6 @@
 against the exact LRU simulator — the core soundness check of the
 machine-model substitution (DESIGN.md §2)."""
 
-import numpy as np
 import pytest
 
 from repro.kernels import get_kernel
@@ -14,7 +13,7 @@ from repro.machine import (
     estimate_traffic,
     mttkrp_trace,
 )
-from repro.tensor import poisson_tensor, uniform_random_tensor
+from repro.tensor import poisson_tensor
 
 
 def small_machine(l2_kib=16, l3_kib=64):

@@ -38,7 +38,7 @@ KERNEL_PARAMS: dict[str, dict] = {
 }
 
 
-#: The counters one instrumented ``execute`` emits (``_traced_execute``).
+#: The counters one traced ``Kernel.execute`` emits.
 KERNEL_COUNTERS = {
     "kernel.calls",
     "kernel.nonzeros",
@@ -84,12 +84,12 @@ class TestKernelHook:
         assert tracer.span_counts() == {"mttkrp": 1}
 
     def test_every_registered_kernel_is_instrumented(self):
+        """The span and counter test above runs every registered kernel
+        (each one's ``execute`` is the base one: ``tests/kernels/
+        test_registry.py``)."""
         from repro.kernels.base import KERNELS
 
-        for name in KERNELS:
-            execute = type(get_kernel(name)).execute
-            assert getattr(execute, "_obs_instrumented", False), name
-            assert hasattr(execute, "__wrapped__"), name
+        assert set(KERNELS) <= set(KERNEL_PARAMS)
 
     def test_disabled_records_nothing_and_result_identical(self, tensor, factors):
         kern = get_kernel("splatt")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.blocking import RankBlocking, select_blocking
 from repro.kernels import get_kernel
-from repro.machine import power8, power8_socket
+from repro.machine import power8_socket
 from repro.perf import (
     model_evaluator,
     predict_time,

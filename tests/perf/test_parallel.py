@@ -41,8 +41,6 @@ class TestPartition:
         assert len(b) == 9
 
     def test_balanced_on_uniform(self, tensor):
-        import numpy as np
-
         b = partition_rows(tensor, 0, 4)
         counts = tensor.slice_nnz(0)
         loads = [counts[b[t] : b[t + 1]].sum() for t in range(4)]

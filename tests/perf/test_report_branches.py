@@ -1,7 +1,5 @@
 """Branch coverage for the report generator's suggestion logic."""
 
-import pytest
-
 from repro.blocking import RankBlocking
 from repro.kernels import get_kernel
 from repro.machine import power8_socket

@@ -15,7 +15,6 @@ from repro.serve import (
     result_sha256,
 )
 from repro.serve.job import Job
-from repro.serve.protocol import TensorRef
 
 pytestmark = pytest.mark.parallel_exec
 

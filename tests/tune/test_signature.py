@@ -1,7 +1,5 @@
 """Tests for tensor fingerprinting."""
 
-import pytest
-
 from repro.tensor import poisson_tensor, power_law_tensor, uniform_random_tensor
 from repro.tune import TensorSignature
 

@@ -27,7 +27,7 @@ from repro.dist.comm import SimCluster
 from repro.dist.costmodel import NetworkModel, infiniband_edr
 from repro.dist.grid import ProcessGrid
 from repro.dist.mediumgrain import MediumGrainDecomposition, medium_grain_decompose
-from repro.dist.mttkrp import distributed_mttkrp
+from repro.dist.mttkrp import _run_mttkrp, _verify_schedule
 from repro.machine.spec import MachineSpec
 from repro.tensor.coo import COOTensor
 from repro.util.errors import DistributionError
@@ -77,8 +77,9 @@ def distributed_cp_als(
 
     ``grid`` describes one rank group's 3D layout; ``rank_groups > 1``
     adds the 4D rank dimension.  One medium-grained decomposition is
-    computed up front and reused for all modes and iterations (factor
-    chunk ownership follows each mode's slabs).
+    computed and verified up front, then reused for all modes and
+    iterations (factor chunk ownership follows each mode's slabs); each
+    rank builds its local plan for a mode once per run.
 
     ``backend="process"`` shards every MTTKRP (and the Gram allreduce)
     across real worker processes through one shared-memory cluster that
@@ -97,6 +98,7 @@ def distributed_cp_als(
     decomp: MediumGrainDecomposition = medium_grain_decompose(
         tensor, grid, seed=seed
     )
+    _verify_schedule(decomp, range(3), rank_groups, state.rank)
 
     shm = None
     total_time = 0.0
@@ -116,7 +118,7 @@ def distributed_cp_als(
     try:
         for _ in range(n_iters):
             for mode in range(3):
-                res = distributed_mttkrp(
+                res = _run_mttkrp(
                     decomp,
                     state.factors,
                     mode,

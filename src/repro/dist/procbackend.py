@@ -14,9 +14,10 @@ modeled.
 
 Workers are pinned: worker ``r`` is rank ``r`` for the cluster's
 lifetime, so its attached segments (:data:`shmcomm._COMM_CACHE`) and
-its rebased tensor block (:data:`_BLOCK_CACHE`) persist across the
-``3 x n_iters`` MTTKRPs of an ALS run and the block crosses the queue
-exactly once.
+its rebased tensor block with the plans built over it
+(:data:`_BLOCK_CACHE`) persist across the ``3 x n_iters`` MTTKRPs of an
+ALS run: the block crosses the queue exactly once, and each mode's plan
+is built once.
 """
 
 from __future__ import annotations
@@ -27,35 +28,34 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.blocking.grid import clamp_block_counts
 from repro.blocking.rank import RankBlocking
 from repro.dist.comm import CommLedger
 from repro.dist.grid import ProcessGrid, owned_ranges
+from repro.dist.mttkrp import LocalBlock
 from repro.dist.shmcomm import ShmCluster
 from repro.kernels.base import factor_dtype, get_kernel
 from repro.obs import current_tracer
-from repro.perf.model import prepare_plan
-from repro.tensor.coo import COOTensor
 from repro.util.errors import DistributionError
 
 __all__ = ["run_process_mttkrp", "required_capacity", "gram_allreduce"]
 
-#: Worker-side cache of rebased local tensor blocks, keyed by
-#: (cluster base, decomposition token, block coords).
-_BLOCK_CACHE: "dict[tuple, COOTensor]" = {}
+#: Worker-side cache of rebased local tensor blocks and their plans,
+#: keyed by (cluster base, decomposition token, block coords); each
+#: block's plans are keyed by (mode, clamped block counts, rank blocking).
+_BLOCK_CACHE: "dict[tuple, LocalBlock]" = {}
 
 _decomp_tokens = itertools.count()
 
 
 def drop_block_cache(base: str) -> None:
-    """Forget a closed cluster's cached blocks (worker side)."""
+    """Forget a closed cluster's cached blocks and plans (worker side)."""
     for key in [k for k in _BLOCK_CACHE if k[0] == base]:
         del _BLOCK_CACHE[key]
 
 
 def _decomp_token(decomp: Any) -> int:
     """A stable id for one decomposition, minted on first use (block
-    payloads are cached under it in the workers)."""
+    payloads and their plans are cached under it in the workers)."""
     token = getattr(decomp, "_shm_token", None)
     if token is None:
         token = next(_decomp_tokens)
@@ -66,7 +66,7 @@ def _decomp_token(decomp: Any) -> int:
 # ---------------------------------------------------------------------
 # the SPMD rank program (runs inside pool workers)
 # ---------------------------------------------------------------------
-def _local_block(base: str, payload: "dict[str, Any]") -> COOTensor:
+def _local_block(base: str, payload: "dict[str, Any]") -> LocalBlock:
     key = (base, payload["token"], payload["coords"][:3])
     cached = _BLOCK_CACHE.get(key)
     if cached is not None:
@@ -77,16 +77,7 @@ def _local_block(base: str, payload: "dict[str, Any]") -> COOTensor:
             "block payload missing and not cached — parent/worker "
             "cache tracking diverged"
         )
-    indices, values, bounds = data
-    local_shape = tuple(hi - lo for lo, hi in bounds)
-    offsets = np.array([lo for lo, _ in bounds], dtype=np.int64)
-    local = COOTensor(
-        local_shape,
-        indices - offsets if len(indices) else indices,
-        values,
-        validate=False,
-    )
-    _BLOCK_CACHE[key] = local
+    _BLOCK_CACHE[key] = local = LocalBlock(*data)
     return local
 
 
@@ -117,9 +108,9 @@ def _rank_mttkrp(
 
     # ---- 2. local kernel on my block -----------------------------------
     t0 = time.perf_counter()
-    local = _local_block(comm.layout.base, payload)
-    counts = clamp_block_counts(payload["block_counts"], local.shape)
-    plan = prepare_plan(local, mode, counts, payload["rank_blocking"])
+    plan, prepare_s = _local_block(comm.layout.base, payload).plan(
+        mode, payload["block_counts"], payload["rank_blocking"]
+    )
     local_factors: "list[np.ndarray | None]" = [None, None, None]
     for m in (inner_mode, fiber_mode):
         # Block bounds along m span the whole chunk, which is exactly the
@@ -163,7 +154,7 @@ def _rank_mttkrp(
             del view
         finally:
             shm.close()
-    return {"compute_s": compute_s}
+    return {"compute_s": compute_s, "prepare_s": prepare_s}
 
 
 def _rank_allreduce(
@@ -279,6 +270,19 @@ def _emit_observability(
         rank = res["rank"]
         comm_ns = int(res["comm_seconds"] * 1e9)
         compute_ns = int(res["compute_s"] * 1e9)
+        if res["prepare_s"]:
+            # The plan build opens the compute phase, and only the first
+            # call per (mode, blocking) over a decomposition has one.
+            tracer.add_span(
+                "dist.prepare",
+                now - comm_ns - compute_ns,
+                int(res["prepare_s"] * 1e9),
+                thread_id=2_000_000 + rank,
+                thread_name=f"dist-rank-{rank}",
+                mode=mode,
+                grid=grid_label,
+                synthesized=True,
+            )
         tracer.add_span(
             "dist.compute",
             now - comm_ns - compute_ns,

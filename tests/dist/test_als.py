@@ -74,6 +74,34 @@ class TestEquivalence:
         np.testing.assert_allclose(dist.fits, shared.fits, rtol=1e-8)
 
 
+class TestPlanReuse:
+    def test_sim_builds_each_block_plan_once_per_run(self, problem, monkeypatch):
+        import repro.dist.mttkrp as dist_mttkrp
+
+        tensor, init = problem
+        built = []
+        real = dist_mttkrp.prepare_plan
+
+        def counting(local, mode, *args):
+            built.append(mode)
+            return real(local, mode, *args)
+
+        monkeypatch.setattr(dist_mttkrp, "prepare_plan", counting)
+        distributed_cp_als(
+            tensor,
+            4,
+            ProcessGrid((2, 2, 1)),
+            MACHINE,
+            n_iters=3,
+            tol=0.0,
+            rank_groups=2,
+            init=[f.copy() for f in init],
+        )
+        # Four blocks, three modes: one build each, shared by both layers
+        # of the rank extension and by every iteration.
+        assert sorted(built) == sorted(list(range(3)) * 4)
+
+
 class TestAccounting:
     def test_time_and_bytes_accumulate(self, problem):
         tensor, init = problem

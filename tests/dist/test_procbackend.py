@@ -11,10 +11,12 @@ not a meaningful target).
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.dist.als as dist_als
 from repro.cpd.als import cp_als
 from repro.dist import (
     ProcessGrid,
@@ -23,7 +25,11 @@ from repro.dist import (
     distributed_mttkrp,
     medium_grain_decompose,
 )
+from repro.dist import procbackend
 from repro.dist.costmodel import infiniband_edr
+from repro.dist.procbackend import required_capacity
+from repro.dist.shmcomm import ShmCluster
+from repro.exec.pool import WorkerPool
 from repro.kernels.base import get_kernel
 from repro.machine import power8_socket
 from repro.tensor import poisson_tensor
@@ -170,3 +176,128 @@ class TestALSParity:
         )
         serial = cp_als(tensor, 6, n_iters=2, seed=1)
         np.testing.assert_allclose(proc.fits, serial.fits, rtol=1e-8)
+
+
+def _misplaced_nonzero(tensor, grid, seed=5):
+    """A decomposition whose block (0, 0, 0) holds one nonzero that lies
+    outside its bounds (taken from block (1, 0, 0)): PL406."""
+    decomp = medium_grain_decompose(tensor, grid, seed=seed)
+    src, dst = decomp.blocks[(1, 0, 0)], decomp.blocks[(0, 0, 0)]
+    moved = COOTensor(
+        tensor.shape,
+        np.concatenate([dst.tensor.indices, src.tensor.indices[:1]]),
+        np.concatenate([dst.tensor.values, src.tensor.values[:1]]),
+        validate=False,
+    )
+    kept = COOTensor(
+        tensor.shape,
+        src.tensor.indices[1:],
+        src.tensor.values[1:],
+        validate=False,
+    )
+    decomp.blocks[(0, 0, 0)] = replace(dst, tensor=moved)
+    decomp.blocks[(1, 0, 0)] = replace(src, tensor=kept)
+    return decomp
+
+
+class TestOneTimeVerification:
+    @pytest.mark.parametrize("backend", ["sim", "process"])
+    def test_unsound_decomposition_rejected_before_any_mttkrp(
+        self, backend, monkeypatch
+    ):
+        tensor = _tensor(np.float64)
+        grid = ProcessGrid((2, 1, 1))
+        bad = _misplaced_nonzero(tensor, grid)
+        ran = []
+        monkeypatch.setattr(
+            dist_als, "medium_grain_decompose", lambda *a, **k: bad
+        )
+        monkeypatch.setattr(
+            dist_als, "_run_mttkrp", lambda *a, **k: ran.append(a)
+        )
+        with pytest.raises(DistributionError, match="unsound decomposition"):
+            distributed_cp_als(
+                tensor, 6, grid, MACHINE, n_iters=2, backend=backend
+            )
+        assert ran == []
+        factors = _factors(tensor, 6, np.float64)
+        for mode in range(3):
+            with pytest.raises(
+                DistributionError, match="unsound decomposition"
+            ):
+                distributed_mttkrp(
+                    bad, factors, mode, MACHINE, backend=backend
+                )
+
+
+def _plans_held(base):
+    """Worker task: plans this worker keeps for one cluster."""
+    return sum(
+        len(block.plans)
+        for key, block in procbackend._BLOCK_CACHE.items()
+        if key[0] == base
+    )
+
+
+class TestPlanCache:
+    def test_each_rank_builds_each_mode_once_per_run(self):
+        from repro.obs import Tracer, use_tracer
+
+        tensor = _tensor(np.float64)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            distributed_cp_als(
+                tensor,
+                6,
+                ProcessGrid((2, 1, 1)),
+                MACHINE,
+                n_iters=3,
+                tol=0.0,
+                seed=1,
+                backend="process",
+            )
+        builds = [
+            (s.thread_name, s.meta["mode"])
+            for s in tracer.spans_named("dist.prepare")
+        ]
+        assert sorted(builds) == sorted(
+            (f"dist-rank-{r}", m) for r in range(2) for m in range(3)
+        )
+        assert len(tracer.spans_named("dist.compute")) == 2 * 3 * 3
+
+    def test_close_drops_worker_plans(self):
+        tensor = _tensor(np.float64)
+        grid = ProcessGrid((2, 1, 1))
+        decomp = medium_grain_decompose(tensor, grid, seed=5)
+        factors = _factors(tensor, 6, np.float64)
+        pool = WorkerPool(2, backend="process", name="repro-dist-test")
+        try:
+            cluster = ShmCluster(
+                2, required_capacity(decomp, 6, 1, 8), pool=pool
+            )
+            base = cluster.layout.base
+            try:
+                for _ in range(2):
+                    for mode in range(3):
+                        distributed_mttkrp(
+                            decomp,
+                            factors,
+                            mode,
+                            MACHINE,
+                            backend="process",
+                            shm=cluster,
+                        )
+                held = [
+                    pool.submit_pinned(r, _plans_held, base).result(timeout=30)
+                    for r in range(2)
+                ]
+                assert held == [3, 3]
+            finally:
+                cluster.close()
+            held = [
+                pool.submit_pinned(r, _plans_held, base).result(timeout=30)
+                for r in range(2)
+            ]
+            assert held == [0, 0]
+        finally:
+            pool.shutdown()

@@ -4,22 +4,20 @@ Four passes behind one diagnostic model (``repro check``):
 
 * :mod:`repro.analysis.races` — symbolic blocked-schedule race detector:
   proves parallel tasks write disjoint mode-n output rows, or reports the
-  conflicting pairs and whether privatized accumulators fix them (rules
-  RS201-RS202); wired into :mod:`repro.perf.parallel` and
-  :mod:`repro.dist.mttkrp`;
+  conflicting pairs (rules RS201-RS202); wired into :mod:`repro.exec`,
+  :mod:`repro.perf.parallel` and :mod:`repro.dist.mttkrp`;
 * :mod:`repro.analysis.hotpath` — hot-path performance lint for kernel
   modules: devectorized loops, repeated attribute lookups, silent dtype
   promotion (rules HP301-HP303);
 * :mod:`repro.analysis.plans` — symbolic plan verifier: proves blocking
-  grids, rank strips, thread ranges, and distributed decompositions tile
-  their index spaces exactly once, and that tuner outputs fit their
-  cache-level target (rules PL401-PL409); wired into
-  :mod:`repro.tune.tuner`, :mod:`repro.perf.parallel`, and
+  grids, rank strips, and distributed decompositions tile their index
+  spaces exactly once, and that tuner outputs fit their cache-level
+  target (rules PL401-PL406, PL408, PL409); wired into :mod:`repro.tune.tuner` and
   :mod:`repro.dist.mttkrp`;
 * :mod:`repro.analysis.sanitize` — instrumented kernel execution: checks
   observed writes against the plan's declared write-set, gather bounds,
-  NaN/Inf emergence, dtype drift, and the traffic-model footprint
-  (rules SZ501-SZ506; ``repro sanitize``).
+  NaN/Inf emergence, and the traffic-model footprint (rules SZ501-SZ504
+  and SZ506; ``repro sanitize``).
 
 The kernel contract itself (``check_factors``, ``alloc_output``, the
 ``execute`` signature, registry names) is enforced at runtime by
@@ -50,7 +48,6 @@ from repro.analysis.plans import (
     verify_grid,
     verify_plan,
     verify_rank_blocking,
-    verify_thread_ranges,
 )
 from repro.analysis.sanitize import SanitizeReport, sanitized_execute
 from repro.analysis.races import (
@@ -62,10 +59,8 @@ from repro.analysis.races import (
     verify_fold_covers_conflicts,
     verify_safe,
     write_sets_for_boundaries,
-    write_sets_for_coo_chunks,
     write_sets_for_decomposition,
     write_sets_for_grid,
-    write_sets_for_ranges,
 )
 from repro.analysis.runner import CheckResult, ParseCache, run_check
 
@@ -85,17 +80,14 @@ __all__ = [
     "verify_fold_covers_conflicts",
     "verify_safe",
     "write_sets_for_boundaries",
-    "write_sets_for_coo_chunks",
     "write_sets_for_decomposition",
     "write_sets_for_grid",
-    "write_sets_for_ranges",
     "rule_family_counts",
     "tiling_report",
     "verify_decomposition",
     "verify_grid",
     "verify_plan",
     "verify_rank_blocking",
-    "verify_thread_ranges",
     "SanitizeReport",
     "sanitized_execute",
     "CheckResult",

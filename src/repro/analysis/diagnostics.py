@@ -62,7 +62,6 @@ RULES: dict[str, Rule] = {
         Rule("PL404", Severity.ERROR, "register blocks do not cover their rank strip"),
         Rule("PL405", Severity.ERROR, "decomposition blocks do not tile the index space"),
         Rule("PL406", Severity.ERROR, "nonzero maps to zero or multiple (replica, block) owners"),
-        Rule("PL407", Severity.ERROR, "thread_ranges do not tile the output rows exactly once"),
         Rule("PL408", Severity.ERROR, "4D rank extension breaks fold completeness or layer bijection"),
         Rule("PL409", Severity.WARNING, "plan working set exceeds the targeted cache level"),
         # --- execution sanitizer (SZ5xx) ------------------------------
@@ -70,7 +69,6 @@ RULES: dict[str, Rule] = {
         Rule("SZ502", Severity.ERROR, "gather index out of bounds for the factor it indexes"),
         Rule("SZ503", Severity.ERROR, "NaN emerged from finite inputs"),
         Rule("SZ504", Severity.ERROR, "Inf emerged from finite inputs"),
-        Rule("SZ505", Severity.ERROR, "output dtype drifted from VALUE_DTYPE"),
         Rule("SZ506", Severity.WARNING, "observed factor-row footprint diverges from the traffic model"),
         # --- suppression hygiene (DG0xx) ------------------------------
         Rule("DG001", Severity.WARNING, "unused `# repro: noqa` suppression"),

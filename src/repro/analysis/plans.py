@@ -1,4 +1,4 @@
-"""Symbolic plan verifier (rules PL401-PL409).
+"""Symbolic plan verifier (rules PL401-PL406, PL408, PL409).
 
 The paper's blocking structures all make the same implicit promise: they
 tile an index space **exactly once**.  MB grids must cover every tensor
@@ -263,29 +263,6 @@ def verify_rank_blocking(
                 )
             )
     return out
-
-
-def verify_thread_ranges(
-    ranges: Sequence[tuple[int, int]],
-    extent: int,
-    *,
-    file: str = "<plan>",
-    line: int = 0,
-) -> list[Diagnostic]:
-    """PL407: an explicit ``thread_ranges`` override must tile the output
-    rows exactly once — a gap silently drops rows from the predicted
-    (and, on real hardware, computed) output; an overlap is a race."""
-    return _report_tiling(
-        ranges,
-        extent,
-        gap_rule="PL407",
-        overlap_rule="PL407",
-        what=f"thread_ranges over {extent} output rows",
-        gap_hint="every output row must belong to exactly one thread",
-        overlap_hint="every output row must belong to exactly one thread",
-        file=file,
-        line=line,
-    )
 
 
 def verify_process_grid(
@@ -558,7 +535,6 @@ def verify_plan(
     *,
     rank: int | None = None,
     machine=None,
-    extent: int | None = None,
     target_level: str | None = None,
     file: str = "<plan>",
     line: int = 0,
@@ -569,9 +545,7 @@ def verify_plan(
     (PL403/PL404 — needs ``rank``), ``ProcessGrid`` (PL408),
     ``MediumGrainDecomposition`` (PL405/PL406/PL408), a kernel ``Plan``
     (its grid, rank blocking, and — with ``machine`` and ``rank`` —
-    PL409 capacity), or a plain sequence of ``(lo, hi)`` ranges with
-    ``extent`` (PL407 thread ranges).  An empty list is the proof of
-    soundness.
+    PL409 capacity).  An empty list is the proof of soundness.
     """
     from repro.blocking.grid import BlockGrid
     from repro.blocking.rank import RankBlocking
@@ -605,19 +579,9 @@ def verify_plan(
                 obj, rank, machine, target_level=target_level, file=file, line=line
             )
         return out
-    if extent is not None and _looks_like_ranges(obj):
-        return verify_thread_ranges(obj, extent, file=file, line=line)
     raise ConfigError(
         f"verify_plan does not know how to verify {type(obj).__name__}"
-        + ("" if extent is None else " (with extent)")
     )
-
-
-def _looks_like_ranges(obj) -> bool:
-    try:
-        return all(len(pair) == 2 for pair in obj)
-    except TypeError:
-        return False
 
 
 def verify_rank_blocking_probes(

@@ -6,21 +6,21 @@ every nonzero of block ``(a, b, c)`` writes output rows inside the
 block's mode-``n`` interval, so the write-set of a block is known
 *statically* from the grid boundaries — no execution needed.  This module
 computes those write-sets for every schedule shape the library produces
-(mode-block grids, blocked tensors, thread slice partitions, distributed
-decompositions, raw COO chunkings) and proves disjointness, or reports
-exactly which task pairs collide and whether privatized accumulators
-(SPLATT-style per-task partials + reduction, the paper's Section VI fold)
-would make the schedule safe.
+(mode-block grids, thread slice partitions, distributed decompositions)
+and proves disjointness, or reports exactly which task pairs collide —
+the pairs only privatized accumulators (SPLATT-style per-task partials +
+reduction, the paper's Section VI fold) would make safe.
 
-Wired into :func:`repro.perf.parallel.parallel_predict_time` and
+Wired into :class:`repro.exec.ParallelExecutor`,
+:func:`repro.perf.parallel.parallel_predict_time` and
 :func:`repro.dist.mttkrp.distributed_mttkrp` so unsafe schedules are
-rejected before the time model ever trusts them.
+rejected before they run or the time model trusts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,24 +35,12 @@ MAX_REPORTED_CONFLICTS = 20
 
 @dataclass(frozen=True)
 class TaskWriteSet:
-    """The output-mode rows one parallel task writes.
-
-    ``start``/``stop`` bound the rows as a half-open interval; ``rows``
-    optionally lists the exact (sorted, unique) row set when the task's
-    writes are not contiguous (e.g. a chunk of an unsorted COO stream).
-    """
+    """The output-mode rows one parallel task writes: the half-open
+    interval ``[start, stop)``."""
 
     task: str
     start: int
     stop: int
-    rows: "np.ndarray | None" = None
-
-    @property
-    def n_rows(self) -> int:
-        """Number of distinct rows written."""
-        if self.rows is not None:
-            return int(self.rows.shape[0])
-        return max(0, self.stop - self.start)
 
     def overlap(self, other: "TaskWriteSet") -> "tuple[int, int, int] | None":
         """``(lo, hi, n_shared)`` of the overlap with another task, or
@@ -61,13 +49,6 @@ class TaskWriteSet:
         hi = min(self.stop, other.stop)
         if lo >= hi:
             return None
-        if self.rows is not None or other.rows is not None:
-            a = self.rows if self.rows is not None else np.arange(self.start, self.stop)
-            b = other.rows if other.rows is not None else np.arange(other.start, other.stop)
-            shared = np.intersect1d(a, b, assume_unique=True)
-            if shared.size == 0:
-                return None
-            return int(shared[0]), int(shared[-1]) + 1, int(shared.size)
         return lo, hi, hi - lo
 
 
@@ -96,12 +77,6 @@ class RaceReport:
     def safe(self) -> bool:
         """True when every pair of tasks writes disjoint rows."""
         return self.n_conflict_pairs == 0
-
-    @property
-    def needs_privatization(self) -> bool:
-        """True when the schedule is only safe with per-task privatized
-        accumulators reduced afterwards (the paper's SPLATT-style fold)."""
-        return self.n_conflict_pairs > 0
 
     def diagnostics(self, file: str = "<schedule>") -> list[Diagnostic]:
         """Render the verdict as ``repro check`` diagnostics."""
@@ -271,50 +246,6 @@ def write_sets_for_boundaries(
         )
         for t in range(bounds.shape[0] - 1)
     ]
-
-
-def write_sets_for_ranges(
-    ranges: Iterable[tuple[int, int]], label: str = "task"
-) -> list[TaskWriteSet]:
-    """Write-sets of explicit per-task ``(lo, hi)`` output-row ranges."""
-    return [
-        TaskWriteSet(task=f"{label} {t}", start=int(lo), stop=int(hi))
-        for t, (lo, hi) in enumerate(ranges)
-    ]
-
-
-def write_sets_for_coo_chunks(
-    tensor, mode: int, n_tasks: int
-) -> list[TaskWriteSet]:
-    """Write-sets of the naive non-blocked COO schedule: the nonzero
-    stream split into ``n_tasks`` contiguous chunks *in storage order*.
-
-    Unless the tensor happens to be sorted by the output mode, chunk row
-    sets interleave — the canonical race the paper's blocking avoids.
-    Exact row sets are computed per chunk, so a sorted tensor verifies
-    clean and an unsorted one reports the true collisions.
-    """
-    mode = check_mode(mode, tensor.order)
-    rows = np.asarray(tensor.indices[:, mode])
-    nnz = rows.shape[0]
-    n_tasks = max(1, min(int(n_tasks), max(nnz, 1)))
-    bounds = (nnz * np.arange(n_tasks + 1)) // n_tasks
-    tasks = []
-    for t in range(n_tasks):
-        chunk = rows[int(bounds[t]) : int(bounds[t + 1])]
-        uniq = np.unique(chunk)
-        if uniq.size == 0:
-            tasks.append(TaskWriteSet(task=f"chunk {t}", start=0, stop=0))
-            continue
-        tasks.append(
-            TaskWriteSet(
-                task=f"chunk {t}",
-                start=int(uniq[0]),
-                stop=int(uniq[-1]) + 1,
-                rows=uniq,
-            )
-        )
-    return tasks
 
 
 def write_sets_for_decomposition(decomp, mode: int) -> list[TaskWriteSet]:

@@ -5,8 +5,9 @@
 * every Python file is parsed once; one that does not parse is a DG002
   error and no pass runs on it;
 * the **hot-path pass** (:mod:`repro.analysis.hotpath`) is restricted to
-  files under a directory named ``kernels`` (the hot path by
-  construction; coarse-grained orchestration loops elsewhere are not
+  files under a directory named ``kernels`` and not under one named
+  ``tests`` (the hot path by construction; coarse-grained orchestration
+  loops elsewhere, and the tests that drive kernels, are not
   performance hazards);
 * the **race pass** (:mod:`repro.analysis.races`) is schedule-shaped, not
   file-shaped — the CLI exposes it through ``--race-grid`` and the
@@ -94,8 +95,11 @@ def iter_python_files(paths: Sequence[Path]) -> list[Path]:
 
 
 def is_hot_path(path: Path) -> bool:
-    """Hot-path lint scope: modules under a ``kernels`` directory."""
-    return "kernels" in path.parts[:-1]
+    """Hot-path lint scope: modules under a ``kernels`` directory, except
+    test modules (``tests/kernels/*.py`` drive kernels, they are not
+    one)."""
+    dirs = path.parts[:-1]
+    return "kernels" in dirs and "tests" not in dirs
 
 
 class ParseCache:

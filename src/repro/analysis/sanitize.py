@@ -1,4 +1,4 @@
-"""Execution sanitizer (rules SZ501-SZ506): instrumented kernel runs.
+"""Execution sanitizer (rules SZ501-SZ504, SZ506): instrumented kernel runs.
 
 The static passes prove what a *plan* promises; this pass observes what a
 *kernel* actually does.  :func:`sanitized_execute` wraps any registered
@@ -12,9 +12,6 @@ output-row write and every factor-row gather, then checks:
   Negative indices are flagged too: numpy would wrap them silently, and
   a sparse index is never legitimately negative.
 * SZ503/SZ504 — no NaN/Inf in the output when every input was finite.
-* SZ505 — the output dtype matches the factor dtype (the kernel contract:
-  float32 factors yield a float32 output, float64 yields float64 —
-  anything else is silent precision drift).
 * SZ506 — the observed factor-row footprint (gather counts and distinct
   rows) matches :func:`repro.machine.traffic.predicted_footprint`.
   Rank strips and mode blocks gather through views of the guarded
@@ -202,8 +199,8 @@ class GuardedArray(np.ndarray):
 def _guard(
     array: np.ndarray, label: str, *, track_writes: bool, track_reads: bool
 ) -> tuple[GuardedArray, _Tracker]:
-    # Preserve the supported float precisions so the dtype contract
-    # (SZ505) is observable; everything else is normalized to float64.
+    # Preserve the supported float precisions so a float32 run stays
+    # float32; everything else is normalized to float64.
     dt = array.dtype if array.dtype in (np.dtype(np.float32), VALUE_DTYPE) else VALUE_DTYPE
     base = np.ascontiguousarray(array, dtype=dt)
     tracker = _Tracker(
@@ -281,7 +278,7 @@ def sanitized_execute(
     file: str = "<sanitize>",
 ) -> SanitizeReport:
     """Run ``kernel.execute(plan, factors)`` under instrumentation and
-    return the observed diagnostics (rules SZ501-SZ506).
+    return the observed diagnostics (rules SZ501-SZ504, SZ506).
 
     ``kernel`` is a :class:`~repro.kernels.base.Kernel` instance or a
     registered kernel name.  Factors are guarded for reads, the output
@@ -312,18 +309,16 @@ def sanitized_execute(
         if m != mode and f is not None
     ) and all(np.isfinite(v).all() for v in _plan_value_arrays(plan))
 
-    # The dtype contract: kernels produce output in the shared factor
-    # dtype (float32 stays float32), so the expected dtype — and the
-    # sanitizer's own out-buffer — follow the guarded factors.
+    # Kernel.execute accepts an out buffer only in the shared factor
+    # dtype (float32 stays float32; alloc_output raises otherwise), so
+    # the sanitizer's own out buffer follows the guarded factors.
     factor_dtypes = {
         np.asarray(f).dtype
         for m, f in enumerate(guarded_factors)
         if m != mode and f is not None
     }
-    expected_dtype = (
-        factor_dtypes.pop() if len(factor_dtypes) == 1 else VALUE_DTYPE
-    )
-    out_buffer = np.zeros((n_rows, rank if rank else 1), dtype=expected_dtype)
+    out_dtype = factor_dtypes.pop() if len(factor_dtypes) == 1 else VALUE_DTYPE
+    out_buffer = np.zeros((n_rows, rank if rank else 1), dtype=out_dtype)
     guarded_out, out_tracker = _guard(
         out_buffer, "output", track_writes=True, track_reads=False
     )
@@ -332,19 +327,6 @@ def sanitized_execute(
     result_arr = np.asarray(result)
 
     diags: list[Diagnostic] = []
-
-    # SZ505 — dtype drift (output must match the factor dtype).
-    if result_arr.dtype != expected_dtype:
-        diags.append(
-            _diag(
-                "SZ505",
-                f"output dtype drifted to {result_arr.dtype} "
-                f"(expected {np.dtype(expected_dtype).name})",
-                "allocate through alloc_output with the factor dtype and "
-                "keep accumulators in that precision",
-                file=file,
-            )
-        )
 
     # SZ501 — writes within the declared write-set.  Nonzero output rows
     # count as writes too: np.add.at and raw ufunc stores bypass

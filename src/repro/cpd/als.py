@@ -41,7 +41,6 @@ def cp_als(
     init: "str | Sequence[np.ndarray]" = "random",
     seed: "int | None | np.random.Generator" = 0,
     n_threads: int = 1,
-    backend: str = "thread",
 ) -> ALSResult:
     """Compute a rank-``rank`` CP decomposition of a sparse tensor.
 
@@ -56,11 +55,9 @@ def cp_als(
     kernel_params: extra ``prepare`` arguments (e.g. ``block_counts``).
     init: initialization method name or explicit factor matrices.
     seed: RNG seed for the initialization.
-    n_threads: when > 1, run each MTTKRP through the shared-memory
-        :class:`~repro.exec.ParallelExecutor` (results stay bitwise-equal
-        to the serial path).
-    backend: executor backend (``thread``, ``process``, ``serial``) for
-        ``n_threads > 1``.
+    n_threads: when > 1, run each MTTKRP on that many threads of the
+        shared-memory :class:`~repro.exec.ParallelExecutor` (results stay
+        bitwise-equal to the serial path).
     """
     state = ALSState(
         tensor, rank, n_iters=n_iters, tol=tol, init=init, seed=seed
@@ -75,7 +72,7 @@ def cp_als(
         if n_threads > 1:
             from repro.exec import ParallelExecutor
 
-            executor = ParallelExecutor(n_threads=n_threads, backend=backend)
+            executor = ParallelExecutor(n_threads=n_threads)
             plans: "list[Plan] | list" = [
                 executor.prepare(tensor, mode, kernel, **kernel_params)
                 for mode in range(tensor.order)

@@ -25,19 +25,14 @@ MTTKRP calls of a CP-ALS run, exactly as with the serial kernels.
 Backends
 --------
 ``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  The GIL is
+    A thread :class:`~repro.exec.pool.WorkerPool`.  The GIL is
     released inside the compiled CSR products (scipy's ``csr_matvecs``,
     called by :func:`repro.kernels.base.fiber_sums` and
     :func:`repro.kernels.base.segment_sums_into`) that run lines 5-9 of
     Algorithm 1 for the SPLATT and CSF kernels, and inside NumPy's large
     gather and ``reduceat`` calls (line 8's ``C[k]`` gather, the COO
     kernel), so threads overlap the heavy lifting even though the
-    orchestration is Python.
-``process``
-    A :class:`~concurrent.futures.ProcessPoolExecutor` writing through
-    :mod:`multiprocessing.shared_memory` — sidesteps the GIL entirely at
-    the price of pickling each sub-plan once per execution.  Provided
-    for comparison; the thread backend is the default.
+    orchestration is Python.  The default.
 ``serial``
     Runs the same vetted schedule inline on the calling thread.  The
     determinism baseline (and the CI fallback on constrained runners).
@@ -51,17 +46,12 @@ observable.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.races import (
-    verify_safe,
-    write_sets_for_boundaries,
-    write_sets_for_ranges,
-)
+from repro.analysis.races import verify_safe, write_sets_for_boundaries
 from repro.blocking.grid import clamp_block_counts
 from repro.kernels.base import (
     Kernel,
@@ -75,11 +65,11 @@ from repro.exec.pool import CancellationToken, WorkerPool
 from repro.obs.tracer import current_tracer
 from repro.perf.parallel import partition_rows
 from repro.tensor.coo import COOTensor
-from repro.util.errors import ConfigError, ScheduleError
+from repro.util.errors import ConfigError
 from repro.util.validation import check_mode
 
-#: Execution backends, in order of preference for real speedups.
-BACKENDS = ("thread", "process", "serial")
+#: Execution backends: the worker pool, and the same schedule inline.
+BACKENDS = ("thread", "serial")
 
 
 @dataclass(frozen=True)
@@ -209,27 +199,6 @@ def _run_task(
     return elapsed
 
 
-def _process_worker(
-    shm_name: str,
-    shape: tuple[int, ...],
-    dtype_str: str,
-    kernel_name: str,
-    task: ThreadTask,
-    factors: "list[np.ndarray]",
-) -> float:
-    """Process-backend worker: attach to the shared output by name, write
-    the owned row range, detach.  Runs in a child process."""
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        full = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
-        view = full[task.start : task.stop]
-        return _run_task(get_kernel(kernel_name), task, factors, view)
-    finally:
-        shm.close()
-
-
 class ParallelExecutor:
     """Shared-memory parallel executor for any registered kernel.
 
@@ -256,9 +225,10 @@ class ParallelExecutor:
             raise ConfigError(
                 f"unknown backend {backend!r}; available: {BACKENDS}"
             )
-        if pool is not None and backend != "thread":
+        if pool is not None and (backend, pool.backend) != ("thread", "thread"):
             raise ConfigError(
-                f"a shared WorkerPool requires the thread backend, got {backend!r}"
+                "a shared WorkerPool requires the thread backend, got "
+                f"executor {backend!r}, pool {pool.backend!r}"
             )
         self.n_threads = n_threads
         self.backend = backend
@@ -269,25 +239,20 @@ class ParallelExecutor:
         self.pool = pool
         #: Per-worker wall-clock of the most recent :meth:`execute`.
         self.last_report: "ExecutionReport | None" = None
-        # Lazily-created pools this executor owns (and must shut down):
-        # a WorkerPool for the thread backend, a ProcessPoolExecutor for
-        # the process backend.  Reused across execute() calls so a CP-ALS
-        # run pays worker startup once, not once per MTTKRP.
+        # Lazily-created thread pool this executor owns (and must shut
+        # down).  Reused across execute() calls so a CP-ALS run pays
+        # worker startup once, not once per MTTKRP.
         self._owned_pool: "WorkerPool | None" = None
-        self._owned_process_pool: "ProcessPoolExecutor | None" = None
 
     # -- lifecycle ----------------------------------------------------
     def close(self) -> None:
-        """Shut down pools this executor created.  Idempotent; a shared
-        ``pool=`` passed at construction is left running (its lifecycle
-        belongs to the caller).  Closed executors can still execute —
-        the owned pool is simply re-created on demand."""
+        """Shut down the pool this executor created.  Idempotent; a
+        shared ``pool=`` passed at construction is left running (its
+        lifecycle belongs to the caller).  Closed executors can still
+        execute — the owned pool is simply re-created on demand."""
         if self._owned_pool is not None:
             self._owned_pool.shutdown(wait=True)
             self._owned_pool = None
-        if self._owned_process_pool is not None:
-            self._owned_process_pool.shutdown(wait=True)
-            self._owned_process_pool = None
 
     def __enter__(self) -> "ParallelExecutor":
         return self
@@ -306,32 +271,22 @@ class ParallelExecutor:
             )
         return self._owned_pool
 
-    def _process_pool(self) -> ProcessPoolExecutor:
-        if self._owned_process_pool is None:
-            self._owned_process_pool = ProcessPoolExecutor(
-                max_workers=self.n_threads
-            )
-        return self._owned_process_pool
-
     # -- schedule construction ----------------------------------------
     def prepare(
         self,
         tensor: COOTensor,
         mode: int,
         kernel: "str | Kernel" = "splatt",
-        *,
-        thread_ranges: "Sequence[tuple[int, int]] | None" = None,
         **params: object,
     ) -> ParallelPlan:
         """Partition, vet, and prepare a parallel schedule.
 
-        ``thread_ranges`` overrides the greedy nnz-balanced partition
-        with explicit half-open output-row ranges; the plan verifier
-        rejects ranges that do not tile the output exactly once (gap,
-        overlap, out-of-bounds — rule PL407) and the race detector
-        re-checks overlap, both via :class:`ScheduleError`, before any
-        sub-plan is built.  ``params`` go to the kernel's ``prepare``
-        for every sub-tensor, with ``block_counts`` clamped to each
+        The output mode is split by the greedy nnz-balanced slice
+        partition, and the race detector proves the per-worker row
+        ranges disjoint (:class:`~repro.util.errors.ScheduleError`
+        otherwise) before any sub-plan is built.  ``params`` go to the
+        kernel's ``prepare`` for every sub-tensor, with ``block_counts``
+        clamped to each
         sub-tensor's extents first (a :class:`~repro.blocking.grid.BlockGrid`
         rejects a count larger than its mode).
 
@@ -340,42 +295,31 @@ class ParallelExecutor:
         """
         tracer = current_tracer()
         if not tracer.enabled:
-            return self._prepare(tensor, mode, kernel, thread_ranges, params)
+            return self._prepare(tensor, mode, kernel, params)
         name = kernel if isinstance(kernel, str) else kernel.name
         with tracer.span("exec.prepare", kernel=name, nnz=tensor.nnz) as sp:
-            pplan = self._prepare(tensor, mode, kernel, thread_ranges, params)
+            pplan = self._prepare(tensor, mode, kernel, params)
             sp.meta.update(mode=pplan.mode, n_tasks=len(pplan.tasks))
         return pplan
 
     def _prepare(
         self, tensor: COOTensor, mode: int, kernel: "str | Kernel",
-        thread_ranges: "Sequence[tuple[int, int]] | None", params: dict[str, object],
+        params: dict[str, object],
     ) -> ParallelPlan:
-        from repro.analysis.plans import verify_thread_ranges
-
         kern = get_kernel(kernel) if isinstance(kernel, str) else kernel
         mode = check_mode(mode, tensor.order)
         n_rows = int(tensor.shape[mode])
-        if thread_ranges is not None:
-            ranges = [(int(lo), int(hi)) for lo, hi in thread_ranges]
-            plan_diags = verify_thread_ranges(ranges, n_rows)
-            if plan_diags:
-                raise ScheduleError(
-                    "thread_ranges do not tile the output rows: "
-                    + "; ".join(d.message for d in plan_diags[:3])
-                )
-            write_sets = write_sets_for_ranges(ranges, label="thread")
-        else:
-            boundaries = partition_rows(
-                tensor, mode, min(self.n_threads, max(n_rows, 1))
-            )
-            ranges = [
-                (int(boundaries[t]), int(boundaries[t + 1]))
-                for t in range(boundaries.shape[0] - 1)
-            ]
-            write_sets = write_sets_for_boundaries(boundaries)
+        boundaries = partition_rows(
+            tensor, mode, min(self.n_threads, max(n_rows, 1))
+        )
         # The launch gate: disjoint per-worker output rows, or no launch.
-        verify_safe(write_sets, mode, "parallel MTTKRP schedule")
+        verify_safe(
+            write_sets_for_boundaries(boundaries), mode, "parallel MTTKRP schedule"
+        )
+        ranges = [
+            (int(boundaries[t]), int(boundaries[t + 1]))
+            for t in range(boundaries.shape[0] - 1)
+        ]
 
         base_params = dict(params)
         if kern.name == "csf-any" and "mode_order" not in base_params:
@@ -424,7 +368,7 @@ class ParallelExecutor:
         output buffer, so the result is identical to serial execution
         (same sub-plans, same per-range reduction order).
 
-        ``cancel_token`` (thread/serial backends) is checked before the
+        ``cancel_token`` is checked before the
         launch and at each task pickup; a cancelled execution raises
         :class:`~repro.util.errors.CancelledError` and the partially
         written output buffer must be discarded by the caller.
@@ -444,10 +388,7 @@ class ParallelExecutor:
             mode=int(plan.mode),
             n_workers=len(plan.tasks),
         ):
-            launch_ns = time.monotonic_ns()
-            if self.backend == "process" and len(plan.tasks) > 1:
-                times = self._execute_processes(plan, kern, factors, A)
-            elif self.backend == "thread" and len(plan.tasks) > 1:
+            if self.backend == "thread" and len(plan.tasks) > 1:
                 times = self._execute_threads(
                     plan, kern, factors, A, cancel_token
                 )
@@ -465,24 +406,6 @@ class ParallelExecutor:
         if tracer.enabled:
             tracer.count("exec.launches", 1)
             tracer.count("exec.workers", len(plan.tasks))
-            if self.backend == "process" and len(plan.tasks) > 1:
-                # Child processes cannot reach the parent's tracer, so
-                # their spans are synthesized from the reported per-worker
-                # durations, anchored at launch time (start skew within a
-                # worker is not observable from here).
-                for task, secs in zip(plan.tasks, times):
-                    tracer.add_span(
-                        "exec.worker",
-                        launch_ns,
-                        int(secs * 1e9),
-                        thread_id=1_000_000 + task.index,
-                        thread_name=f"process-worker-{task.index}",
-                        worker=task.index,
-                        rows=[task.start, task.stop],
-                        nnz=task.nnz,
-                        wall_s=secs,
-                        synthesized=True,
-                    )
         self.last_report = ExecutionReport(
             backend=self.backend,
             thread_times_s=tuple(times),
@@ -512,40 +435,6 @@ class ParallelExecutor:
         ]
         return [f.result() for f in futures]
 
-    def _execute_processes(
-        self,
-        plan: ParallelPlan,
-        kern: Kernel,
-        factors: Sequence[np.ndarray],
-        A: np.ndarray,
-    ) -> list[float]:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=max(1, A.nbytes))
-        try:
-            shared = np.ndarray(A.shape, dtype=A.dtype, buffer=shm.buf)
-            shared[...] = 0.0
-            payload = [f if f is None else np.asarray(f) for f in factors]
-            pool = self._process_pool()
-            futures = [
-                pool.submit(
-                    _process_worker,
-                    shm.name,
-                    A.shape,
-                    A.dtype.str,
-                    plan.kernel_name,
-                    task,
-                    payload,
-                )
-                for task in plan.tasks
-            ]
-            times = [f.result() for f in futures]
-            A[...] = shared
-        finally:
-            shm.close()
-            shm.unlink()
-        return times
-
 
 def parallel_mttkrp(
     tensor: COOTensor,
@@ -554,13 +443,12 @@ def parallel_mttkrp(
     kernel: "str | Kernel" = "splatt",
     *,
     n_threads: int = 2,
-    backend: str = "thread",
     out: "np.ndarray | None" = None,
     **params: object,
 ) -> np.ndarray:
     """One-shot convenience: prepare a parallel schedule and execute it.
     The executor (and any workers it spins up) is torn down before
     returning."""
-    with ParallelExecutor(n_threads=n_threads, backend=backend) as executor:
+    with ParallelExecutor(n_threads=n_threads) as executor:
         pplan = executor.prepare(tensor, mode, kernel, **params)
         return executor.execute(pplan, factors, out=out)

@@ -116,8 +116,9 @@ class WorkerPool:
     queue) — not silent pool growth — is what absorbs load spikes.
 
     With ``backend="process"`` each worker is a persistent OS process
-    with its own task queue; :meth:`submit_pinned` targets one of them
-    by index.  Everything crossing a process boundary must be picklable.
+    with its own task queue, and tasks go through :meth:`submit_pinned`,
+    which targets one of them by index.  Everything crossing a process
+    boundary must be picklable.
     """
 
     def __init__(
@@ -126,7 +127,6 @@ class WorkerPool:
         *,
         name: str = "repro-exec",
         backend: str = "thread",
-        mp_start_method: "str | None" = None,
     ) -> None:
         n_threads = int(n_threads)
         if n_threads < 1:
@@ -144,8 +144,7 @@ class WorkerPool:
                 max_workers=n_threads, thread_name_prefix=name
             )
             return
-        methods = mp.get_all_start_methods()
-        method = mp_start_method or ("fork" if "fork" in methods else "spawn")
+        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         ctx = mp.get_context(method)
         # Start the resource tracker *before* forking: forked workers then
         # inherit the parent's tracker and their SharedMemory attachments
@@ -173,7 +172,6 @@ class WorkerPool:
             p.start()
         self._futures: "dict[int, Future]" = {}
         self._next_id = 0
-        self._rr = 0
         # Dispatcher after the forks: workers must not inherit it.
         self._dispatcher = threading.Thread(
             target=self._drain_results, name=f"{name}-results", daemon=True
@@ -203,18 +201,19 @@ class WorkerPool:
                 fut.set_exception(payload)
 
     def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Future:
-        """Submit one task; raises ``ConfigError`` after shutdown.  The
-        process backend round-robins across workers."""
-        if self.backend == "thread":
-            with self._lock:
-                if self._closed:
-                    raise ConfigError("WorkerPool is shut down")
-                self.n_submitted += 1
-            return self._pool.submit(fn, *args, **kwargs)
+        """Submit one task to the thread pool; raises ``ConfigError``
+        after shutdown.  Process workers are rank-bound: they only take
+        tasks through :meth:`submit_pinned`."""
+        if self.backend != "thread":
+            raise ConfigError(
+                "a process WorkerPool routes tasks to a chosen worker; "
+                "use submit_pinned(index, fn, ...)"
+            )
         with self._lock:
-            index = self._rr % self.n_threads
-            self._rr += 1
-        return self.submit_pinned(index, fn, *args, **kwargs)
+            if self._closed:
+                raise ConfigError("WorkerPool is shut down")
+            self.n_submitted += 1
+        return self._pool.submit(fn, *args, **kwargs)
 
     def submit_pinned(
         self, index: int, fn: Callable[..., Any], /, *args: Any, **kwargs: Any

@@ -34,7 +34,6 @@ from repro.perf.parallel import (
     parallel_predict_time,
     partition_rows,
     per_thread_machine,
-    thread_scaling,
 )
 
 __all__ = [
@@ -59,5 +58,4 @@ __all__ = [
     "parallel_predict_time",
     "partition_rows",
     "per_thread_machine",
-    "thread_scaling",
 ]

@@ -10,16 +10,13 @@ carries.  This module models that execution:
   (shared with the distributed medium-grained decomposition);
 * :func:`parallel_predict_time` — per-thread time from the machine model
   with socket resources (bandwidth, load units, flops) split across
-  threads and per-core caches private; the result is the makespan;
-* :func:`thread_scaling` — the thread-count sweep, quantifying how far
-  imbalance and shared bandwidth bend the scaling curve.
+  threads and per-core caches private; the result is the makespan.
 
 Every schedule is vetted by the race detector
 (:mod:`repro.analysis.races`) before the time model trusts it: the
 per-thread output row ranges must be disjoint (each output row has one
-writer — the invariant SPLATT's slice parallelization relies on), and an
-overlapping ``thread_ranges`` override raises
-:class:`~repro.util.errors.ScheduleError`.
+writer — the invariant SPLATT's slice parallelization relies on), or
+:class:`~repro.util.errors.ScheduleError` is raised.
 """
 
 from __future__ import annotations
@@ -30,11 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.races import (
-    verify_safe,
-    write_sets_for_boundaries,
-    write_sets_for_ranges,
-)
+from repro.analysis.races import verify_safe, write_sets_for_boundaries
 from repro.blocking.grid import clamp_block_counts
 from repro.blocking.rank import RankBlocking
 from repro.dist.mediumgrain import greedy_slice_partition
@@ -118,45 +111,28 @@ def parallel_predict_time(
     socket_write_bandwidth: "float | None" = 35e9,
     block_counts: "Sequence[int] | None" = None,
     rank_blocking: "RankBlocking | None" = None,
-    thread_ranges: "Sequence[tuple[int, int]] | None" = None,
 ) -> ParallelTimeEstimate:
     """Model a threaded MTTKRP: slice-partition the output mode, build
     each thread's plan on its sub-tensor, and predict with the per-thread
     resource share.  ``core_machine`` is a single core's spec
     (e.g. ``power8(1)``), optionally cache-scaled for a stand-in.
 
-    ``thread_ranges`` overrides the greedy partition with explicit
-    half-open output-row ranges per thread; the plan verifier rejects
-    ranges that do not tile the output rows exactly once — gap, overlap,
-    or out-of-bounds (rule PL407) — and the race detector re-checks
-    overlap, both via :class:`~repro.util.errors.ScheduleError`, before
-    any time is predicted: an unsafe schedule has no meaningful time.
+    The race detector vets the partition before any time is predicted
+    (:class:`~repro.util.errors.ScheduleError` on overlap): an unsafe
+    schedule has no meaningful time.
     """
-    from repro.analysis.plans import verify_thread_ranges
-    from repro.util.errors import ScheduleError
-
     rank = check_rank(rank)
     mode = check_mode(mode, tensor.order)
-    n_threads = int(n_threads)
-    if thread_ranges is not None:
-        ranges = [(int(lo), int(hi)) for lo, hi in thread_ranges]
-        plan_diags = verify_thread_ranges(ranges, tensor.shape[mode])
-        if plan_diags:
-            raise ScheduleError(
-                "thread_ranges do not tile the output rows: "
-                + "; ".join(d.message for d in plan_diags[:3])
-            )
-        write_sets = write_sets_for_ranges(ranges, label="thread")
-    else:
-        boundaries = partition_rows(
-            tensor, mode, min(n_threads, tensor.shape[mode])
-        )
-        ranges = [
-            (int(boundaries[t]), int(boundaries[t + 1]))
-            for t in range(boundaries.shape[0] - 1)
-        ]
-        write_sets = write_sets_for_boundaries(boundaries)
-    verify_safe(write_sets, mode, "threaded MTTKRP schedule")
+    boundaries = partition_rows(
+        tensor, mode, min(int(n_threads), tensor.shape[mode])
+    )
+    verify_safe(
+        write_sets_for_boundaries(boundaries), mode, "threaded MTTKRP schedule"
+    )
+    ranges = [
+        (int(boundaries[t]), int(boundaries[t + 1]))
+        for t in range(boundaries.shape[0] - 1)
+    ]
     n_threads = len(ranges)
     thread_machine = per_thread_machine(
         core_machine,
@@ -182,28 +158,3 @@ def parallel_predict_time(
         thread_times=tuple(times), thread_nnz=tuple(nnzs)
     )
 
-
-def thread_scaling(
-    tensor: COOTensor,
-    mode: int,
-    rank: int,
-    core_machine: MachineSpec,
-    thread_counts: Sequence[int] = (1, 2, 4, 8, 10, 20),
-    **kwargs,
-) -> list[dict]:
-    """Sweep thread counts; rows carry makespan, speedup, imbalance."""
-    base: "float | None" = None
-    rows = []
-    for t in thread_counts:
-        est = parallel_predict_time(tensor, mode, rank, core_machine, t, **kwargs)
-        if base is None:
-            base = est.makespan
-        rows.append(
-            {
-                "threads": int(t),
-                "makespan_ms": round(est.makespan * 1e3, 4),
-                "speedup": round(base / est.makespan, 2) if est.makespan else 0.0,
-                "imbalance": round(est.imbalance, 3),
-            }
-        )
-    return rows

@@ -30,6 +30,11 @@ class TestExitCodes:
         kdir = tmp_path / "kernels"
         kdir.mkdir()
         (kdir / "k.py").write_text(CLEAN)
+        # Test modules under tests/kernels drive kernels; they are not
+        # the hot path, so the hot-path lint skips them.
+        tdir = tmp_path / "tests" / "kernels"
+        tdir.mkdir(parents=True)
+        (tdir / "test_k.py").write_text(HAZARD)
         assert main(["check", str(tmp_path)]) == 0
 
     def test_seeded_violation_exits_one(self, seeded_kernels, capsys):
@@ -192,6 +197,8 @@ class TestPlansFlag:
             main(["check", "--plans", "--select", "PL", "benchmarks", "examples"])
             == 0
         )
+        # Every rule family, with the tests in scope too.
+        assert main(["check", "--plans", "benchmarks", "examples", "tests"]) == 0
 
     def test_select_plan_family(self, tmp_path, capsys):
         (tmp_path / "bench.py").write_text(BAD_PLAN)

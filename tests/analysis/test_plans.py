@@ -18,7 +18,6 @@ from repro.analysis.plans import (
     verify_process_grid,
     verify_rank_blocking,
     verify_rank_extension,
-    verify_thread_ranges,
 )
 from repro.blocking.grid import BlockGrid
 from repro.blocking.rank import RankBlocking
@@ -134,27 +133,6 @@ class TestVerifyRankBlocking:
 
         diags = verify_rank_blocking(GappyBlocking(n_blocks=1), 32)
         assert "PL403" in rules(diags)
-
-
-class TestVerifyThreadRanges:
-    def test_exact_tiling_clean(self):
-        assert verify_thread_ranges([(0, 50), (50, 100)], 100) == []
-
-    def test_overlap_flagged(self):
-        diags = verify_thread_ranges([(0, 60), (50, 100)], 100)
-        assert rules(diags) == ["PL407"]
-
-    def test_gap_flagged(self):
-        diags = verify_thread_ranges([(0, 40), (60, 100)], 100)
-        assert rules(diags) == ["PL407"]
-
-    def test_out_of_bounds_flagged(self):
-        diags = verify_thread_ranges([(0, 120)], 100)
-        assert rules(diags) == ["PL407"]
-
-    def test_dispatch_with_extent(self):
-        assert verify_plan([(0, 10), (10, 20)], extent=20) == []
-        assert rules(verify_plan([(0, 15), (10, 20)], extent=20)) == ["PL407"]
 
 
 class TestVerifyProcessGrid:
@@ -314,29 +292,6 @@ class TestRunnerIntegration:
 
 
 class TestRuntimeWiring:
-    def test_parallel_rejects_gapped_thread_ranges(self):
-        from repro.perf.parallel import parallel_predict_time
-        from repro.util.errors import ScheduleError
-
-        t = small_tensor(10)
-        core = power8(1).scaled(1.0 / 64.0)
-        with pytest.raises(ScheduleError):
-            parallel_predict_time(
-                t, 0, 16, core, 2,
-                thread_ranges=[(0, 10), (20, t.shape[0])],
-            )
-
-    def test_parallel_accepts_exact_tiling(self):
-        from repro.perf.parallel import parallel_predict_time
-
-        t = small_tensor(11)
-        core = power8(1).scaled(1.0 / 64.0)
-        half = t.shape[0] // 2
-        est = parallel_predict_time(
-            t, 0, 16, core, 2, thread_ranges=[(0, half), (half, t.shape[0])]
-        )
-        assert est.makespan > 0
-
     def test_tuner_verifies_before_caching(self):
         from repro.tune.cache import TuningCache
         from repro.tune.tuner import Tuner

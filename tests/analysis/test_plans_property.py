@@ -10,7 +10,6 @@ from repro.analysis.plans import (
     boundaries_to_intervals,
     tiling_report,
     verify_rank_blocking,
-    verify_thread_ranges,
 )
 from repro.blocking.rank import RankBlocking
 from repro.kernels.base import intervals_from_rows, merge_intervals
@@ -107,16 +106,6 @@ class TestRankBlockingProperties:
         rank = data.draw(st.integers(min_value=1, max_value=512))
         n_blocks = data.draw(st.integers(min_value=1, max_value=rank))
         assert verify_rank_blocking(RankBlocking(n_blocks=n_blocks), rank) == []
-
-    @given(
-        extent=st.integers(min_value=2, max_value=100),
-        n=st.integers(min_value=1, max_value=8),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_thread_ranges_from_even_split(self, extent, n):
-        n = min(n, extent)
-        bounds = [extent * i // n for i in range(n + 1)]
-        assert verify_thread_ranges(boundaries_to_intervals(bounds), extent) == []
 
 
 class TestWriteSetHelpers:

@@ -13,16 +13,13 @@ from repro.analysis.races import (
     verify_fold_covers_conflicts,
     verify_safe,
     write_sets_for_boundaries,
-    write_sets_for_coo_chunks,
     write_sets_for_grid,
-    write_sets_for_ranges,
 )
 from repro.blocking.grid import BlockGrid
 from repro.dist.grid import ProcessGrid
 from repro.dist.mediumgrain import medium_grain_decompose
 from repro.machine import power8
 from repro.perf.parallel import parallel_predict_time, partition_rows
-from repro.tensor.coo import COOTensor
 from repro.util.errors import ScheduleError
 
 CORE = power8(1).scaled(1.0 / 64.0)
@@ -39,19 +36,6 @@ class TestWriteSetOverlap:
         b = TaskWriteSet("b", 10, 20)
         assert a.overlap(b) == (10, 15, 5)
 
-    def test_interleaved_exact_rows_are_disjoint(self):
-        # Interval bounds overlap, but the exact row sets do not: the
-        # exact path must not report a false race.
-        a = TaskWriteSet("a", 0, 5, rows=np.array([0, 2, 4]))
-        b = TaskWriteSet("b", 1, 6, rows=np.array([1, 3, 5]))
-        assert a.overlap(b) is None
-
-    def test_exact_rows_shared(self):
-        a = TaskWriteSet("a", 0, 5, rows=np.array([0, 2, 4]))
-        b = TaskWriteSet("b", 2, 7, rows=np.array([2, 4, 6]))
-        lo, hi, n = a.overlap(b)
-        assert (lo, hi, n) == (2, 5, 2)
-
 
 class TestGridSchedules:
     SHAPE = (30, 20, 10)
@@ -60,7 +44,6 @@ class TestGridSchedules:
         grid = BlockGrid(self.SHAPE, (4, 1, 1))
         report = check_schedule(write_sets_for_grid(grid, mode=0), mode=0)
         assert report.safe
-        assert not report.needs_privatization
         assert report.diagnostics() == []
         assert "safe" in report.describe()
 
@@ -69,7 +52,6 @@ class TestGridSchedules:
         grid = BlockGrid(self.SHAPE, (1, 2, 2))
         report = check_schedule(write_sets_for_grid(grid, mode=0), mode=0)
         assert not report.safe
-        assert report.needs_privatization
         assert report.n_conflict_pairs == 6  # C(4, 2) blocks, all colliding
         rules = [d.rule for d in report.diagnostics()]
         assert rules.count("RS202") == 1  # degenerate: one output-mode block
@@ -96,28 +78,7 @@ class TestGridSchedules:
             write_sets_for_grid(grid, 0, parallel="rows")
 
 
-class TestCOOChunks:
-    def test_unsorted_stream_races(self):
-        # Rows interleave across storage-order chunks: the canonical race
-        # of the naive non-blocked COO parallelization.
-        indices = np.array(
-            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=np.int64
-        )
-        t = COOTensor((2, 2, 1), indices, np.ones(4))
-        tasks = write_sets_for_coo_chunks(t, mode=0, n_tasks=2)
-        report = check_schedule(tasks, mode=0)
-        assert not report.safe
-        assert report.n_conflict_pairs == 1
-
-    def test_sorted_stream_verifies_clean(self):
-        indices = np.array(
-            [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0], [2, 0, 0], [2, 1, 0]],
-            dtype=np.int64,
-        )
-        t = COOTensor((3, 2, 1), indices, np.ones(6))
-        tasks = write_sets_for_coo_chunks(t, mode=0, n_tasks=3)
-        assert check_schedule(tasks, mode=0).safe
-
+class TestSlicePartition:
     def test_partition_rows_boundaries_safe(self, small_tensor):
         boundaries = partition_rows(small_tensor, 0, 4)
         report = verify_safe(
@@ -128,36 +89,22 @@ class TestCOOChunks:
 
 
 class TestRuntimeWiring:
-    def test_thread_ranges_overlap_rejected(self, small_tensor):
-        with pytest.raises(ScheduleError, match="do not tile the output rows"):
-            parallel_predict_time(
-                small_tensor,
-                0,
-                8,
-                CORE,
-                2,
-                thread_ranges=[(0, 10), (5, 15)],
-            )
+    def test_overlapping_partition_rejected(self, small_tensor, monkeypatch):
+        # The time model vets its partition before predicting anything.
+        import repro.perf.parallel as parallel_mod
 
-    def test_explicit_disjoint_ranges_accepted(self, small_tensor):
-        half = small_tensor.shape[0] // 2
-        est = parallel_predict_time(
-            small_tensor,
-            0,
-            8,
-            CORE,
-            2,
-            thread_ranges=[(0, half), (half, small_tensor.shape[0])],
+        monkeypatch.setattr(
+            parallel_mod, "partition_rows", lambda *a: np.array([0, 10, 5, 15])
         )
-        assert len(est.thread_times) == 2
-        assert sum(est.thread_nnz) == small_tensor.nnz
+        with pytest.raises(ScheduleError, match="threaded MTTKRP schedule"):
+            parallel_predict_time(small_tensor, 0, 8, CORE, 2)
 
     def test_default_partition_still_works(self, small_tensor):
         est = parallel_predict_time(small_tensor, 0, 8, CORE, 4)
         assert est.makespan > 0
 
     def test_verify_safe_raises_with_context(self):
-        tasks = write_sets_for_ranges([(0, 10), (5, 15)], label="worker")
+        tasks = [TaskWriteSet("worker 0", 0, 10), TaskWriteSet("worker 1", 5, 15)]
         with pytest.raises(ScheduleError, match="my schedule"):
             verify_safe(tasks, 1, "my schedule")
 
@@ -170,7 +117,7 @@ class TestDistributedFold:
         report = verify_fold_covers_conflicts(decomp, mode=0)
         # Processes sharing an output chunk conflict by design; the fold
         # reduce-scatters them, so verification passes.
-        assert report.needs_privatization
+        assert not report.safe
 
     def test_cross_slab_conflict_rejected(self):
         # A corrupted decomposition: two processes in *different* output

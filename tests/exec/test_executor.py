@@ -1,9 +1,9 @@
 """The shared-memory parallel executor: serial equivalence for every
 registered kernel, schedule vetting, determinism across thread counts,
-and the process backend.
+and the backend set.
 
 The ``parallel_exec`` marker tags every test that may spawn worker
-threads or processes; constrained CI legs deselect them and re-run with
+threads; constrained CI legs deselect them and re-run with
 ``REPRO_EXEC_THREADS=1`` (which drops the executor to its inline path).
 """
 
@@ -94,37 +94,18 @@ def test_deterministic_across_thread_counts(problem, n_threads):
     np.testing.assert_array_equal(one, many)
 
 
-def test_overlapping_ranges_rejected(problem):
+def test_overlapping_ranges_rejected(problem, monkeypatch):
+    """The launch gate: a partition whose worker row ranges overlap is
+    refused before any sub-plan is built."""
+    import repro.exec.executor as executor_mod
+
     t, _ = problem
-    ex = ParallelExecutor(n_threads=2)
-    with pytest.raises(ScheduleError):
-        ex.prepare(t, 0, "splatt", thread_ranges=[(0, 14), (10, 24)])
-
-
-def test_gapped_ranges_rejected(problem):
-    t, _ = problem
-    ex = ParallelExecutor(n_threads=2)
-    with pytest.raises(ScheduleError):
-        ex.prepare(t, 0, "splatt", thread_ranges=[(0, 10), (14, 24)])
-
-
-def test_explicit_ranges_accepted(problem):
-    t, factors = problem
-    ex = ParallelExecutor(n_threads=_threads(2))
-    pplan = ex.prepare(t, 0, "splatt", thread_ranges=[(0, 7), (7, 24)])
-    got = ex.execute(pplan, factors)
-    np.testing.assert_array_equal(
-        got, get_kernel("splatt").mttkrp(t, factors, 0)
+    monkeypatch.setattr(
+        executor_mod, "partition_rows", lambda *a: np.array([0, 14, 10, 24])
     )
-
-
-def test_process_backend_matches_serial(problem):
-    t, factors = problem
-    serial = get_kernel("splatt").mttkrp(t, factors, 0)
-    got = parallel_mttkrp(
-        t, factors, 0, "splatt", n_threads=_threads(2), backend="process"
-    )
-    np.testing.assert_array_equal(got, serial)
+    ex = ParallelExecutor(n_threads=2)
+    with pytest.raises(ScheduleError, match="overlapping mode-0 output rows"):
+        ex.prepare(t, 0, "splatt")
 
 
 def test_serial_backend_and_report(problem):
@@ -167,9 +148,10 @@ def test_more_threads_than_rows():
 def test_bad_config_rejected():
     with pytest.raises(ConfigError):
         ParallelExecutor(n_threads=0)
-    with pytest.raises(ConfigError):
-        ParallelExecutor(backend="gpu")
-    assert BACKENDS == ("thread", "process", "serial")
+    for backend in ("gpu", "process"):
+        with pytest.raises(ConfigError, match=r"\('thread', 'serial'\)"):
+            ParallelExecutor(backend=backend)
+    assert BACKENDS == ("thread", "serial")
 
 
 def test_tune_threads_feeds_executor(problem):

@@ -91,7 +91,18 @@ class TestWorkerPool:
     def test_pool_requires_thread_backend(self):
         with WorkerPool(n_threads=1) as pool:
             with pytest.raises(ConfigError):
-                ParallelExecutor(n_threads=1, backend="process", pool=pool)
+                ParallelExecutor(n_threads=1, backend="serial", pool=pool)
+
+    def test_process_pool_takes_only_pinned_tasks(self):
+        # Process workers are rank-bound (repro.dist): no round-robin.
+        with WorkerPool(n_threads=1, backend="process") as pool:
+            with pytest.raises(ConfigError, match="submit_pinned"):
+                pool.submit(pow, 2, 2)
+            # An executor would write into pickled copies of its output.
+            with pytest.raises(ConfigError, match="pool 'process'"):
+                ParallelExecutor(n_threads=1, pool=pool)
+            assert pool.submit_pinned(0, pow, 2, 3).result(timeout=30) == 8
+            assert pool.n_submitted == 1
 
     def test_pool_survives_executor(self):
         # The executor never shuts the shared pool down.

@@ -3,8 +3,8 @@
 A kernel's ``prepare``/``execute`` and an executor worker's task write
 only into their arguments and the output they return.  A body that
 records into a module-level container leaks memory across calls, races
-between worker threads, and silently diverges between the thread and
-process backends.  This runs every registered kernel serially and
+between worker threads, and silently diverges between a worker and the
+serial path.  This runs every registered kernel serially and
 through the thread executor and checks that no module-level ``dict``,
 ``list`` or ``set`` in ``repro.kernels`` or ``repro.exec`` changed.
 """

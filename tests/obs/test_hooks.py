@@ -149,19 +149,6 @@ class TestExecutorHook:
         executor.prepare(tensor, 1, kernel, **params)
         assert tracer.span_counts() == {"exec.prepare": 2}
 
-    def test_process_backend_synthesizes_worker_spans(self, tensor, factors):
-        from repro.exec import ParallelExecutor
-
-        executor = ParallelExecutor(n_threads=2, backend="process")
-        pplan = executor.prepare(tensor, 0, "splatt")
-        tracer = Tracer()
-        with use_tracer(tracer):
-            executor.execute(pplan, factors)
-        workers = tracer.spans_named("exec.worker")
-        assert len(workers) == len(pplan.tasks)
-        assert all(w.meta.get("synthesized") for w in workers)
-        assert len({w.thread_id for w in workers}) == len(workers)
-
 
 class TestTunerHook:
     def test_cache_hit_miss_counters(self, tensor):

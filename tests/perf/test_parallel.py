@@ -7,7 +7,6 @@ from repro.perf import (
     parallel_predict_time,
     partition_rows,
     per_thread_machine,
-    thread_scaling,
 )
 from repro.tensor import power_law_tensor, uniform_random_tensor
 
@@ -61,8 +60,11 @@ class TestParallelTime:
     def test_bandwidth_saturation_bends_scaling(self, tensor):
         """Beyond the socket saturation point, extra threads gain less
         than linearly."""
-        rows = thread_scaling(tensor, 0, 64, CORE, thread_counts=(1, 2, 4, 16))
-        s = {r["threads"]: r["speedup"] for r in rows}
+        base = parallel_predict_time(tensor, 0, 64, CORE, 1).makespan
+        s = {
+            t: base / parallel_predict_time(tensor, 0, 64, CORE, t).makespan
+            for t in (2, 4, 16)
+        }
         assert s[2] > 1.5  # near-linear early
         assert s[16] < 16 * 0.8  # saturated late
         assert s[16] >= s[4] * 0.9  # but not worse

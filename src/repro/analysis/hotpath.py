@@ -8,8 +8,9 @@ layout tricks get ported:
 
 * **HP301** — a per-element Python loop over an array
   (``for i in range(len(x)): ... x[i] ...``): the nnz/fiber streams must
-  go through numpy bulk ops (``reduceat``, fancy indexing), never
-  per-element Python iteration.  Chunk loops (``range(lo, hi, step)``)
+  go through bulk ops (fancy indexing, the compiled segment sums of
+  :mod:`repro.kernels.base`), never per-element Python iteration.
+  Chunk loops (``range(lo, hi, step)``)
   and loops over block lists are structurally exempt.
 * **HP302** — a loop-invariant dotted attribute chain (``plan.base.vals``)
   looked up repeatedly inside a loop: each lookup is a dict probe per
@@ -142,8 +143,9 @@ def _check_loops(tree: ast.AST, file: str, diags: list[Diagnostic]) -> None:
                                 loop.col_offset,
                                 "per-element Python loop indexes an array with "
                                 f"the loop variable {idx!r}",
-                                hint="replace with a vectorized numpy equivalent "
-                                "(fancy indexing, np.add.reduceat, np.add.at)",
+                                hint="replace with a bulk equivalent (fancy "
+                                "indexing, or repro.kernels.base.segment_sums_into "
+                                "for segmented row sums)",
                             )
                         )
 

@@ -6,7 +6,7 @@ Commands
 ``diagnose``  machine-model performance report for one configuration
 ``tune``      run the Section V-C autotuner (optionally with a cache file)
 ``ppa``       the Table I pressure-point analysis
-``cpd``       CP-ALS / CP-APR decomposition with any kernel
+``cpd``       CP-ALS decomposition with any kernel
 ``scaling``   the Table III distributed strong-scaling experiment
 ``datasets``  list the Table II registry
 ``check``     static analysis: parse errors, schedule races, hot-path
@@ -199,29 +199,20 @@ def cmd_ppa(args: argparse.Namespace) -> int:
 
 
 def cmd_cpd(args: argparse.Namespace) -> int:
+    from repro.cpd import cp_als
+
     tensor = _load_tensor(args)
-    if args.method == "apr":
-        from repro.cpd import cp_apr
-
-        res = cp_apr(tensor, args.rank, n_iters=args.iters, seed=args.seed)
-        print(
-            f"CP-APR: log-likelihood {res.final_log_likelihood:.6g} after "
-            f"{res.n_iters} iterations (converged={res.converged})"
-        )
-    else:
-        from repro.cpd import cp_als
-
-        res = cp_als(
-            tensor,
-            args.rank,
-            n_iters=args.iters,
-            kernel=args.kernel,
-            seed=args.seed,
-        )
-        print(
-            f"CP-ALS ({args.method}): fit {res.final_fit:.4f} after "
-            f"{res.n_iters} iterations (converged={res.converged})"
-        )
+    res = cp_als(
+        tensor,
+        args.rank,
+        n_iters=args.iters,
+        kernel=args.kernel,
+        seed=args.seed,
+    )
+    print(
+        f"CP-ALS ({args.kernel}): fit {res.final_fit:.4f} after "
+        f"{res.n_iters} iterations (converged={res.converged})"
+    )
     return 0
 
 
@@ -240,34 +231,24 @@ def cmd_trace(args: argparse.Namespace) -> int:
         write_metrics_doc,
     )
 
+    from repro.cpd import cp_als
+
     tensor = _load_tensor(args)
     tracer = Tracer()
     with use_tracer(tracer):
-        if args.method == "apr":
-            from repro.cpd import cp_apr
+        res = cp_als(
+            tensor,
+            args.rank,
+            n_iters=args.iters,
+            kernel=args.kernel,
+            seed=args.seed,
+            n_threads=args.threads,
+        )
 
-            res = cp_apr(tensor, args.rank, n_iters=args.iters, seed=args.seed)
-            outcome = (
-                f"CP-APR: log-likelihood {res.final_log_likelihood:.6g} "
-                f"after {res.n_iters} iterations"
-            )
-        else:
-            from repro.cpd import cp_als
-
-            res = cp_als(
-                tensor,
-                args.rank,
-                n_iters=args.iters,
-                kernel=args.kernel,
-                seed=args.seed,
-                n_threads=args.threads,
-            )
-            outcome = (
-                f"CP-ALS ({args.kernel}, {args.threads} thread(s)): "
-                f"fit {res.final_fit:.4f} after {res.n_iters} iterations"
-            )
-
-    print(outcome)
+    print(
+        f"CP-ALS ({args.kernel}, {args.threads} thread(s)): "
+        f"fit {res.final_fit:.4f} after {res.n_iters} iterations"
+    )
     print()
     print(summarize_text(tracer))
     write_chrome_trace(tracer, args.out)
@@ -960,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", type=int, default=0)
     p.add_argument(
         "--strategy",
-        choices=("heuristic", "exhaustive", "random"),
+        choices=("heuristic", "exhaustive"),
         default="heuristic",
     )
     p.add_argument("--cache", help="tuning-cache JSON path")
@@ -982,7 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tensor_args(p)
     p.add_argument("--rank", type=int, default=8)
     p.add_argument("--iters", type=int, default=25)
-    p.add_argument("--method", choices=("als", "apr"), default="als")
     p.add_argument("--kernel", default="splatt")
     p.set_defaults(func=cmd_cpd)
 
@@ -1290,14 +1270,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tensor_args(p)
     p.add_argument("--rank", type=int, default=8)
     p.add_argument("--iters", type=int, default=5)
-    p.add_argument("--method", choices=("als", "apr"), default="als")
-    p.add_argument("--kernel", default="splatt", help="kernel for --method als")
+    p.add_argument("--kernel", default="splatt")
     p.add_argument(
         "--threads",
         type=int,
         default=1,
-        help="parallel-executor workers for --method als (>1 adds "
-        "exec.worker spans)",
+        help="parallel-executor workers (>1 adds exec.worker spans)",
     )
     p.add_argument(
         "--out", default="trace.json", metavar="PATH", help="chrome-trace output"

@@ -13,7 +13,6 @@ from repro.cpd.ktensor import KruskalTensor
 from repro.cpd.init import init_factors
 from repro.cpd.core import ALSResult, check_init_factors
 from repro.cpd.als import cp_als
-from repro.cpd.apr import APRResult, cp_apr, poisson_log_likelihood
 
 __all__ = [
     "KruskalTensor",
@@ -21,7 +20,4 @@ __all__ = [
     "ALSResult",
     "check_init_factors",
     "cp_als",
-    "APRResult",
-    "cp_apr",
-    "poisson_log_likelihood",
 ]

@@ -29,10 +29,10 @@ Backends
     released inside the compiled CSR products (scipy's ``csr_matvecs``,
     called by :func:`repro.kernels.base.fiber_sums` and
     :func:`repro.kernels.base.segment_sums_into`) that run lines 5-9 of
-    Algorithm 1 for the SPLATT and CSF kernels, and inside NumPy's large
-    gather and ``reduceat`` calls (line 8's ``C[k]`` gather, the COO
-    kernel), so threads overlap the heavy lifting even though the
-    orchestration is Python.  The default.
+    Algorithm 1 for the SPLATT and CSF kernels and the COO kernel's row
+    sums, and inside NumPy's large gathers (line 8's ``C[k]``, the COO
+    kernel's ``B[j]`` and ``C[k]``), so threads overlap the heavy lifting
+    even though the orchestration is Python.  The default.
 ``serial``
     Runs the same vetted schedule inline on the calling thread.  The
     determinism baseline (and the CI fallback on constrained runners).

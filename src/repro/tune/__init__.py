@@ -9,8 +9,8 @@ package is that framework:
   tuning decisions across tensors with the same structure;
 * :mod:`repro.tune.cache` — a persistent (JSON) store of tuned
   configurations keyed by (signature, rank, machine);
-* :mod:`repro.tune.tuner` — search strategies (the Section V-C greedy,
-  exhaustive, and random search) over the model-backed cost surface, with
+* :mod:`repro.tune.tuner` — search strategies (the Section V-C greedy
+  and an exhaustive search) over the model-backed cost surface, with
   a ``get_or_tune`` entry point that amortizes tuning across runs exactly
   the way CP-ALS amortizes plan preparation.
 """

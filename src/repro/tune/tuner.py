@@ -6,11 +6,8 @@
 ``exhaustive``
     Full grid over power-of-two block counts x cache-line strip widths —
     the ground truth the heuristic ablation compares against.
-``random``
-    Uniform random sampling with a budget; the baseline any smarter
-    strategy has to beat.
 
-All strategies share the model-backed cost surface through
+Both strategies share the model-backed cost surface through
 :class:`repro.perf.model.ConfigPlanner`, and :meth:`Tuner.get_or_tune`
 consults the :class:`repro.tune.cache.TuningCache` first.
 """
@@ -30,7 +27,6 @@ from repro.tensor.coo import COOTensor
 from repro.tune.cache import CacheEntry, TuningCache
 from repro.tune.signature import TensorSignature
 from repro.util.errors import ConfigError
-from repro.util.rng import resolve_rng
 from repro.util.validation import check_mode, check_rank, require
 
 
@@ -164,8 +160,6 @@ class Tuner:
         rank: int,
         strategy: str = "heuristic",
         *,
-        budget: int = 64,
-        seed: "int | None" = 0,
         max_blocks_per_mode: int = 64,
     ) -> TunedConfig:
         """Search for a configuration; does not consult the cache."""
@@ -201,18 +195,14 @@ class Tuner:
                 strategy=strategy,
             )
 
-        if strategy == "exhaustive":
-            candidates = self._exhaustive_space(rank, max_blocks_per_mode)
-        elif strategy == "random":
-            candidates = self._random_space(rank, budget, seed, max_blocks_per_mode)
-        else:
+        if strategy != "exhaustive":
             raise ConfigError(
-                f"unknown strategy {strategy!r}; use heuristic/exhaustive/random"
+                f"unknown strategy {strategy!r}; use heuristic/exhaustive"
             )
 
         best = (None, None, baseline)
         n_evals = 1
-        for counts, rb in candidates:
+        for counts, rb in self._exhaustive_space(rank, max_blocks_per_mode):
             cost = self._evaluate(counts, rb, rank)
             n_evals += 1
             if cost < best[2]:
@@ -226,44 +216,20 @@ class Tuner:
             strategy=strategy,
         )
 
-    def _count_axis(self, max_blocks: int) -> list[int]:
-        axis = [1]
-        while axis[-1] * 2 <= max_blocks:
-            axis.append(axis[-1] * 2)
-        return axis
-
-    def _strip_axis(self, rank: int) -> list["int | None"]:
-        strips: list[int | None] = [None]
-        strips.extend(
-            cols for cols in range(REGISTER_BLOCK_COLS, rank, REGISTER_BLOCK_COLS)
-        )
-        return strips
-
     def _exhaustive_space(self, rank: int, max_blocks: int):
-        counts_axis = self._count_axis(max_blocks)
+        counts_axis = [1]
+        while counts_axis[-1] * 2 <= max_blocks:
+            counts_axis.append(counts_axis[-1] * 2)
+        strips = [None, *range(REGISTER_BLOCK_COLS, rank, REGISTER_BLOCK_COLS)]
         for counts in itertools.product(counts_axis, repeat=self.tensor.order):
             if any(c > s for c, s in zip(counts, self.tensor.shape)):
                 continue
             key = None if all(c == 1 for c in counts) else counts
-            for cols in self._strip_axis(rank):
+            for cols in strips:
                 rb = None if cols is None else RankBlocking(block_cols=cols)
                 if key is None and rb is None:
                     continue  # baseline already scored
                 yield key, rb
-
-    def _random_space(self, rank: int, budget: int, seed, max_blocks: int):
-        require(budget >= 1, "budget must be >= 1")
-        rng = resolve_rng(seed)
-        counts_axis = self._count_axis(max_blocks)
-        strips = self._strip_axis(rank)
-        for _ in range(budget):
-            counts = tuple(
-                min(int(rng.choice(counts_axis)), s) for s in self.tensor.shape
-            )
-            cols = strips[int(rng.integers(0, len(strips)))]
-            rb = None if cols is None else RankBlocking(block_cols=cols)
-            key = None if all(c == 1 for c in counts) else counts
-            yield key, rb
 
     # ------------------------------------------------------------------
     def tune_threads(

@@ -2,8 +2,8 @@
 
 The kernels honor the float32 precision contract through
 ``Kernel.execute``, which allocates every output in the factor dtype;
-these tests pin the *driver* layers — cp_als,
-cp_apr, init_factors, KruskalTensor — which used to
+these tests pin the *driver* layers — cp_als, init_factors,
+KruskalTensor — which used to
 allocate float64 weights/grams and silently upcast (or trip the kernels'
 mixed-precision ConfigError) on float32 input.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cpd import KruskalTensor, cp_als, cp_apr, init_factors
+from repro.cpd import KruskalTensor, cp_als, init_factors
 from repro.tensor import poisson_tensor
 from repro.tensor.coo import COOTensor
 
@@ -108,14 +108,6 @@ class TestFloat32EndToEnd:
         fit32 = cp_als(t32, 6, n_iters=6, seed=0).final_fit
         fit64 = cp_als(t64, 6, n_iters=6, seed=0).final_fit
         assert fit32 == pytest.approx(fit64, abs=5e-3)
-
-    def test_cp_apr_float32(self, t32):
-        res = cp_apr(t32, 8, n_iters=5, seed=0)
-        assert_model_float32(res.model)
-        assert np.isfinite(res.final_log_likelihood)
-        # Log-likelihood is non-decreasing under the APR multiplicative
-        # updates, float32 noise aside.
-        assert res.log_likelihoods[-1] >= res.log_likelihoods[0] - 1e-2
 
     @pytest.mark.parallel_exec
     def test_cp_als_float32_threaded(self, t32):

@@ -90,10 +90,10 @@ def _cases() -> "dict[str, tuple]":
 CASES = _cases()
 
 GOLDEN: dict[str, str] = {
-    "cp_als-coo-f32-t1": "d79d9adcdce65bc0950f7cfd7ab4ab71128328faa0d1c7f3418f2c84f9d820c2",
-    "cp_als-coo-f32-t2": "d79d9adcdce65bc0950f7cfd7ab4ab71128328faa0d1c7f3418f2c84f9d820c2",
-    "cp_als-coo-f64-t1": "7b838efe371ac814635bb15fac6abde8fb86493dde04be79efbf61cea15e74a0",
-    "cp_als-coo-f64-t2": "7b838efe371ac814635bb15fac6abde8fb86493dde04be79efbf61cea15e74a0",
+    "cp_als-coo-f32-t1": "8bf08824dce6f84d0da5a1c6b03b3389c251606c3d46877391b2b1df6516842c",
+    "cp_als-coo-f32-t2": "8bf08824dce6f84d0da5a1c6b03b3389c251606c3d46877391b2b1df6516842c",
+    "cp_als-coo-f64-t1": "3dbd651cb86017ab32a7296ee42fedfe971c48c517394d500904ddc92ca98a33",
+    "cp_als-coo-f64-t2": "3dbd651cb86017ab32a7296ee42fedfe971c48c517394d500904ddc92ca98a33",
     "cp_als-csf-any-f32-t1": "b17ec9048a57de3f2cd524c91120973767a2656bf1127021a7aba339b602e257",
     "cp_als-csf-any-f32-t2": "b17ec9048a57de3f2cd524c91120973767a2656bf1127021a7aba339b602e257",
     "cp_als-csf-any-f64-t1": "679632ee3b0a2fdaf25d602c72b48d77ae1bafa9712f1f9a009b1b0fdbcd323d",

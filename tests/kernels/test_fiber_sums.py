@@ -196,6 +196,14 @@ def test_built_plan_arrays_are_read_only(tensor, name, params):
             row_ptrs[0][0] = 0
 
 
+def test_coo_row_pointers_are_read_only(tensor):
+    plan = get_kernel("coo").prepare(tensor, 0)
+    assert plan.row_ptr.shape == (tensor.shape[0] + 1,)
+    assert plan.row_ptr[-1] == tensor.nnz
+    with pytest.raises(ValueError, match="read-only"):
+        plan.row_ptr[0] = 0
+
+
 def test_csf_any_leaf_target_csr_is_read_only(tensor):
     for mode, level in ((1, 2), (2, 1)):
         plan = get_kernel("csf-any").prepare(tensor, mode, mode_order=(0, 2, 1))

@@ -186,15 +186,6 @@ class TestCPDHooks:
         assert [p.step for p in fits] == list(range(1, res.n_iters + 1))
         assert fits[-1].value == pytest.approx(res.final_fit)
 
-    def test_cp_apr_spans(self, tensor):
-        from repro.cpd import cp_apr
-
-        tracer = Tracer()
-        with use_tracer(tracer):
-            res = cp_apr(tensor, RANK, n_iters=2, seed=0)
-        assert len(tracer.spans_named("apr.iteration")) == res.n_iters
-        assert any(p.name == "apr.log_likelihood" for p in tracer.metrics)
-
     @pytest.mark.parallel_exec
     def test_cp_als_threaded_trace_has_worker_spans(self, tensor):
         from repro.cpd import cp_als

@@ -105,8 +105,7 @@ class TestPPA:
 
 
 class TestCPD:
-    @pytest.mark.parametrize("method", ["als", "apr"])
-    def test_methods(self, method, capsys):
+    def test_methods(self, capsys):
         assert (
             main(
                 [
@@ -119,8 +118,6 @@ class TestCPD:
                     "3",
                     "--iters",
                     "3",
-                    "--method",
-                    method,
                 ]
             )
             == 0
@@ -130,14 +127,14 @@ class TestCPD:
 
     @pytest.mark.parametrize("command", ["cpd", "trace"])
     def test_removed_method_is_a_usage_error(self, command, capsys):
-        # The memoized ALS driver is gone; its --method value must fail
-        # like any invalid choice (argparse usage line, exit 2).
+        # CP-ALS is the only decomposition, so --method is gone: even its
+        # one former value fails like any unknown flag (usage line, exit 2).
         with pytest.raises(SystemExit) as exc:
-            main([command, "--method", "dimtree"])
+            main([command, "--dataset", "poisson1", "--method", "als"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: ")
-        assert "invalid choice: 'dimtree'" in err
+        assert "unrecognized arguments: --method als" in err
 
 
 class TestScaling:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.blocking import BlockGrid, RankBlocking, select_blocking
-from repro.cpd import cp_als, cp_apr
+from repro.cpd import cp_als
 from repro.dist import ProcessGrid, SimCluster, distributed_mttkrp, medium_grain_decompose
 from repro.kernels import get_kernel
 from repro.machine import power8_socket
@@ -60,10 +60,6 @@ class TestSingletonTensor:
     def test_tuner(self):
         cfg = Tuner(singleton_tensor(), 0, MACHINE).tune(32)
         assert cfg.cost > 0
-
-    def test_apr(self):
-        res = cp_apr(singleton_tensor(), 1, n_iters=3)
-        assert np.isfinite(res.final_log_likelihood)
 
     def test_all_kernels(self):
         t = singleton_tensor()

@@ -66,13 +66,6 @@ class TestTuner:
         exh = tuner.tune(128, "exhaustive", max_blocks_per_mode=8)
         assert exh.cost <= heur.cost * 1.001
 
-    def test_random_respects_budget(self, setup):
-        tensor, machine = setup
-        tuner = Tuner(tensor, 0, machine)
-        result = tuner.tune(128, "random", budget=10, seed=3)
-        assert result.n_evaluations <= 11
-        assert result.cost <= result.baseline_cost
-
     def test_unknown_strategy(self, setup):
         tensor, machine = setup
         with pytest.raises(ConfigError):

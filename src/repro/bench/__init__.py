@@ -6,15 +6,16 @@
   and ablation experiments.
 * :mod:`repro.bench.harness` — the :class:`Benchmark` registry and the
   statistically rigorous runner behind ``repro bench run``.
-* :mod:`repro.bench.registry` — the 16 registered experiment
+* :mod:`repro.bench.registry` — the registered experiment
   declarations (imported lazily by the harness).
 * :mod:`repro.bench.schema` — the versioned ``BENCH_<timestamp>.json``
   result format.
 * :mod:`repro.bench.compare` — baseline comparison and the CI
   regression gate (``repro bench compare``).
 
-The modules under ``benchmarks/`` are thin pytest wrappers over
-:func:`repro.bench.harness.run_for_pytest`.
+``repro bench run`` is the one runner: ``--filter figure,table
+--artifacts`` regenerates the paper's tables and figures under
+``benchmarks/results/``.
 """
 
 from repro.bench.experiments import (
@@ -36,7 +37,6 @@ from repro.bench.harness import (
     iter_benchmarks,
     register_benchmark,
     run_benchmark,
-    run_for_pytest,
     summarize_samples,
 )
 from repro.bench.schema import (
@@ -76,7 +76,6 @@ __all__ = [
     "iter_benchmarks",
     "register_benchmark",
     "run_benchmark",
-    "run_for_pytest",
     "summarize_samples",
     "BenchSuiteResult",
     "default_result_path",

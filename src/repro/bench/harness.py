@@ -1,6 +1,6 @@
 """The unified benchmark harness behind ``repro bench``.
 
-Every experiment in ``benchmarks/`` is registered here as a
+Every experiment is registered (in :mod:`repro.bench.registry`) as a
 :class:`Benchmark`: a named, tagged declaration of how to set up, run,
 check, and render one experiment, at two parameter tiers (``full`` and
 ``quick``).  The harness executes registered benchmarks with statistical
@@ -20,9 +20,8 @@ Registration is declarative::
         check=check_fig4,          # raises AssertionError on shape violations
     ))
 
-The ``benchmarks/bench_*.py`` files are thin pytest wrappers over
-:func:`run_for_pytest`, so the same declarations drive both ``pytest
-benchmarks/`` and ``repro bench run``.
+``repro bench run --artifacts`` renders each benchmark's tables through
+:func:`write_artifacts`; it is the one runner of the paper's artifacts.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ KNOWN_TAGS = frozenset(
         "kernel",
         "model",
         "dist",
-        "cpd",
         "figure",
         "table",
         "ablation",
@@ -89,8 +87,8 @@ class Benchmark:
     #: Model-side instrumentation: predicted time / cache-sim counters
     #: from :mod:`repro.machine`, computed once per run from the params.
     model_info: "Callable[[Mapping[str, Any]], Mapping[str, float]] | None" = None
-    #: Renderer for the human-readable artifact written by the pytest
-    #: wrappers under ``benchmarks/results/<artifact>.txt``.
+    #: Renderer for the human-readable artifact that ``repro bench run
+    #: --artifacts`` writes under ``benchmarks/results/<artifact>.txt``.
     render: "Callable[[Any], str] | None" = None
     artifact: "str | None" = None
 
@@ -408,50 +406,19 @@ def _jsonable(obj: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
-# pytest bridge
+# Artifacts
 # ----------------------------------------------------------------------
-def run_for_pytest(name: str, benchmark: Any = None) -> Any:
-    """Drive one registered benchmark from its thin pytest wrapper.
-
-    Runs the full-tier experiment once (through pytest-benchmark's
-    ``pedantic`` timer when the fixture is provided), applies the
-    registered shape checks, and writes the rendered artifact under
-    ``benchmarks/results/`` exactly as the original standalone scripts
-    did.  Returns the experiment result for any extra assertions.
-    """
-    bench = get_benchmark(name)
-    params = bench.tier_params(quick=False)
-    state = bench.setup(**params) if bench.setup is not None else None
-    try:
-        if bench.setup is not None:
-            call, args = bench.fn, (state,)
-        else:
-            call, args = (lambda: bench.fn(**params)), ()
-        if benchmark is not None:
-            result = benchmark.pedantic(call, args=args, rounds=1, iterations=1)
-        else:
-            result = call(*args)
-    finally:
-        if bench.setup is not None and bench.teardown is not None:
-            bench.teardown(state)
-    for text in write_artifacts(bench, result).values():
-        print("\n" + text)
-    if bench.check is not None:
-        bench.check(result, params)
-    return result
-
-
-def write_artifacts(bench: Benchmark, result: Any) -> dict[str, str]:
+def write_artifacts(bench: Benchmark, result: Any) -> None:
     """Render and persist a benchmark's human-readable artifacts.
 
     ``Benchmark.render`` may return one string (written as
     ``benchmarks/results/<artifact>.txt``) or a mapping of artifact name
     to text for multi-file experiments (Figure 5's subfigures, Figure 6
-    and Table III per dataset).  Returns the rendered texts by artifact
-    name; empty when the benchmark has no renderer.
+    and Table III per dataset).  A benchmark without a renderer writes
+    nothing.
     """
     if bench.render is None:
-        return {}
+        return
     from repro.bench.tables import write_result
 
     rendered = bench.render(result)
@@ -459,4 +426,3 @@ def write_artifacts(bench: Benchmark, result: Any) -> dict[str, str]:
         rendered = {bench.artifact or bench.name: rendered}
     for name, text in rendered.items():
         write_result(name, text)
-    return dict(rendered)

@@ -1,12 +1,12 @@
-"""Declarations of all registered benchmarks (the 16 ``benchmarks/``
-experiments behind ``repro bench``).
+"""Declarations of all registered benchmarks (the experiments behind
+``repro bench``).
 
 Each registration names the experiment callable, its full-tier and
-``--quick``-tier parameters, its tags, the shape checks the original
-standalone scripts asserted (now parameter-aware so they hold at both
-tiers), deterministic scalar ``metrics`` for drift detection in
-``repro bench compare``, and the renderer producing the same
-``benchmarks/results/*.txt`` artifacts as before.
+``--quick``-tier parameters, its tags, the paper-shape checks
+(parameter-aware so they hold at both tiers), deterministic scalar
+``metrics`` for drift detection in ``repro bench compare``, and the
+renderer of the ``benchmarks/results/*.txt`` artifacts that ``repro
+bench run --artifacts`` writes.
 
 Importing this module populates the registry in
 :mod:`repro.bench.harness`; ``iter_benchmarks`` does so lazily.
@@ -611,7 +611,7 @@ register_benchmark(
 
 
 # ----------------------------------------------------------------------
-# Observability: tracer overhead + end-to-end float32
+# Observability: tracer overhead
 # ----------------------------------------------------------------------
 def _check_tracer_overhead(d: Mapping[str, Any], params: Mapping[str, Any]) -> None:
     # The acceptance gate: a disabled tracer must stay within 5% of the
@@ -648,34 +648,6 @@ register_benchmark(
             [d], title="Tracer overhead on SPLATT (min-of-k, interleaved)"
         ),
         artifact="tracer_overhead_splatt",
-    )
-)
-
-
-def _check_cpd_float32(d: Mapping[str, Any], params: Mapping[str, Any]) -> None:
-    assert d["value_dtype"] == "float32"
-    # The whole model must stay float32 — any float64 here means a layer
-    # silently upcast (the bug class this benchmark pins down).
-    assert d["factor_dtypes"] == ["float32"], d["factor_dtypes"]
-    assert d["fit_finite"]
-    assert d["fit"] > 0.0
-    assert d["fit"] >= d["first_fit"] - 1e-3  # monotone up to float32 noise
-
-
-register_benchmark(
-    Benchmark(
-        name="cpd_float32",
-        fn=suites.experiment_cpd_float32,
-        tags=frozenset({"cpd", "supplementary"}),
-        description="End-to-end float32 CP-ALS: converges with no upcast",
-        params={"nnz": 30_000, "rank": 16, "n_iters": 10},
-        quick={"nnz": 8_000, "n_iters": 5},
-        check=_check_cpd_float32,
-        metrics=lambda d: {"fit": d["fit"], "n_iters": d["n_iters"]},
-        render=lambda d: render_rows(
-            [d], title="End-to-end float32 CP-ALS"
-        ),
-        artifact="cpd_float32",
     )
 )
 

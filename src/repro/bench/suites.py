@@ -1,10 +1,8 @@
 """Parameterized bodies of the supplementary and ablation experiments.
 
-These functions used to live inline in the standalone
-``benchmarks/bench_*.py`` scripts; they moved here so that the benchmark
-registry (:mod:`repro.bench.registry`) can execute them at both the full
-and the ``--quick`` tier, with the scripts reduced to thin pytest
-wrappers.  Every function is deterministic given its parameters (fixed
+The benchmark registry (:mod:`repro.bench.registry`) executes them
+through ``repro bench run`` at both the full and the ``--quick`` tier.
+Every function is deterministic given its parameters (fixed
 seeds throughout) and returns plain rows/series structures that
 :mod:`repro.bench.tables` renders.
 """
@@ -827,39 +825,6 @@ def experiment_tracer_overhead(
         "enabled_spans": len(tracer.spans),
         "enabled_nnz_counted": int(tracer.counters.get("kernel.nonzeros", 0)),
         "nnz": tensor.nnz,
-    }
-
-
-def experiment_cpd_float32(
-    shape: Sequence[int] = (60, 80, 70),
-    nnz: int = 30_000,
-    rank: int = 16,
-    n_iters: int = 10,
-    seed: int = 0,
-) -> dict[str, Any]:
-    """End-to-end float32 CP-ALS: the precision contract across the full
-    stack (tensor load, MTTKRP kernels, normalization, fit) — no silent
-    upcast to float64 anywhere, and the decomposition still converges."""
-    from repro.cpd import cp_als
-    from repro.tensor import poisson_tensor
-    from repro.tensor.coo import COOTensor
-
-    t64 = poisson_tensor(tuple(shape), nnz, seed=seed)
-    tensor = COOTensor(
-        t64.shape, t64.indices, t64.values.astype(np.float32)
-    )
-    res = cp_als(tensor, rank, n_iters=n_iters, seed=seed)
-    model = res.model
-    dtypes = {model.weights.dtype.name} | {
-        f.dtype.name for f in model.factors
-    }
-    return {
-        "fit": float(res.final_fit),
-        "first_fit": float(res.fits[0]),
-        "n_iters": int(res.n_iters),
-        "value_dtype": tensor.values.dtype.name,
-        "factor_dtypes": sorted(dtypes),
-        "fit_finite": bool(np.isfinite(res.final_fit)),
     }
 
 

@@ -46,15 +46,13 @@ def render_series(
 def write_result(name: str, text: str, directory: "str | None" = None) -> str:
     """Persist a rendered experiment under ``benchmarks/results``.
 
-    Returns the path written.  Failures to create the directory (e.g.
-    running from a read-only checkout) are reported as a no-op path.
+    Returns the path written.  A directory that cannot be created or a
+    file that cannot be written raises the ``OSError``, which names the
+    path.
     """
     directory = directory or RESULTS_DIR
-    try:
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"{name}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text.rstrip() + "\n")
-        return path
-    except OSError:
-        return os.devnull
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"{name}.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.rstrip() + "\n")
+    return path

@@ -16,7 +16,7 @@ The search is *evaluator-driven*: callers pass a function scoring one
 candidate configuration (lower is better).  The performance model
 (:func:`repro.perf.model.model_evaluator`) provides the default scorer;
 a wall-clock scorer gives the autotuning ablation
-(``benchmarks/bench_ablation_heuristic.py``).
+(the ``ablation_heuristic`` benchmark).
 
 Cost: the sweep makes :math:`O(\\log_2 I_n)` evaluations per mode plus
 :math:`R/16` for the rank — "relatively inexpensive compared to the

@@ -16,9 +16,10 @@ Commands
               bounds, NaN/Inf, dtype drift, traffic-footprint cross-check
 ``bench``     unified benchmark harness: ``run`` the registered
               experiments (``--quick`` smoke tier, ``--filter``,
-              ``--json``, ``--trace``), ``compare`` two result files with
-              regression gating, ``list`` the registry
-              (see docs/benchmarking.md)
+              ``--json``, ``--trace``; ``--artifacts`` renders the
+              paper's tables and figures under ``benchmarks/results/``),
+              ``compare`` two result files with regression gating,
+              ``list`` the registry (see docs/benchmarking.md)
 ``trace``     run a CPD experiment under the ``repro.obs`` tracer and
               write Perfetto-loadable chrome-trace JSON
               (see docs/observability.md)
@@ -541,79 +542,6 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     return 1 if report.diagnostics else 0
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    """Regenerate every paper artifact into one markdown report."""
-    import time
-
-    from repro.bench import (
-        bar_chart,
-        experiment_fig2,
-        experiment_fig4,
-        experiment_fig5,
-        experiment_fig6,
-        experiment_table1,
-        experiment_table2,
-        experiment_table3,
-        render_rows,
-        render_series,
-    )
-
-    sections: list[tuple[str, str]] = []
-    t_start = time.time()
-
-    def add(title: str, body: str) -> None:
-        sections.append((title, body))
-        print(f"[{time.time() - t_start:6.1f}s] {title}")
-
-    add(
-        "Figure 2 — arithmetic intensity (Eq. 3)",
-        (lambda d: render_series(d["x_label"], d["x_values"], d["series"]))(
-            experiment_fig2()
-        ),
-    )
-    add("Table I — pressure points", render_rows(experiment_table1()))
-    add("Table II — data sets", render_rows(experiment_table2()))
-    add(
-        "Figure 4 — RankB sweep (R=512)",
-        (lambda d: render_series(d["x_label"], d["x_values"], d["series"]))(
-            experiment_fig4()
-        ),
-    )
-    for sub, name in (("5a", "poisson2"), ("5b", "poisson3")):
-        add(f"Figure {sub} — MB grids ({name})", render_rows(experiment_fig5(name)))
-    if not args.skip_fig6:
-        for name in ("poisson2", "poisson3", "nell2", "netflix", "reddit", "amazon"):
-            data = experiment_fig6(name)
-            body = render_series(data["x_label"], data["x_values"], data["series"])
-            body += "\n\n" + bar_chart(
-                data["x_values"],
-                {"MB+RankB": data["series"]["MB+RankB"]},
-                reference=1.0,
-            )
-            add(f"Figure 6 — speedups ({name})", body)
-    if not args.skip_table3:
-        for name in ("nell2", "netflix"):
-            add(
-                f"Table III — strong scaling ({name})",
-                render_rows(experiment_table3(name)),
-            )
-
-    lines = [
-        "# Reproduced artifacts",
-        "",
-        "Generated by `python -m repro reproduce`; see EXPERIMENTS.md for the",
-        "paper-vs-measured discussion and DESIGN.md for the substitutions.",
-        "",
-    ]
-    for title, body in sections:
-        lines += [f"## {title}", "", "```", body, "```", ""]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-    print(f"\nwrote {args.out} ({len(sections)} sections, "
-          f"{time.time() - t_start:.0f}s total)")
-    return 0
-
-
 def cmd_bench_list(args: argparse.Namespace) -> int:
     """List the registered benchmarks (``repro bench list``)."""
     import json as json_mod
@@ -965,14 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=25)
     p.add_argument("--kernel", default="splatt")
     p.set_defaults(func=cmd_cpd)
-
-    p = sub.add_parser(
-        "reproduce", help="regenerate every paper artifact into one report"
-    )
-    p.add_argument("--out", default="REPORT.md")
-    p.add_argument("--skip-fig6", action="store_true", help="skip the slowest sweep")
-    p.add_argument("--skip-table3", action="store_true")
-    p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser(
         "check",

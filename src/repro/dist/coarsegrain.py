@@ -14,7 +14,7 @@ medium-grained scheme avoids:
   mode, so a CPD keeps one tensor copy per mode.
 
 This module provides the scheme as a comparison baseline; the benchmark
-``bench_decomposition_comparison.py`` reproduces the literature's
+``decomposition_comparison`` reproduces the literature's
 motivation for medium-grained (and the paper's 4D extension on top).
 """
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench import BenchSuiteResult, load_suite, save_suite
 from repro.bench.harness import BenchmarkResult, summarize_samples
 from repro.cli import main
@@ -91,6 +93,42 @@ class TestBenchRun:
             ]
         )
         assert rc == 2
+
+    def test_artifacts_render_figure2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(
+            [
+                "bench", "run",
+                "--filter", "fig2_roofline",
+                "--quick",
+                "--artifacts",
+                "--json", "out.json",
+            ]
+        )
+        assert rc == 0
+        text = (tmp_path / "benchmarks" / "results" / "fig2_roofline.txt").read_text()
+        title, header, _rule, *body = text.splitlines()
+        assert title.startswith("Figure 2")
+        table = {row.split()[0]: dict(zip(header.split(), row.split())) for row in body}
+        assert list(table) == ["16", "32", "64", "128", "256", "512", "1024", "2048"]
+        assert table["2048"]["alpha=1"] == "256"
+        assert table["2048"]["alpha=0.95"] == "4.904"
+        (res,) = load_suite(str(tmp_path / "out.json")).results
+        assert res.check == "passed"
+
+    def test_artifact_write_failure_names_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "benchmarks").write_text("not a directory")
+        with pytest.raises(OSError, match="benchmarks"):
+            main(
+                [
+                    "bench", "run",
+                    "--filter", "fig2_roofline",
+                    "--quick",
+                    "--artifacts",
+                    "--json", "out.json",
+                ]
+            )
 
 
 class TestBenchCompare:

@@ -1,6 +1,6 @@
 """Tests for the benchmark harness (small, fast configurations).
 
-The full-size experiments run under ``benchmarks/``; here we check the
+The full-size experiments run through ``repro bench run``; here we check the
 harness machinery itself: row structure, determinism, rendering, and
 persistence.
 """

@@ -1,6 +1,6 @@
 """Tests for the benchmark harness machinery (registry, runner, stats).
 
-The full-size experiments are exercised by ``benchmarks/`` and the
+The full-size experiments are exercised by ``repro bench run`` and the
 ``bench-smoke`` CI job; here we test the machinery itself with synthetic
 benchmarks and a fake clock, so the suite stays fast and deterministic.
 """
@@ -41,10 +41,10 @@ def make_bench(**over):
 
 
 class TestRegistry:
-    def test_all_twenty_one_registered(self):
+    def test_all_nineteen_registered(self):
         names = [b.name for b in iter_benchmarks()]
-        assert len(names) == 20
-        assert len(set(names)) == 20
+        assert len(names) == 19
+        assert len(set(names)) == 19
         for expected in (
             "fig2_roofline",
             "table1_ppa",
@@ -62,7 +62,6 @@ class TestRegistry:
             "ablation_model",
             "ablation_regblock",
             "tracer_overhead_splatt",
-            "cpd_float32",
             "serve_openloop",
             "serve_warm_cache",
             "dist_strong_scaling_real",

@@ -215,41 +215,6 @@ class TestDist:
         assert "divisible" in capsys.readouterr().err
 
 
-class TestReproduce:
-    def test_writes_report(self, tmp_path, capsys, monkeypatch):
-        """The fast subset of the consolidated report (fig2 + tables I/II
-        + fig4/5; the big sweeps are exercised by benchmarks/)."""
-        import repro.bench as bench
-
-        # Stub the slow experiments; the real ones run under benchmarks/.
-        rows = [{"type": i, "x": 0} for i in range(1, 7)]
-        monkeypatch.setattr(bench, "experiment_table1", lambda *a, **k: rows)
-        monkeypatch.setattr(bench, "experiment_table2", lambda *a, **k: rows)
-        monkeypatch.setattr(
-            bench,
-            "experiment_fig4",
-            lambda *a, **k: {"x_label": "x", "x_values": [1], "series": {"s": [1.0]}},
-        )
-        monkeypatch.setattr(bench, "experiment_fig5", lambda *a, **k: rows)
-        out = tmp_path / "REPORT.md"
-        assert (
-            main(
-                [
-                    "reproduce",
-                    "--out",
-                    str(out),
-                    "--skip-fig6",
-                    "--skip-table3",
-                ]
-            )
-            == 0
-        )
-        text = out.read_text()
-        assert "# Reproduced artifacts" in text
-        assert "Figure 2" in text
-        assert "Figure 5b" in text
-
-
 class TestErrors:
     def test_requires_source(self, capsys):
         with pytest.raises(SystemExit):
@@ -258,6 +223,12 @@ class TestErrors:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_removed_reproduce_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'reproduce'" in capsys.readouterr().err
 
 
 class TestSanitize:

@@ -1,18 +1,15 @@
 """Static analysis for the kernel zoo and its parallel schedules.
 
-Four passes behind one diagnostic model (``repro check``):
+Three passes behind one diagnostic model (``repro check``):
 
-* :mod:`repro.analysis.races` — symbolic blocked-schedule race detector:
-  proves parallel tasks write disjoint mode-n output rows, or reports the
-  conflicting pairs (rules RS201-RS202); wired into :mod:`repro.exec`,
-  :mod:`repro.perf.parallel` and :mod:`repro.dist.mttkrp`;
 * :mod:`repro.analysis.hotpath` — hot-path performance lint for kernel
   modules: devectorized loops, repeated attribute lookups, silent dtype
   promotion (rules HP301-HP303);
 * :mod:`repro.analysis.plans` — symbolic plan verifier: proves blocking
   grids, rank strips, and distributed decompositions tile their index
   spaces exactly once, and that tuner outputs fit their cache-level
-  target (rules PL401-PL406, PL408, PL409); wired into :mod:`repro.tune.tuner` and
+  target (rules PL401-PL406, PL408, PL409); wired into :mod:`repro.tune.tuner`,
+  the thread partition (:func:`repro.perf.parallel.partition_rows`) and
   :mod:`repro.dist.mttkrp`;
 * :mod:`repro.analysis.sanitize` — instrumented kernel execution: checks
   observed writes against the plan's declared write-set, gather bounds,
@@ -50,18 +47,6 @@ from repro.analysis.plans import (
     verify_rank_blocking,
 )
 from repro.analysis.sanitize import SanitizeReport, sanitized_execute
-from repro.analysis.races import (
-    Conflict,
-    RaceReport,
-    TaskWriteSet,
-    check_schedule,
-    detect_conflicts,
-    verify_fold_covers_conflicts,
-    verify_safe,
-    write_sets_for_boundaries,
-    write_sets_for_decomposition,
-    write_sets_for_grid,
-)
 from repro.analysis.runner import CheckResult, ParseCache, run_check
 
 __all__ = [
@@ -72,16 +57,6 @@ __all__ = [
     "render_json",
     "render_text",
     "resolve_rules",
-    "Conflict",
-    "RaceReport",
-    "TaskWriteSet",
-    "check_schedule",
-    "detect_conflicts",
-    "verify_fold_covers_conflicts",
-    "verify_safe",
-    "write_sets_for_boundaries",
-    "write_sets_for_decomposition",
-    "write_sets_for_grid",
     "rule_family_counts",
     "tiling_report",
     "verify_decomposition",

@@ -1,7 +1,7 @@
 """Unified diagnostic model for the static-analysis passes.
 
-Every pass (:mod:`repro.analysis.races`, :mod:`repro.analysis.hotpath`,
-:mod:`repro.analysis.plans`, :mod:`repro.analysis.sanitize`) reports findings as :class:`Diagnostic`
+Every pass (:mod:`repro.analysis.hotpath`, :mod:`repro.analysis.plans`,
+:mod:`repro.analysis.sanitize`) reports findings as :class:`Diagnostic`
 records — rule id, severity, location, message, fix hint — so the CLI can
 render one consistent text or JSON stream and CI can consume it.
 
@@ -48,9 +48,6 @@ class Rule:
 RULES: dict[str, Rule] = {
     r.id: r
     for r in [
-        # --- blocked-schedule races (RS2xx) ---------------------------
-        Rule("RS201", Severity.ERROR, "parallel tasks write overlapping output rows"),
-        Rule("RS202", Severity.ERROR, "block-parallel schedule over a grid with one output-mode block"),
         # --- hot-path performance (HP3xx) -----------------------------
         Rule("HP301", Severity.WARNING, "per-element Python loop over an array"),
         Rule("HP302", Severity.WARNING, "loop-invariant attribute chain looked up repeatedly in a hot loop"),
@@ -213,7 +210,6 @@ def filter_rules(
 
 #: Rule-family prefix -> human label, in catalog order (``--statistics``).
 RULE_FAMILIES: dict[str, str] = {
-    "RS": "schedule races",
     "HP": "hot-path lint",
     "PL": "plan verifier",
     "SZ": "execution sanitizer",
@@ -223,7 +219,7 @@ RULE_FAMILIES: dict[str, str] = {
 #: Families whose rules are produced at runtime, never by a file-based
 #: pass — a ``# repro: noqa[SZ501]`` in source can therefore never be
 #: "exercised" by ``repro check`` and is exempt from DG001.
-RUNTIME_FAMILIES: frozenset = frozenset({"RS", "SZ"})
+RUNTIME_FAMILIES: frozenset = frozenset({"SZ"})
 
 
 def unused_suppression_diagnostics(
@@ -239,7 +235,7 @@ def unused_suppression_diagnostics(
     noqa that matched at least one finding counts as used.  Only rules
     whose family pass actually ran this invocation (``active_families``)
     are considered — a ``noqa[PL401]`` is not "unused" just because the
-    run skipped ``--plans`` — and runtime-only families (RS/SZ) are
+    run skipped ``--plans`` — and the runtime-only family (SZ) is
     always exempt.  Ids that name no rule in :data:`RULES` (a deleted
     rule, a typo) can never fire and are always reported.  A line whose
     noqa names ``DG001`` itself is never flagged (the self-suppression

@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dist.mediumgrain import MediumGrainDecomposition
 
 #: Cap per-call diagnostics for any one failure kind so a degenerate
-#: plan does not flood the report (mirrors races.MAX_REPORTED_CONFLICTS).
+#: plan does not flood the report.
 MAX_REPORTED = 5
 
 #: Ranks a ``RankBlocking`` found without a rank in scope (the AST pass)

@@ -9,9 +9,6 @@
   ``tests`` (the hot path by construction; coarse-grained orchestration
   loops elsewhere, and the tests that drive kernels, are not
   performance hazards);
-* the **race pass** (:mod:`repro.analysis.races`) is schedule-shaped, not
-  file-shaped — the CLI exposes it through ``--race-grid`` and the
-  library wires it into the parallel/distributed entry points directly;
 * the **plan pass** (:mod:`repro.analysis.plans`, opt-in via
   ``plans=True`` / ``repro check --plans``) verifies literal
   ``BlockGrid``/``RankBlocking``/``ProcessGrid`` constructions in the

@@ -14,7 +14,7 @@ The paper's procedure, verbatim:
 
 The search is *evaluator-driven*: callers pass a function scoring one
 candidate configuration (lower is better).  The performance model
-(:func:`repro.perf.model.model_evaluator`) provides the default scorer;
+(:meth:`repro.perf.model.ConfigPlanner.evaluator`) provides the default scorer;
 a wall-clock scorer gives the autotuning ablation
 (the ``ablation_heuristic`` benchmark).
 

@@ -9,8 +9,8 @@ Commands
 ``cpd``       CP-ALS decomposition with any kernel
 ``scaling``   the Table III distributed strong-scaling experiment
 ``datasets``  list the Table II registry
-``check``     static analysis: parse errors, schedule races, hot-path
-              lint, and (``--plans``) plan-soundness verification
+``check``     static analysis: parse errors, hot-path lint, and
+              (``--plans``) plan-soundness verification
               (see docs/static-analysis.md)
 ``sanitize``  instrumented kernel execution: write-set containment, gather
               bounds, NaN/Inf, dtype drift, traffic-footprint cross-check
@@ -413,20 +413,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     """Run the static-analysis passes (``repro check``).
 
     With no paths the repo's own package is checked (the self-hosted CI
-    gate).  ``--race-grid`` additionally runs the symbolic race detector
-    on a described blocked schedule.  Exit code 1 when any diagnostic
-    survives filtering.
+    gate).  Exit code 1 when any diagnostic survives filtering.
     """
     from pathlib import Path
 
     from repro.analysis import (
-        check_schedule,
         render_json,
         render_sarif,
         render_text,
         resolve_rules,
         run_check,
-        write_sets_for_grid,
     )
     from repro.util.errors import ConfigError
 
@@ -450,29 +446,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         plans=args.plans,
     )
     diags = result.diagnostics
-
-    if args.race_grid:
-        from repro.blocking import BlockGrid
-
-        shape = tuple(args.race_shape) if args.race_shape else None
-        if shape is None:
-            # Without a tensor shape, analyze the block-index space itself.
-            shape = tuple(args.race_grid)
-        grid = BlockGrid(shape, args.race_grid)
-        report = check_schedule(
-            write_sets_for_grid(grid, args.race_mode, parallel=args.race_parallel),
-            args.race_mode,
-        )
-        race_diags = report.diagnostics(file=f"<grid {grid!r}>")
-        from repro.analysis.diagnostics import filter_rules
-
-        diags = diags + filter_rules(
-            race_diags,
-            select=resolve_rules(args.select),
-            ignore=resolve_rules(args.ignore),
-        )
-        if args.format == "text":
-            print(report.describe())
 
     if args.format == "json":
         print(render_json(diags, result.files_checked, statistics=args.statistics))
@@ -896,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="static analysis: parse errors, schedule races, hot-path lint",
+        help="static analysis: parse errors, hot-path lint, plan soundness",
     )
     p.add_argument(
         "paths",
@@ -917,28 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--statistics",
         action="store_true",
-        help="append a per-rule-family count summary (RS/HP/PL/SZ/DG)",
-    )
-    p.add_argument(
-        "--race-grid",
-        type=int,
-        nargs=3,
-        metavar=("NA", "NB", "NC"),
-        help="also race-check a blocked schedule with this block grid",
-    )
-    p.add_argument(
-        "--race-shape",
-        type=int,
-        nargs=3,
-        metavar=("I", "J", "K"),
-        help="tensor shape for --race-grid (default: the grid itself)",
-    )
-    p.add_argument("--race-mode", type=int, default=0, help="output mode")
-    p.add_argument(
-        "--race-parallel",
-        choices=("blocks", "output"),
-        default="blocks",
-        help="parallelization axis: every block, or output-mode blocks only",
+        help="append a per-rule-family count summary (HP/PL/SZ/DG)",
     )
     p.set_defaults(func=cmd_check)
 

@@ -98,7 +98,7 @@ def distributed_cp_als(
     decomp: MediumGrainDecomposition = medium_grain_decompose(
         tensor, grid, seed=seed
     )
-    _verify_schedule(decomp, range(3), rank_groups, state.rank)
+    _verify_schedule(decomp, rank_groups, state.rank)
 
     shm = None
     total_time = 0.0

@@ -30,7 +30,7 @@ from repro.dist.grid import ProcessGrid
 from repro.dist.mediumgrain import medium_grain_decompose
 from repro.dist.mttkrp import DistMTTKRPResult, distributed_mttkrp
 from repro.machine.spec import MachineSpec
-from repro.perf.model import model_evaluator
+from repro.perf.model import ConfigPlanner
 from repro.tensor.coo import COOTensor
 from repro.util.rng import resolve_rng
 from repro.util.validation import check_rank, require, value_dtype_of
@@ -196,7 +196,7 @@ def strong_scaling(
                 validate=False,
             )
             if local.nnz:
-                evaluate = model_evaluator(local, mode, rank, machine)
+                evaluate = ConfigPlanner(local, mode).evaluator(rank, machine)
                 choice = select_blocking(local, mode, rank, evaluate)
                 counts, rb = choice.block_counts, choice.rank_blocking
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.analysis.diagnostics import Severity
 from repro.analysis.plans import verify_decomposition, verify_rank_extension
-from repro.analysis.races import verify_fold_covers_conflicts
 from repro.blocking.grid import clamp_block_counts
 from repro.blocking.rank import RankBlocking
 from repro.dist.comm import SimCluster
@@ -150,22 +149,17 @@ def _sim_blocks(
 
 
 def _verify_schedule(
-    decomp: MediumGrainDecomposition,
-    modes: Sequence[int],
-    rank_groups: int,
-    rank: int,
+    decomp: MediumGrainDecomposition, rank_groups: int, rank: int
 ) -> None:
     """Reject a decomposition no distributed MTTKRP may run on.
 
-    Race check: processes sharing an output chunk conflict by design
-    (the fold reduce-scatters their privatized partials), but a conflict
-    *across* slabs would be folded nowhere (``ScheduleError``).
-    Soundness proof: the decomposition must tile the index space with
-    every nonzero in exactly one block (PL405/PL406) and the t-way rank
-    extension must tile ``[0, R)`` (PL408).
+    Processes sharing an output chunk write the same rows by design (the
+    fold reduce-scatters their partials inside the slab).  That is sound
+    only if the decomposition tiles the index space with every nonzero
+    in exactly one block (PL405/PL406) — a block crossing into another
+    slab fails PL405 — and the t-way rank extension tiles ``[0, R)``
+    (PL408).
     """
-    for mode in modes:
-        verify_fold_covers_conflicts(decomp, mode)
     plan_errors = [
         d
         for d in verify_decomposition(decomp)
@@ -217,7 +211,7 @@ def distributed_mttkrp(
         )
     mode = check_mode(mode, 3)
     rank = check_rank(factors[(mode + 1) % 3].shape[1])
-    _verify_schedule(decomp, (mode,), rank_groups, rank)
+    _verify_schedule(decomp, rank_groups, rank)
     return _run_mttkrp(
         decomp,
         factors,

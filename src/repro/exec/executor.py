@@ -5,11 +5,12 @@ slice-parallel MTTKRP *would* cost; this module actually runs one.  The
 scheme is SPLATT's OpenMP parallelization (also the CPU baseline of
 Dynasor-style multi-core MTTKRP work): each worker owns a contiguous
 range of *output slices*, so every output row has exactly one writer and
-no atomics are needed — provided the ranges are disjoint.  That proviso
-is not assumed: every schedule is vetted through the race detector
-(:func:`repro.analysis.races.verify_safe`) before launch, and an
-overlapping schedule raises :class:`~repro.util.errors.ScheduleError` —
-the same contract the time model enforces.
+no atomics are needed — provided the ranges tile the output mode.  That
+proviso is not assumed: :func:`repro.perf.parallel.partition_rows` proves
+every partition with the plan verifier's tiling check (PL401/PL402)
+before launch, and a gapped or overlapping partition raises
+:class:`~repro.util.errors.ScheduleError` — the same gate the time model
+goes through.
 
 Execution model
 ---------------
@@ -51,7 +52,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.races import verify_safe, write_sets_for_boundaries
 from repro.blocking.grid import clamp_block_counts
 from repro.kernels.base import (
     Kernel,
@@ -282,9 +282,9 @@ class ParallelExecutor:
         """Partition, vet, and prepare a parallel schedule.
 
         The output mode is split by the greedy nnz-balanced slice
-        partition, and the race detector proves the per-worker row
-        ranges disjoint (:class:`~repro.util.errors.ScheduleError`
-        otherwise) before any sub-plan is built.  ``params`` go to the
+        partition, whose per-worker row ranges are proved to tile the
+        mode (:class:`~repro.util.errors.ScheduleError` otherwise)
+        before any sub-plan is built.  ``params`` go to the
         kernel's ``prepare`` for every sub-tensor, with ``block_counts``
         clamped to each
         sub-tensor's extents first (a :class:`~repro.blocking.grid.BlockGrid`
@@ -308,18 +308,8 @@ class ParallelExecutor:
     ) -> ParallelPlan:
         kern = get_kernel(kernel) if isinstance(kernel, str) else kernel
         mode = check_mode(mode, tensor.order)
-        n_rows = int(tensor.shape[mode])
-        boundaries = partition_rows(
-            tensor, mode, min(self.n_threads, max(n_rows, 1))
-        )
-        # The launch gate: disjoint per-worker output rows, or no launch.
-        verify_safe(
-            write_sets_for_boundaries(boundaries), mode, "parallel MTTKRP schedule"
-        )
-        ranges = [
-            (int(boundaries[t]), int(boundaries[t + 1]))
-            for t in range(boundaries.shape[0] - 1)
-        ]
+        # The launch gate: per-worker output rows tile the mode, or no launch.
+        ranges = partition_rows(tensor, mode, self.n_threads)
 
         base_params = dict(params)
         if kern.name == "csf-any" and "mode_order" not in base_params:

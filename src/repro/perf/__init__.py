@@ -5,8 +5,8 @@ and the pressure-point analysis harness (Section IV-B).
   intensity grid, and roofline attainable performance.
 * :mod:`repro.perf.model` — the additive execution-time model combining
   memory traffic, load-unit pressure and compute, calibrated to the
-  additive structure the paper's Table I reveals; plus the evaluator
-  bridging the model to the Section V-C blocking heuristic.
+  additive structure the paper's Table I reveals; plus the plan cache
+  whose evaluator bridges the model to the Section V-C blocking heuristic.
 * :mod:`repro.perf.ppa` — the six Table I pressure points as exact term
   ablations of the time model.
 """
@@ -24,7 +24,6 @@ from repro.perf.model import (
     TimeBreakdown,
     predict_time,
     predict_time_for_config,
-    model_evaluator,
     prepare_plan,
 )
 from repro.perf.ppa import PRESSURE_POINTS, PressurePointResult, run_ppa
@@ -47,7 +46,6 @@ __all__ = [
     "TimeBreakdown",
     "predict_time",
     "predict_time_for_config",
-    "model_evaluator",
     "prepare_plan",
     "PRESSURE_POINTS",
     "PressurePointResult",

@@ -241,35 +241,3 @@ class ConfigPlanner:
 
         return evaluate
 
-
-def model_evaluator(
-    tensor: COOTensor,
-    mode: int,
-    rank: int,
-    machine: MachineSpec,
-):
-    """Build the cost function the Section V-C heuristic searches with.
-
-    Returns ``evaluate(block_counts, rank_blocking) -> seconds`` backed by
-    the time model.  Plans for repeated configurations are cached, since
-    the greedy sweep revisits the chosen grid while sweeping the rank
-    strips.
-    """
-    cache: dict[tuple, float] = {}
-
-    def evaluate(
-        block_counts: "tuple[int, ...] | None", rb: "RankBlocking | None"
-    ) -> float:
-        key = (
-            block_counts,
-            None
-            if rb is None
-            else (rb.n_blocks, rb.block_cols, rb.register_block, rb.restack),
-        )
-        if key not in cache:
-            cache[key] = predict_time_for_config(
-                tensor, mode, rank, machine, block_counts, rb
-            ).total
-        return cache[key]
-
-    return evaluate

@@ -7,16 +7,18 @@ one writer) but inherits whatever load imbalance the slice histogram
 carries.  This module models that execution:
 
 * :func:`partition_rows` — the nnz-balanced greedy slice partition
-  (shared with the distributed medium-grained decomposition);
+  (shared with the distributed medium-grained decomposition), vetted and
+  returned as per-thread ``(lo, hi)`` output row ranges;
 * :func:`parallel_predict_time` — per-thread time from the machine model
   with socket resources (bandwidth, load units, flops) split across
   threads and per-core caches private; the result is the makespan.
 
-Every schedule is vetted by the race detector
-(:mod:`repro.analysis.races`) before the time model trusts it: the
-per-thread output row ranges must be disjoint (each output row has one
-writer — the invariant SPLATT's slice parallelization relies on), or
-:class:`~repro.util.errors.ScheduleError` is raised.
+Every partition is vetted by the plan verifier's tiling proof
+(:func:`repro.analysis.plans.verify_boundaries`, PL401/PL402) before the
+time model or the executor trusts it: the per-thread output row ranges
+must cover the output mode exactly once (each output row has one writer
+— the invariant SPLATT's slice parallelization relies on — and none is
+left unwritten), or :class:`~repro.util.errors.ScheduleError` is raised.
 """
 
 from __future__ import annotations
@@ -25,15 +27,14 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from repro.analysis.races import verify_safe, write_sets_for_boundaries
+from repro.analysis.plans import boundaries_to_intervals, verify_boundaries
 from repro.blocking.grid import clamp_block_counts
 from repro.blocking.rank import RankBlocking
 from repro.dist.mediumgrain import greedy_slice_partition
 from repro.machine.spec import MachineSpec
 from repro.perf.model import predict_time, prepare_plan
 from repro.tensor.coo import COOTensor
+from repro.util.errors import ScheduleError
 from repro.util.validation import check_mode, check_rank, require
 
 
@@ -71,10 +72,27 @@ def per_thread_machine(
 
 def partition_rows(
     tensor: COOTensor, mode: int, n_threads: int
-) -> np.ndarray:
-    """Output-slice boundaries per thread (length ``n_threads + 1``)."""
+) -> list[tuple[int, int]]:
+    """Per-thread output row ranges ``(lo, hi)`` of the greedy
+    nnz-balanced slice partition.
+
+    At most one thread per output row is used.  The boundaries must tile
+    the output mode exactly once (PL401/PL402), or
+    :class:`~repro.util.errors.ScheduleError` is raised before anything
+    runs or is predicted on them.
+    """
     mode = check_mode(mode, tensor.order)
-    return greedy_slice_partition(tensor.slice_nnz(mode), n_threads)
+    n_rows = int(tensor.shape[mode])
+    boundaries = greedy_slice_partition(
+        tensor.slice_nnz(mode), min(int(n_threads), max(n_rows, 1))
+    )
+    diags = verify_boundaries(boundaries, n_rows, f"mode-{mode} thread partition")
+    if diags:
+        raise ScheduleError(
+            "parallel MTTKRP schedule: "
+            + "; ".join(f"{d.rule} {d.message}" for d in diags)
+        )
+    return boundaries_to_intervals(boundaries)
 
 
 @dataclass(frozen=True)
@@ -117,22 +135,13 @@ def parallel_predict_time(
     resource share.  ``core_machine`` is a single core's spec
     (e.g. ``power8(1)``), optionally cache-scaled for a stand-in.
 
-    The race detector vets the partition before any time is predicted
-    (:class:`~repro.util.errors.ScheduleError` on overlap): an unsafe
-    schedule has no meaningful time.
+    :func:`partition_rows` vets the partition before any time is
+    predicted (:class:`~repro.util.errors.ScheduleError` on a gap or an
+    overlap): an unsound schedule has no meaningful time.
     """
     rank = check_rank(rank)
     mode = check_mode(mode, tensor.order)
-    boundaries = partition_rows(
-        tensor, mode, min(int(n_threads), tensor.shape[mode])
-    )
-    verify_safe(
-        write_sets_for_boundaries(boundaries), mode, "threaded MTTKRP schedule"
-    )
-    ranges = [
-        (int(boundaries[t]), int(boundaries[t + 1]))
-        for t in range(boundaries.shape[0] - 1)
-    ]
+    ranges = partition_rows(tensor, mode, n_threads)
     n_threads = len(ranges)
     thread_machine = per_thread_machine(
         core_machine,

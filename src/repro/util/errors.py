@@ -39,8 +39,9 @@ class RegistrationError(ReproError, ValueError):
 
 
 class ScheduleError(ReproError, RuntimeError):
-    """A parallel schedule is unsafe: concurrent tasks write overlapping
-    rows of the output factor (see :mod:`repro.analysis.races`)."""
+    """A parallel schedule is unsound: its per-worker output row ranges
+    leave a gap or overlap (PL401/PL402, see
+    :func:`repro.perf.parallel.partition_rows`)."""
 
 
 class CancelledError(ReproError, RuntimeError):

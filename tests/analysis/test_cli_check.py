@@ -1,4 +1,4 @@
-"""The ``repro check`` CLI surface: exit codes, JSON output, race flags."""
+"""The ``repro check`` CLI surface: exit codes, JSON output, plan flags."""
 
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ class TestExitCodes:
         assert main(["check", str(seeded_kernels), "--ignore", "HP303"]) == 0
 
     def test_select_other_family_is_clean(self, seeded_kernels, capsys):
-        assert main(["check", str(seeded_kernels), "--select", "RS"]) == 0
+        assert main(["check", str(seeded_kernels), "--select", "PL"]) == 0
 
     def test_syntax_error_exits_one(self, tmp_path, capsys):
         # A file that does not parse is checked by no pass, so it must
@@ -95,87 +95,6 @@ class TestJSONFormat:
         assert diag["severity"] == "warning"
         assert diag["file"].endswith("k.py")
         assert diag["hint"]
-
-    def test_json_race_diags_included(self, tmp_path, capsys):
-        (tmp_path / "empty.py").write_text("x = 1\n")
-        code = main(
-            [
-                "check",
-                str(tmp_path),
-                "--format",
-                "json",
-                "--race-grid",
-                "1",
-                "2",
-                "2",
-                "--race-shape",
-                "30",
-                "20",
-                "10",
-            ]
-        )
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        rules = [d["rule"] for d in payload["diagnostics"]]
-        assert "RS202" in rules and "RS201" in rules
-
-
-class TestRaceFlags:
-    def test_unsafe_grid_reported(self, tmp_path, capsys):
-        (tmp_path / "empty.py").write_text("x = 1\n")
-        code = main(
-            [
-                "check",
-                str(tmp_path),
-                "--race-grid",
-                "1",
-                "2",
-                "2",
-                "--race-shape",
-                "30",
-                "20",
-                "10",
-            ]
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "UNSAFE" in out
-        assert "RS201" in out and "RS202" in out
-
-    def test_safe_grid_exits_zero(self, tmp_path, capsys):
-        (tmp_path / "empty.py").write_text("x = 1\n")
-        code = main(
-            [
-                "check",
-                str(tmp_path),
-                "--race-grid",
-                "4",
-                "1",
-                "1",
-                "--race-shape",
-                "30",
-                "20",
-                "10",
-            ]
-        )
-        assert code == 0
-        assert "schedule safe" in capsys.readouterr().out
-
-    def test_output_parallel_axis_safe(self, tmp_path, capsys):
-        (tmp_path / "empty.py").write_text("x = 1\n")
-        code = main(
-            [
-                "check",
-                str(tmp_path),
-                "--race-grid",
-                "2",
-                "3",
-                "2",
-                "--race-parallel",
-                "output",
-            ]
-        )
-        assert code == 0
 
 
 BAD_PLAN = "g = BlockGrid.from_boundaries((10,), [[0, 5, 9]])\n"

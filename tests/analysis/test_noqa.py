@@ -104,7 +104,7 @@ class TestDG001:
 
     def test_runtime_family_always_exempt(self):
         out = unused_suppression_diagnostics(
-            [], {2: {"SZ501", "RS201"}}, "k.py", ALL_FAMILIES | {"SZ", "RS"}
+            [], {2: {"SZ501", "SZ502"}}, "k.py", ALL_FAMILIES | {"SZ"}
         )
         assert out == []
 

@@ -65,16 +65,16 @@ class TestCrossFormatConsistency:
 
     @pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
     def test_select_mixed_rule_list(self, seeded, capsys, fmt):
-        """--select RS201,PL401: only the named rules survive, in every
-        format (RS contributes none here — the race pass runs on
-        schedules, not files)."""
+        """--select HP301,PL401: only the named rules survive, in every
+        format (HP301 contributes none here — the seeded kernel has no
+        per-element loop)."""
         code, out = _run(
             [
                 "check",
                 str(seeded),
                 "--plans",
                 "--select",
-                "RS201,PL401",
+                "HP301,PL401",
                 "--format",
                 fmt,
             ],

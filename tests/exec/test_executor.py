@@ -94,18 +94,39 @@ def test_deterministic_across_thread_counts(problem, n_threads):
     np.testing.assert_array_equal(one, many)
 
 
+def _patch_partition(monkeypatch, boundaries):
+    """Make the greedy slice partition (below the launch gate) return
+    ``boundaries`` whatever it is asked for."""
+    import repro.perf.parallel as parallel_mod
+
+    monkeypatch.setattr(
+        parallel_mod, "greedy_slice_partition", lambda *a: np.array(boundaries)
+    )
+
+
 def test_overlapping_ranges_rejected(problem, monkeypatch):
     """The launch gate: a partition whose worker row ranges overlap is
     refused before any sub-plan is built."""
-    import repro.exec.executor as executor_mod
+    t, _ = problem
+    _patch_partition(monkeypatch, [0, 14, 10, 24])
+    ex = ParallelExecutor(n_threads=3)
+    with pytest.raises(ScheduleError, match=r"PL402 .*\[10, 14\) are covered more"):
+        ex.prepare(t, 0, "splatt")
+
+
+def test_gapped_ranges_rejected(problem, monkeypatch):
+    """A partition that leaves output rows 20-23 to no worker would
+    return them as zeros; the launch gate and the time model refuse it."""
+    from repro.machine import power8
+    from repro.perf.parallel import parallel_predict_time
 
     t, _ = problem
-    monkeypatch.setattr(
-        executor_mod, "partition_rows", lambda *a: np.array([0, 14, 10, 24])
-    )
-    ex = ParallelExecutor(n_threads=2)
-    with pytest.raises(ScheduleError, match="overlapping mode-0 output rows"):
+    _patch_partition(monkeypatch, [0, 10, 12, 20])
+    ex = ParallelExecutor(n_threads=3)
+    with pytest.raises(ScheduleError, match=r"PL401 .*\[20, 24\) are covered by no"):
         ex.prepare(t, 0, "splatt")
+    with pytest.raises(ScheduleError, match="PL401"):
+        parallel_predict_time(t, 0, 8, power8(1), 3)
 
 
 def test_serial_backend_and_report(problem):

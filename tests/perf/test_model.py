@@ -6,7 +6,7 @@ from repro.blocking import RankBlocking, select_blocking
 from repro.kernels import get_kernel
 from repro.machine import power8_socket
 from repro.perf import (
-    model_evaluator,
+    ConfigPlanner,
     predict_time,
     predict_time_for_config,
     prepare_plan,
@@ -118,18 +118,20 @@ class TestModelEvaluator:
     def test_heuristic_integration(self, tensor, machine):
         """The Section V-C search driven by the model must find a config
         at least as good as the baseline."""
-        evaluate = model_evaluator(tensor, 0, 256, machine)
+        evaluate = ConfigPlanner(tensor, 0).evaluator(256, machine)
         choice = select_blocking(tensor, 0, 256, evaluate)
         assert choice.cost <= evaluate(None, None)
 
     def test_evaluator_caching(self, tensor, machine):
-        evaluate = model_evaluator(tensor, 0, 64, machine)
+        planner = ConfigPlanner(tensor, 0)
+        evaluate = planner.evaluator(64, machine)
         a = evaluate(None, None)
         b = evaluate(None, None)
         assert a == b
+        assert planner.plan_for(None, None) is planner.plan_for(None, None)
 
     def test_evaluator_matches_predict(self, tensor, machine):
-        evaluate = model_evaluator(tensor, 0, 64, machine)
+        evaluate = ConfigPlanner(tensor, 0).evaluator(64, machine)
         assert evaluate((2, 2, 2), None) == pytest.approx(
             predict_time_for_config(tensor, 0, 64, machine, (2, 2, 2)).total
         )

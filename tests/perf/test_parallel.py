@@ -35,14 +35,14 @@ class TestPerThreadMachine:
 
 class TestPartition:
     def test_boundaries_cover(self, tensor):
-        b = partition_rows(tensor, 0, 8)
-        assert b[0] == 0 and b[-1] == tensor.shape[0]
-        assert len(b) == 9
+        ranges = partition_rows(tensor, 0, 8)
+        assert ranges[0][0] == 0 and ranges[-1][1] == tensor.shape[0]
+        assert len(ranges) == 8
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
 
     def test_balanced_on_uniform(self, tensor):
-        b = partition_rows(tensor, 0, 4)
         counts = tensor.slice_nnz(0)
-        loads = [counts[b[t] : b[t + 1]].sum() for t in range(4)]
+        loads = [counts[lo:hi].sum() for lo, hi in partition_rows(tensor, 0, 4)]
         assert max(loads) / (sum(loads) / 4) < 1.2
 
 
